@@ -182,7 +182,8 @@ def _trace_parent() -> argparse.ArgumentParser:
     parent.add_argument(
         "--trace-summary", action="store_true",
         help="print a per-category span profile (count/total/mean/p95)"
-             " to stderr after the run",
+             " to stderr after the run; kernel-served spans get a row"
+             " per tier (e.g. obligation:numpy)",
     )
     return parent
 

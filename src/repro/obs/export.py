@@ -11,7 +11,9 @@ first) and each thread to a sequential tid within its process.
 
 :func:`summarize` folds the same spans into a
 :class:`TraceSummary` — per-category count / total / mean / p95 —
-for the ``--trace-summary`` table printed after a run.
+for the ``--trace-summary`` table printed after a run. Spans that name
+the kernel tier that served them (a ``tier`` argument) get a row per
+tier, e.g. ``obligation:numpy``, so the table shows which path ran.
 """
 
 from __future__ import annotations
@@ -88,7 +90,8 @@ def _p95(durations: Sequence[float]) -> float:
 
 @dataclass(frozen=True)
 class CategoryStats:
-    """Aggregate timing for one span category."""
+    """Aggregate timing for one span category (``category:tier`` for
+    spans that carry a ``tier`` argument)."""
 
     category: str
     count: int
@@ -105,12 +108,12 @@ class TraceSummary:
 
     def render(self) -> str:
         """The fixed-width table ``--trace-summary`` prints."""
-        header = (f"{'category':<14} {'count':>8} {'total':>12} "
+        header = (f"{'category':<18} {'count':>8} {'total':>12} "
                   f"{'mean':>12} {'p95':>12}")
         lines = [header, "-" * len(header)]
         for row in self.rows:
             lines.append(
-                f"{row.category:<14} {row.count:>8} "
+                f"{row.category:<18} {row.count:>8} "
                 f"{row.total_s * 1e3:>10.2f}ms "
                 f"{row.mean_s * 1e3:>10.3f}ms "
                 f"{row.p95_s * 1e3:>10.3f}ms"
@@ -119,10 +122,12 @@ class TraceSummary:
 
 
 def summarize(spans: Iterable[Span]) -> TraceSummary:
-    """Aggregate spans per category, largest total time first."""
+    """Aggregate spans per category and tier, largest total time first."""
     buckets: dict[str, list[float]] = {}
     for span in spans:
-        buckets.setdefault(span.category, []).append(span.duration)
+        tier = span.args.get("tier")
+        key = span.category if tier is None else f"{span.category}:{tier}"
+        buckets.setdefault(key, []).append(span.duration)
     rows = [
         CategoryStats(
             category=category, count=len(durations),

@@ -495,6 +495,10 @@ class HierarchicalModelChecker(ModelChecker):
         groups: leaf-group core sets.
     """
 
+    # The round's inter-group phase is not in the flat kernel's model:
+    # the progress and closure obligations stay on the tuple executor.
+    flat_round = False
+
     def __init__(self, spec: HierarchySpec, choice_mode: str = "all",
                  max_orders: int = DEFAULT_MAX_ORDERS,
                  symmetric: bool = False,

@@ -29,6 +29,18 @@ codec from the *real* policy.
   (:meth:`TransitionKernel.expand_batch_arrays`) feeds the engines'
   array pipeline without materialising per-state lists.
 
+The numpy tier serves closure exploration and, on the same gates, the
+progress and good-state-closure obligations of
+:class:`~repro.verify.model_checker.ModelChecker`: ``expand_batch_arrays``
+row counts are the tuple executor's branch counts, its optional stall
+flags mark states with a branch that committed no steal, and
+:meth:`TransitionKernel.bad_mask` tests successor badness on packed
+values. A refuted obligation's witness is rebuilt by the tuple
+executor, which also still runs both obligations wherever the numpy
+tier does not (``off``/``python`` tiers, bytes-form codecs, ineligible
+checkers, and the hierarchical checker, whose inter-group phase is
+outside the kernel's model).
+
 Whether a kernel may stand in for the tuple executor at all is an
 eligibility question answered by
 :attr:`~repro.core.policy.Policy.filter_invariance` (``"loads"``,
@@ -318,6 +330,12 @@ class TransitionKernel:
         self._weights_np = np.int64(1) << self._shifts_np
         self._digit_mask = np.int64((1 << self.codec.bits) - 1)
 
+    def bad_mask(self, packed: Any) -> Any:
+        """:func:`~repro.verify.enumeration.is_bad_state` of an ``int64``
+        batch: some core has load 0 and some core has load ``>= 2``."""
+        loads = (packed[:, None] >> self._shifts_np) & self._digit_mask
+        return (loads == 0).any(axis=1) & (loads >= 2).any(axis=1)
+
     # -- single-state executor (pure python) -----------------------------
 
     def successors_loads(self,
@@ -443,7 +461,8 @@ class TransitionKernel:
             cursor += count
         return out
 
-    def expand_batch_arrays(self, packed: Any) -> tuple[Any, Any, Any]:
+    def expand_batch_arrays(self, packed: Any,
+                            stalls: bool = False) -> tuple[Any, ...]:
         """Array-native raw expansion of an ``int64`` frontier chunk.
 
         The numpy tier's native surface: takes a packed ``int64`` array
@@ -454,15 +473,24 @@ class TransitionKernel:
         enumeration. Zero-thief states self-loop, single-thief states
         execute one clamped steal, and every ``k >= 2`` group runs the
         general mixed-radix lane expansion — no per-state Python.
+
+        ``counts[i]`` is also the number of branches the tuple executor
+        enumerates for state ``i``: one row per victim combination and
+        capped steal order, or the one no-attempt branch of a
+        zero-thief state. The progress obligation alone passes
+        ``stalls=True`` and gets a fourth array, ``stalled[i]``: some
+        branch of state ``i`` committed no steal (it has no thief, or
+        every steal of one of its rows moved nothing).
         """
         np = self._np
         n_states = len(packed)
         if n_states == 0:
-            return (
+            empty = (
                 np.empty(0, dtype=np.int64),
                 np.empty(0, dtype=np.int64),
                 np.empty(0, dtype=bool),
             )
+            return empty + (np.empty(0, dtype=bool),) if stalls else empty
         # Decode the whole chunk: loads[s, cid].
         loads = (packed[:, None] >> self._shifts_np) & self._digit_mask
         running = (loads > 0).astype(np.int64)
@@ -478,6 +506,7 @@ class TransitionKernel:
         thief_counts = intents.any(axis=2).sum(axis=1)
 
         truncated = np.zeros(n_states, dtype=bool)
+        stalled = np.zeros(n_states, dtype=bool) if stalls else None
         piece_idx: list[Any] = []
         piece_vals: list[Any] = []
 
@@ -485,6 +514,8 @@ class TransitionKernel:
         if zero.size:
             piece_idx.append(zero)
             piece_vals.append(packed[zero])
+            if stalled is not None:
+                stalled[zero] = True
 
         single = np.nonzero(thief_counts == 1)[0]
         if single.size:
@@ -498,6 +529,8 @@ class TransitionKernel:
             # by construction; only the clamp matters.
             moved = np.minimum(self._amt_np[rt, rv, qt, qv], qv)
             np.clip(moved, 0, None, out=moved)
+            if stalled is not None:
+                stalled[s_glob[moved == 0]] = True
             new_loads = loads[s_glob].copy()
             rows = np.arange(len(s_glob))
             new_loads[rows, t_idx] += moved
@@ -507,12 +540,14 @@ class TransitionKernel:
 
         for k in np.unique(thief_counts[thief_counts >= 2]).tolist():
             group = np.nonzero(thief_counts == k)[0]
-            k_idx, k_vals, k_trunc = self._expand_multi_numpy(
-                int(k), group, intents, running, ready
+            k_idx, k_vals, k_trunc, k_stalled = self._expand_multi_numpy(
+                int(k), group, intents, running, ready, stalls
             )
             piece_idx.append(k_idx)
             piece_vals.append(k_vals)
             truncated[group] = k_trunc
+            if stalled is not None:
+                stalled[k_stalled] = True
 
         all_idx = np.concatenate(piece_idx)
         all_vals = np.concatenate(piece_vals)
@@ -520,11 +555,14 @@ class TransitionKernel:
         # run, in input order — the flat layout the array pipeline eats.
         order = np.argsort(all_idx, kind="stable")
         counts = np.bincount(all_idx, minlength=n_states)
+        if stalled is not None:
+            return all_vals[order], counts, truncated, stalled
         return all_vals[order], counts, truncated
 
     def _expand_multi_numpy(self, k: int, group: Any, intents: Any,
-                            running: Any,
-                            ready: Any) -> tuple[Any, Any, bool]:
+                            running: Any, ready: Any,
+                            stalls: bool = False,
+                            ) -> tuple[Any, Any, bool, Any]:
         """Vectorised expansion of states with exactly ``k >= 2`` thieves.
 
         Lanes run over state x victim combination: each thief's victim
@@ -546,8 +584,14 @@ class TransitionKernel:
         slices cap the leaf rows materialised at once at
         :data:`_ROW_CAP`.
 
-        Returns ``(state_indices, packed_values, truncated)`` where the
-        index array maps each produced value back to its source state.
+        With ``stalls`` the walk also carries, per row, whether any
+        steal on its prefix moved a task; a leaf where none did is a
+        branch that committed no steal.
+
+        Returns ``(state_indices, packed_values, truncated, stalled)``
+        where the index array maps each produced value back to its
+        source state, and ``stalled`` (``None`` unless ``stalls``)
+        holds the global indices of states with a no-steal leaf.
         """
         np = self._np
         n = self.codec.n_cores
@@ -585,6 +629,7 @@ class TransitionKernel:
 
         piece_idx: list[Any] = []
         piece_vals: list[Any] = []
+        piece_stalled: list[Any] = []
         start = 0
         while start < m:
             before = 0 if start == 0 else int(cum[start - 1])
@@ -612,6 +657,8 @@ class TransitionKernel:
             # depth d+1 gathers each node's parent block and applies
             # that node's single steal over all lanes at once.
             rdy = ready[glob_l][None]
+            # committed[node, lane]: some steal on the prefix moved.
+            committed = np.zeros((1, n_lanes), dtype=bool) if stalls else None
             for parents, node_cols in zip(tree_parents, tree_cols):
                 rdy = rdy[parents]
                 n_nodes = len(parents)
@@ -639,14 +686,20 @@ class TransitionKernel:
                 np.clip(moved, 0, None, out=moved)
                 rdy_f[vf] = qv - moved
                 rdy_f[tf] += moved
+                if committed is not None:
+                    committed = committed[parents] \
+                        | (moved > 0).reshape(n_nodes, n_lanes)
             # Leaves enumerate the capped orders; loads = ready+running.
             piece_idx.append(np.tile(glob_l, n_orders))
             piece_vals.append(
                 ((rdy + run_l).reshape(-1, n)) @ self._weights_np
             )
+            if committed is not None:
+                piece_stalled.append(glob_l[~committed.all(axis=0)])
             start = stop
         return (
             np.concatenate(piece_idx),
             np.concatenate(piece_vals),
             truncated,
+            np.concatenate(piece_stalled) if stalls else None,
         )

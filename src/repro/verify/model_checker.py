@@ -43,6 +43,7 @@ from repro.verify.obligations import (
     PROGRESS,
     WORK_CONSERVATION,
     Counterexample,
+    Obligation,
     ProofResult,
     ProofStatus,
     timed_check,
@@ -167,6 +168,11 @@ class ModelChecker:
             group's topology, when it has one).
     """
 
+    #: Whether a round is the flat round :class:`TransitionKernel`
+    #: models. A subclass whose round adds phases sets this False, and
+    #: its progress and closure obligations run on the tuple executor.
+    flat_round = True
+
     def __init__(self, policy: Policy, choice_mode: str = "all",
                  max_orders: int = DEFAULT_MAX_ORDERS,
                  symmetric: bool = False,
@@ -257,9 +263,12 @@ class ModelChecker:
         ``check_progress`` and ``successors`` all hit the same cache
         instead of re-enumerating the branching structure per obligation.
 
-        Only *bad* states are retained — they are the ones the progress
-        obligation revisits after exploration — so the memo stays bounded
-        by the bad region instead of the whole reachable closure.
+        Only *bad* states are retained, so the memo stays bounded by the
+        bad region instead of the whole reachable closure. On the tuple
+        path the progress obligation enumerates every bad state and
+        exploration's :meth:`successors` then reuses those entries; when
+        the transition kernel serves the obligations, this method runs
+        only to rebuild a refuted obligation's witness.
         """
         key = (state, sequential)
         cached = self._branch_cache.get(key)
@@ -640,41 +649,93 @@ class ModelChecker:
     # auxiliary obligations
     # ------------------------------------------------------------------
 
-    def check_good_state_closure(self, scope: StateScope,
-                                 states: Iterable[LoadState] | None = None,
-                                 ) -> ProofResult:
-        """Good states must only step to good states (§3.2 persistence).
+    def _packed_sweep(self, scope: StateScope, states: list[LoadState],
+                      ) -> tuple[TransitionKernel, StateCodec, Any] | None:
+        """The numpy kernel, codec and canonical packed form of a sweep.
 
-        ``states`` optionally restricts the sweep to one shard's chunk.
+        ``None`` when the obligation must run on the tuple executor: a
+        round the kernel does not model (:attr:`flat_round`), no numpy
+        kernel for the scope's codec (the same gates :meth:`explore`
+        applies), or swept states the scope's codec cannot pack.
+        """
+        if not self.flat_round:
+            return None
+        codec = StateCodec.for_scope(scope)
+        kernel = self._kernel_for(codec)
+        if kernel is None or kernel._np is None:
+            return None
+        np = kernel._np
+        loads = np.asarray(states, dtype=np.int64)
+        if states and (loads.ndim != 2 or loads.shape[1] != codec.n_cores
+                       or loads.min() < 0
+                       or loads.sum(axis=1).max() > codec.max_value):
+            return None
+        packed = self.symmetry.canonicalize_batch(
+            np.asarray(codec.encode_batch(states), dtype=np.int64), codec
+        )
+        return kernel, codec, packed
+
+    def _sweep_obligation(
+        self, obligation: Obligation, span_name: str, scope: StateScope,
+        states: Iterable[LoadState] | None, bad_states: bool,
+        check_at: Callable[[LoadState], tuple[int, Counterexample | None]],
+        flag_packed: Callable[[TransitionKernel, StateCodec, Any],
+                              tuple[int, int | None]],
+    ) -> ProofResult:
+        """Check ``obligation`` at every bad (or every good) swept state.
+
+        ``check_at`` is the tuple executor's check of one canonical
+        state: ``(checked, counterexample)``, where ``checked`` is what
+        the state adds to ``states_checked``. On the kernel path
+        ``flag_packed`` takes the kernel, the codec and the sweep's
+        canonical packed states of the right kind, in sweep order, and
+        returns what the states before the first flagged one checked,
+        plus that state (``None`` when none is flagged); ``check_at``
+        then rebuilds its counterexample exactly as the tuple sweep
+        reports it.
         """
         checked = 0
         counterexample: Counterexample | None = None
-        with timed_check() as timer:
+        with timed_check() as timer, TRACER.span(span_name,
+                                                 "obligation") as span:
             if states is None:
                 states = self.symmetry.iter_representatives(scope)
-            for state in states:
-                state = self._canon(state)
-                if is_bad_state(state):
-                    continue
-                checked += 1
-                succ, _ = self.successors(state)
-                bad_next = [s for s in succ if is_bad_state(s)]
-                if bad_next:
-                    counterexample = Counterexample(
-                        state=state,
-                        detail=(
-                            f"good state reaches bad state {bad_next[0]}"
-                            " in one round"
-                        ),
-                        data={"successor": bad_next[0]},
-                    )
-                    break
+            swept = list(states)
+            sweep = self._packed_sweep(scope, swept)
+            span.set(tier="tuple" if sweep is None else "numpy",
+                     states=len(swept))
+            if sweep is None:
+                for state in swept:
+                    state = self._canon(state)
+                    if is_bad_state(state) != bad_states:
+                        continue
+                    count, counterexample = check_at(state)
+                    checked += count
+                    if counterexample is not None:
+                        break
+            else:
+                kernel, codec, packed = sweep
+                checked, flagged = flag_packed(
+                    kernel, codec,
+                    packed[kernel.bad_mask(packed) == bad_states],
+                )
+                if flagged is not None:
+                    state = codec.decode(flagged)
+                    count, counterexample = check_at(state)
+                    checked += count
+                    if counterexample is None:
+                        raise VerificationError(
+                            f"{self.policy.name}: the transition kernel"
+                            f" flagged state {state} for {obligation.key}"
+                            " but the tuple executor finds no"
+                            " counterexample"
+                        )
         status = (
             ProofStatus.REFUTED if counterexample is not None
             else ProofStatus.PROVED_AT_SCOPE
         )
         return ProofResult(
-            obligation=GOOD_STATE_CLOSURE,
+            obligation=obligation,
             policy_name=self.policy.name,
             status=status,
             scope=scope.describe(),
@@ -682,6 +743,62 @@ class ModelChecker:
             counterexample=counterexample,
             elapsed_s=timer.elapsed,
         )
+
+    def check_good_state_closure(self, scope: StateScope,
+                                 states: Iterable[LoadState] | None = None,
+                                 ) -> ProofResult:
+        """Good states must only step to good states (§3.2 persistence).
+
+        ``states`` optionally restricts the sweep to one shard's chunk.
+        Where :meth:`explore` runs on the numpy kernel, so does this
+        sweep: the good states expand through :meth:`expand_level` (whose
+        memo exploration then hits) and successor badness is tested on
+        packed values. The first failing state is replayed on the tuple
+        executor, which rebuilds the same counterexample the tuple
+        sweep reports.
+        """
+        return self._sweep_obligation(
+            GOOD_STATE_CLOSURE, "checker.closure", scope, states,
+            bad_states=False, check_at=self._closure_at,
+            flag_packed=self._closure_flags,
+        )
+
+    def _closure_at(self, state: LoadState,
+                    ) -> tuple[int, Counterexample | None]:
+        """Closure at one canonical good state (one state checked)."""
+        succ, _ = self.successors(state)
+        bad_next = [s for s in succ if is_bad_state(s)]
+        if not bad_next:
+            return 1, None
+        return 1, Counterexample(
+            state=state,
+            detail=(
+                f"good state reaches bad state {bad_next[0]}"
+                " in one round"
+            ),
+            data={"successor": bad_next[0]},
+        )
+
+    def _closure_flags(self, kernel: TransitionKernel, codec: StateCodec,
+                       good: Any) -> tuple[int, int | None]:
+        """The first packed good state with a bad successor."""
+        np = kernel._np
+        if not good.size:
+            return 0, None
+        unique, inverse = np.unique(good, return_inverse=True)
+        keys = unique.tolist()
+        edges, _, flat = self.expand_level(keys, codec)
+        owner = np.repeat(np.arange(len(keys)),
+                          [len(edges[key]) for key in keys])
+        reaches_bad = np.zeros(len(keys), dtype=bool)
+        reaches_bad[owner[kernel.bad_mask(
+            np.asarray(flat, dtype=np.int64)
+        )]] = True
+        hits = np.nonzero(reaches_bad[inverse])[0]
+        if not hits.size:
+            return int(good.size), None
+        first = int(hits[0])
+        return first, int(good[first])
 
     def check_progress(self, scope: StateScope,
                        states: Iterable[LoadState] | None = None,
@@ -692,55 +809,64 @@ class ModelChecker:
         a bad state Lemma1 gives the idle core a candidate, so the round
         has intents, and the first steal to execute re-checks against
         unmutated state and must succeed. ``states`` optionally restricts
-        the sweep to one shard's chunk.
+        the sweep to one shard's chunk. Where :meth:`explore` runs on
+        the numpy kernel, so does this sweep: the kernel's per-state row
+        counts are the branch counts, and its stall flags mark states
+        with a branch that committed no steal. The first flagged state
+        is replayed on the tuple executor for the counterexample and the
+        index of the failing branch.
         """
-        checked = 0
-        counterexample: Counterexample | None = None
-        with timed_check() as timer:
-            if states is None:
-                states = self.symmetry.iter_representatives(scope)
-            for state in states:
-                state = self._canon(state)
-                if not is_bad_state(state):
-                    continue
-                enumeration = self.branches(state)
-                for branch in enumeration.branches:
-                    checked += 1
-                    if branch.attempts and branch.successes == 0:
-                        counterexample = Counterexample(
-                            state=state,
-                            detail=(
-                                "a round with steal intents committed no"
-                                f" steal (order {branch.order})"
-                            ),
-                            data={"order": branch.order},
-                        )
-                        break
-                    if not branch.attempts:
-                        counterexample = Counterexample(
-                            state=state,
-                            detail=(
-                                "bad state produced no steal intent at all"
-                                " (idle core starves with nothing to try)"
-                            ),
-                            data={},
-                        )
-                        break
-                if counterexample is not None:
-                    break
-        status = (
-            ProofStatus.REFUTED if counterexample is not None
-            else ProofStatus.PROVED_AT_SCOPE
+        return self._sweep_obligation(
+            PROGRESS, "checker.progress", scope, states,
+            bad_states=True, check_at=self._progress_at,
+            flag_packed=self._progress_flags,
         )
-        return ProofResult(
-            obligation=PROGRESS,
-            policy_name=self.policy.name,
-            status=status,
-            scope=scope.describe(),
-            states_checked=checked,
-            counterexample=counterexample,
-            elapsed_s=timer.elapsed,
-        )
+
+    def _progress_at(self, state: LoadState,
+                     ) -> tuple[int, Counterexample | None]:
+        """Progress at one canonical bad state.
+
+        Counts branches up to and including the first that commits no
+        steal, whose counterexample it returns.
+        """
+        enumeration = self.branches(state)
+        for checked, branch in enumerate(enumeration.branches, 1):
+            if branch.attempts and branch.successes == 0:
+                return checked, Counterexample(
+                    state=state,
+                    detail=(
+                        "a round with steal intents committed no"
+                        f" steal (order {branch.order})"
+                    ),
+                    data={"order": branch.order},
+                )
+            if not branch.attempts:
+                return checked, Counterexample(
+                    state=state,
+                    detail=(
+                        "bad state produced no steal intent at all"
+                        " (idle core starves with nothing to try)"
+                    ),
+                    data={},
+                )
+        return len(enumeration.branches), None
+
+    def _progress_flags(self, kernel: TransitionKernel, codec: StateCodec,
+                        bad: Any) -> tuple[int, int | None]:
+        """The first packed bad state with a branch that commits no
+        steal, and the branches of the bad states before it."""
+        np = kernel._np
+        if not bad.size:
+            return 0, None
+        unique, inverse = np.unique(bad, return_inverse=True)
+        _, counts, _, stalled = kernel.expand_batch_arrays(unique,
+                                                           stalls=True)
+        branches = counts[inverse]
+        hits = np.nonzero(stalled[inverse])[0]
+        if not hits.size:
+            return int(branches.sum()), None
+        first = int(hits[0])
+        return int(branches[:first].sum()), int(bad[first])
 
 
 # ---------------------------------------------------------------------------

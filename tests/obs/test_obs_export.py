@@ -106,6 +106,23 @@ class TestTraceSummary:
         assert store.category == "store"
         assert store.count == 1
 
+    def test_spans_with_a_tier_get_a_row_per_tier(self):
+        summary = summarize([
+            span(category="obligation", span_id=1,
+                 args={"tier": "numpy"}),
+            span(category="obligation", span_id=2, duration=2.0,
+                 args={"tier": "tuple"}),
+            span(category="obligation", span_id=3,
+                 args={"tier": "numpy"}),
+            span(category="session", span_id=4, duration=0.5),
+        ])
+        counts = {row.category: row.count for row in summary.rows}
+        assert counts == {"obligation:numpy": 2, "obligation:tuple": 1,
+                          "session": 1}
+        assert summary.render().splitlines()[2].startswith(
+            "obligation:numpy"
+        )
+
     def test_rows_sort_by_total_time_descending(self):
         summary = summarize([
             span(category="small", duration=0.01, span_id=1),

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import timeit
 
+import pytest
+
 from repro.api import Session, VerificationRequest
 from repro.cli import _ProgressPrinter
 from repro.obs.trace import TRACER
@@ -32,6 +34,21 @@ class TestEngineSpans:
         root = next(s for s in spans if s.category == "session")
         assert root.name == "request.prove"
         assert root.args["store_hit"] is False
+
+    @pytest.mark.parametrize("mode, tier", [("numpy", "numpy"),
+                                            ("off", "tuple")])
+    def test_obligation_spans_name_the_tier_that_served_them(
+            self, monkeypatch, mode, tier):
+        pytest.importorskip("numpy")
+        monkeypatch.setenv("REPRO_KERNEL", mode)
+        TRACER.enable()
+        Session().run(_request())
+        spans = [s for s in TRACER.drain() if s.category == "obligation"]
+        assert sorted(s.name for s in spans) == ["checker.closure",
+                                                 "checker.progress"]
+        assert {s.args["tier"] for s in spans} == {tier}
+        # Every state of the 3-core, load 0..2 scope is swept.
+        assert {s.args["states"] for s in spans} == {27}
 
     def test_rendered_output_identical_with_tracing_on_and_off(self):
         plain = Session().run(_request()).render()

@@ -122,7 +122,11 @@ class TestSemanticInvariance:
         Session(store=store).run(auto)
         report = store.verify_integrity()
         assert report.kept == 1 and report.evicted == ()
-        assert store.load(store_key(auto)) is not None
+        # A proved prove result is stored under the engine-normalised
+        # proof key, which differs from store_key(auto) wherever jobs=0
+        # resolves to a pool (any machine with 2 or more CPUs).
+        assert store.load(proof_key(auto)) is not None
+        assert Session(store=store).run(auto).provenance.hit
 
     def test_endpoint_addresses_do_not_change_the_key(self):
         # A worker fleet reconnecting on new OS-assigned ports keeps

@@ -9,7 +9,9 @@ executor it replaces, so every test here is a differential one:
 * the hierarchical packed fast path's ``_inter_mid_states`` versus the
   shared tuple helper ``_inter_outcomes`` (the docstring contract in
   ``repro.verify.hierarchical`` points at this file);
-* the ``REPRO_KERNEL`` eligibility gates (mode parsing, opt-outs).
+* the ``REPRO_KERNEL`` eligibility gates (mode parsing, opt-outs);
+* the progress obligation's row counts and stall flags versus the
+  tuple executor's branches, and ``bad_mask`` versus ``is_bad_state``.
 """
 
 import itertools
@@ -36,6 +38,7 @@ from repro.verify.hierarchical import (
     HierarchySpec,
     _inter_outcomes,
 )
+from repro.verify.enumeration import is_bad_state
 from repro.verify.kernel import kernel_mode
 from repro.verify.symmetry import TrivialGroup
 from repro.verify.transition import enumerate_round_branches
@@ -312,3 +315,72 @@ class TestManyThiefExpansion:
             assert flat[cursor:cursor + count] == succ
             assert trunc == tflag
             cursor += count
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+class TestBranchCountsAndStalls:
+    """The progress obligation's view of the kernel: per-state row
+    counts are the tuple executor's branch counts, and the stall flag
+    marks a branch that committed no steal."""
+
+    @staticmethod
+    def assert_rows_match_branches(kernel, codec, states, max_orders):
+        packed = numpy.asarray(codec.encode_batch(states), dtype=numpy.int64)
+        plain = kernel.expand_batch_arrays(packed)
+        values, counts, truncated, stalled = kernel.expand_batch_arrays(
+            packed, stalls=True
+        )
+        assert len(plain) == 3
+        assert values.tolist() == plain[0].tolist()
+        assert counts.tolist() == plain[1].tolist()
+        assert truncated.tolist() == plain[2].tolist()
+        for state, count, flag in zip(states, counts.tolist(),
+                                      stalled.tolist()):
+            enumeration = enumerate_round_branches(
+                kernel.policy, state, max_orders=max_orders
+            )
+            assert count == len(enumeration.branches), state
+            assert flag == any(
+                not b.attempts or b.successes == 0
+                for b in enumeration.branches
+            ), state
+
+    @pytest.mark.parametrize(
+        "policy", POLICIES + [BalanceCountPolicy(margin=1),
+                              BalanceCountPolicy(margin=3)],
+        ids=lambda p: p.name,
+    )
+    def test_full_product_space(self, policy):
+        states = list(itertools.product(range(4), repeat=4))
+        codec = StateCodec(n_cores=4, max_value=12)
+        kernel = kernel_for(policy, codec, "numpy")
+        self.assert_rows_match_branches(kernel, codec, states, 5040)
+
+    @pytest.mark.parametrize("max_orders", [1, 2, 7, 23])
+    def test_many_thief_states_under_caps(self, max_orders):
+        codec = StateCodec(n_cores=6, max_value=20)
+        kernel = kernel_for(
+            BalanceCountPolicy(margin=1), codec, "numpy",
+            max_orders=max_orders,
+        )
+        self.assert_rows_match_branches(
+            kernel, codec, TestManyThiefExpansion.MANY_THIEF_STATES,
+            max_orders,
+        )
+
+    def test_empty_batch(self):
+        codec = StateCodec(n_cores=3, max_value=6)
+        kernel = kernel_for(BalanceCountPolicy(), codec, "numpy")
+        result = kernel.expand_batch_arrays(
+            numpy.empty(0, dtype=numpy.int64), stalls=True
+        )
+        assert [len(part) for part in result] == [0, 0, 0, 0]
+
+    def test_bad_mask_matches_is_bad_state(self):
+        states = list(itertools.product(range(4), repeat=4))
+        codec = StateCodec(n_cores=4, max_value=12)
+        kernel = kernel_for(BalanceCountPolicy(), codec, "numpy")
+        mask = kernel.bad_mask(
+            numpy.asarray(codec.encode_batch(states), dtype=numpy.int64)
+        )
+        assert mask.tolist() == [is_bad_state(s) for s in states]
