@@ -7,14 +7,11 @@ dispatch) must keep producing:
   *byte-identical* across the serial path, the in-process transport, and
   real TCP subprocess workers; the wire boundary may never change a
   verdict, a counterexample, or a state count;
-* **dispatch cost** — wall-clock of the pipeline under each engine at
-  the seed scope, recorded as a table. At scopes this small the network
-  engines are expected to *lose* to serial (frame + pickle overhead
-  dominates); the artifact exists to quantify that floor, the same way
-  ``parallel_scaling.txt`` quantifies the pool's crossover.
+* **the table** — each engine's verdict and explored state count at
+  the seed scope. It holds deterministic columns only, so rerunning the
+  test leaves it unchanged; dispatch cost is measured end to end by the
+  ``hunt-x2`` workload of ``benchmarks/suite``.
 """
-
-import time
 
 from repro.metrics import render_table
 from repro.policies import BalanceCountPolicy
@@ -46,7 +43,6 @@ def test_bench_distributed_equivalence(benchmark):
 
     in_process = benchmark(in_process_proof)
 
-    start = time.perf_counter()
     async_coordinator = Coordinator([
         InProcessTransport("bench-async-a"),
         InProcessTransport("bench-async-b"),
@@ -54,33 +50,27 @@ def test_bench_distributed_equivalence(benchmark):
     over_async = prove_work_conserving_distributed(
         BalanceCountPolicy(), SEED_SCOPE, async_coordinator, mode="async",
     )
-    async_s = time.perf_counter() - start
 
-    start = time.perf_counter()
     with LocalWorkerPool(2) as coordinator:
-        spawn_s = time.perf_counter() - start
-        start = time.perf_counter()
         over_tcp = prove_work_conserving_distributed(
             BalanceCountPolicy(), SEED_SCOPE, coordinator
         )
-        tcp_s = time.perf_counter() - start
 
     assert in_process.render() == serial.render()
     assert over_tcp.render() == serial.render()
     assert over_async.render() == serial.render()
 
-    start = time.perf_counter()
-    prove_work_conserving(BalanceCountPolicy(), SEED_SCOPE)
-    serial_s = time.perf_counter() - start
-
     rows = [
-        ["serial", f"{serial_s:.3f}", "-"],
-        ["distributed/in-process x2", "(benchmarked)", "-"],
-        ["distributed/async in-process x2", f"{async_s:.3f}", "-"],
-        ["distributed/tcp x2 subprocess", f"{tcp_s:.3f}",
-         f"{spawn_s:.3f}"],
+        [engine, "PROVED" if cert.proved else "REFUTED",
+         cert.analysis.states_explored]
+        for engine, cert in (
+            ("serial", serial),
+            ("distributed/in-process x2", in_process),
+            ("distributed/async in-process x2", over_async),
+            ("distributed/tcp x2 subprocess", over_tcp),
+        )
     ]
-    table = render_table(["engine", "pipeline s", "worker spawn s"], rows)
+    table = render_table(["engine", "verdict", "states explored"], rows)
     record_result(
         "distributed_equivalence",
         "Distributed engine equivalence at seed scope"

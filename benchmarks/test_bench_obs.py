@@ -6,10 +6,11 @@ attribute check per site. This benchmark pins that contract from the
 outside: it counts the spans a traced reference run records, measures
 the disabled-path cost per call site, and asserts the product — the
 worst-case total the instrumentation can cost an untraced run — stays
-under 5% of that run's wall time. It also reports the *enabled* cost
-(informational: tracing is opt-in) and the span volume of one async
-distributed run, regenerating
-``benchmarks/results/trace_overhead.txt``.
+under 5% of that run's wall time. It also reports the span volume of
+one async distributed run, regenerating
+``benchmarks/results/trace_overhead.txt``. The table holds span counts
+only, so rerunning the test leaves it unchanged; the overhead bound
+stays an assertion.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def test_bench_trace_overhead():
     untraced_s = _timed_run(session, request)
 
     TRACER.enable()
-    traced_s = _timed_run(session, request)
+    _timed_run(session, request)
     spans = TRACER.drain()
     TRACER.disable()
 
@@ -85,14 +86,7 @@ def test_bench_trace_overhead():
         by_category[span.category] = by_category.get(span.category, 0) + 1
 
     rows = [
-        ["reference run (serial, untraced)", f"{untraced_s:.3f} s"],
-        ["reference run (serial, traced)", f"{traced_s:.3f} s"],
         ["spans recorded by traced run", len(spans)],
-        ["disabled span call", f"{per_call_s * 1e9:.0f} ns"],
-        ["disabled worst-case total",
-         f"{disabled_total_s * 1e3:.3f} ms ({disabled_pct:.2f}%)"],
-        ["enabled overhead",
-         f"{100.0 * (traced_s - untraced_s) / untraced_s:+.1f}%"],
         ["async run spans (2 workers)", len(async_spans)],
         ["async worker timelines merged", len(workers)],
     ]

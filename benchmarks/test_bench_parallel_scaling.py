@@ -7,13 +7,15 @@ producing:
   load 0..2) must be *byte-identical* between the single-process path
   and ``jobs=2``; shard merging is deterministic, so any divergence is
   an engine bug, not noise;
-* **scaling** — wall-clock of the full pipeline for a closure-heavy
-  policy (``naive_overloaded``: its refuted model check explores the
-  largest graphs) at the 4-core / load-0..3 scope across worker counts,
-  recorded as a speedup table. On hosts with >= 4 CPUs the table must
-  demonstrate >= 2x at ``--jobs 4``; on smaller hosts the matrix is
-  reduced (and capped via ``max_total``) so the suite stays interactive
-  — the recorded table says which configuration ran.
+* **scaling** — the full pipeline for a closure-heavy policy
+  (``naive_overloaded``: its refuted model check explores the largest
+  graphs) at the 4-core / load-0..3 scope across worker counts. On
+  hosts with >= 4 CPUs the wall-clock must show >= 2x at ``--jobs 4``;
+  on smaller hosts the matrix is reduced (and capped via
+  ``max_total``) so the suite stays interactive. The recorded table
+  says which configuration ran and holds deterministic columns only
+  (verdicts and state counts), so rerunning the test leaves it
+  unchanged; end-to-end timing lives in ``benchmarks/suite``.
 """
 
 import os
@@ -46,7 +48,7 @@ def test_bench_parallel_equivalence(benchmark):
 
 
 def test_bench_parallel_scaling():
-    """Record pipeline wall-clock vs worker count; assert real speedup.
+    """Record verdicts per worker count; assert real speedup.
 
     The subject is ``naive_overloaded`` — the §4.3 ping-pong policy whose
     refuted model check dominates the zoo matrix cost — at 4 cores /
@@ -87,49 +89,39 @@ def test_bench_parallel_scaling():
             assert ours.status == theirs.status, ours.obligation.key
         rows.append([
             jobs,
-            f"{timings[jobs]:.2f}",
-            f"{timings[job_counts[0]] / timings[jobs]:.2f}x",
-            f"{cert.analysis.states_explored / timings[jobs]:,.0f}",
+            cert.analysis.states_explored,
             "REFUTED" if not cert.proved else "PROVED",
         ])
 
     # Barrier-free async exploration over in-process transports at the
     # same scope: determinism is asserted against the pool baseline
-    # (same graph, same verdicts); on a 1-CPU host the states/s column
-    # is the signal — the barrier cost it removes only shows as
-    # wall-clock speedup with real parallel hardware.
+    # (same graph, same verdicts).
     async_rows = []
     for n_workers in (2,):
         coordinator = Coordinator([
             InProcessTransport(f"scale-async-{i}")
             for i in range(n_workers)
         ])
-        start = time.perf_counter()
         cert = prove_work_conserving_distributed(
             NaiveOverloadedPolicy(), scope, coordinator, mode="async",
         )
-        wall = time.perf_counter() - start
         assert cert.proved == baseline.proved
         assert (cert.analysis.states_explored
                 == baseline.analysis.states_explored)
         async_rows.append([
             f"async x{n_workers}",
-            f"{wall:.2f}",
-            f"{cert.analysis.states_explored / wall:,.0f}",
+            cert.analysis.states_explored,
             "REFUTED" if not cert.proved else "PROVED",
         ])
 
     record_result("parallel_scaling", (
         f"pipeline scaling for naive_overloaded at {scope.describe()}"
         f" ({CPUS} CPUs available)\n"
-        + render_table(
-            ["jobs", "wall s", "speedup", "states/s", "verdict"], rows
-        )
+        + render_table(["jobs", "states explored", "verdict"], rows)
         + "\n\nbarrier-free async distributed (in-process transports),"
         " same scope:\n"
-        + render_table(
-            ["engine", "wall s", "states/s", "verdict"], async_rows
-        )
+        + render_table(["engine", "states explored", "verdict"],
+                       async_rows)
     ))
 
     if CPUS >= 4:

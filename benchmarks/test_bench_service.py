@@ -8,7 +8,11 @@ sees every other client's proofs. This benchmark proves a small sweep
 once through a ``NetworkStore``, then measures per-hit latency through
 the socket against direct ``FileStore`` reads, and has a second
 (fresh) client replay the sweep to record the fleet-shared hit rate —
-``benchmarks/results/service_latency.txt``.
+``benchmarks/results/service_latency.txt``. The table holds
+deterministic columns only (lookup and hit counts), so rerunning the
+test leaves it unchanged; the latency bounds stay assertions, and
+end-to-end latency is measured by the ``http-mixed`` workload of
+``benchmarks/suite``.
 """
 
 import time
@@ -47,13 +51,13 @@ def run_sweep(store):
 
 
 def time_hits(store, keys):
+    """Seconds per warm lookup, every lookup asserted to hit."""
     start = time.perf_counter()
     for _ in range(HIT_ROUNDS):
         for key in keys:
             assert store.load(key) is not None
     elapsed = time.perf_counter() - start
-    lookups = HIT_ROUNDS * len(keys)
-    return elapsed / lookups, lookups / elapsed
+    return elapsed / (HIT_ROUNDS * len(keys))
 
 
 def test_bench_service_latency(tmp_path):
@@ -66,8 +70,8 @@ def test_bench_service_latency(tmp_path):
         assert cold_reused == 0
 
         keys = [store_key(request) for request in sweep_requests()]
-        net_latency, net_rps = time_hits(writer, keys)
-        file_latency, file_rps = time_hits(file_store, keys)
+        net_latency = time_hits(writer, keys)
+        time_hits(file_store, keys)
 
         # A fresh client of the same server starts 100% warm: the
         # fleet shares one cache.
@@ -88,20 +92,17 @@ def test_bench_service_latency(tmp_path):
     # absolute terms (one hit, not one exploration).
     assert net_latency < 1.0, f"warm network hit took {net_latency:.3f}s"
 
+    lookups = HIT_ROUNDS * len(keys)
     rows = [
-        ["FileStore (local disk)", f"{file_latency * 1e3:.3f}",
-         f"{file_rps:.0f}"],
-        ["NetworkStore (tcp://)", f"{net_latency * 1e3:.3f}",
-         f"{net_rps:.0f}"],
+        ["FileStore (local disk)", lookups, lookups],
+        ["NetworkStore (tcp://)", lookups, lookups],
     ]
-    table = render_table(["warm hit path", "latency ms", "requests/s"],
-                         rows)
+    table = render_table(["warm hit path", "lookups", "hits"], rows)
     summary = (
-        f"Warm-hit latency over {HIT_ROUNDS} rounds x {len(keys)}"
+        f"Warm hits over {HIT_ROUNDS} rounds x {len(keys)}"
         " keys, one store server:\n" + table
         + f"\n\nfleet-shared hit rate (fresh client, same server):"
         f" {fleet_reused}/{len(sweep_requests())}"
-        f" ({hit_rate:.0%}); cold sweep {cold_s:.3f}s,"
-        f" fleet-warm sweep {fleet_s:.3f}s"
+        f" ({hit_rate:.0%})"
     )
     record_result("service_latency", summary)

@@ -5,8 +5,11 @@ it was proven should cost file reads, not state exploration. This
 benchmark runs a small sweep — the closure-heavy refuted policy plus
 three provable ones — cold (empty store) and warm (same store, fresh
 session), asserts the warm run reuses every result without dispatching
-anything, and records the cold/warm wall-clock table as
-``benchmarks/results/store_reuse.txt``.
+anything, and records how many results each run reused as
+``benchmarks/results/store_reuse.txt``. The table holds deterministic
+columns only, so rerunning the test leaves it unchanged; store-hit
+latency is measured end to end by the ``http-mixed`` workload of
+``benchmarks/suite``.
 """
 
 import time
@@ -61,13 +64,11 @@ def test_bench_store_reuse(tmp_path):
         f"warm run ({warm_s:.3f}s) not faster than cold ({cold_s:.3f}s)"
     )
 
-    speedup = cold_s / warm_s if warm_s > 0 else float("inf")
     rows = [
-        ["cold (empty store)", f"{cold_s:.3f}", "0"],
-        ["warm (same store)", f"{warm_s:.3f}", str(warm_reused)],
-        ["speedup", f"{speedup:.1f}x", "-"],
+        ["cold (empty store)", str(cold_reused)],
+        ["warm (same store)", str(warm_reused)],
     ]
-    table = render_table(["run", "wall-clock s", "results reused"], rows)
+    table = render_table(["run", "results reused"], rows)
     record_result(
         "store_reuse",
         f"Proof store reuse over a {len(sweep_requests())}-request sweep"

@@ -126,10 +126,10 @@ class Engine(Protocol):
 class SerialEngine:
     """The unsharded reference path, in this process.
 
-    ``prove`` has no level structure (the serial closure is a DFS), so
-    ``on_level`` is ignored there; ``analyze`` reports exploration
-    progress through the checker's per-expansion hook instead, which
-    the session throttles into events.
+    ``prove`` reports no levels, so ``on_level`` is ignored there;
+    ``analyze`` reports exploration progress through the checker's
+    ``on_expand`` hook (the cumulative states explored after each BFS
+    level) instead, which the session throttles into events.
     """
 
     def describe(self) -> str:

@@ -124,8 +124,8 @@ class PolicyFinished(ProgressEvent):
 @dataclass(frozen=True)
 class LevelCompleted(ProgressEvent):
     """The closure exploration finished one BFS level (pool and
-    distributed engines; the serial closure is depth-first and reports
-    :class:`StatesExplored` instead)."""
+    distributed engines; the serial engine reports the same levels as
+    :class:`StatesExplored` counts instead)."""
 
     level: int
     states_expanded: int
@@ -296,10 +296,9 @@ class Session:
 
     def _on_expand(self, states: int) -> None:
         # Emit whenever the count crosses a stride boundary. The serial
-        # checker reports every expansion (1, 2, 3, ...), so this emits
-        # exactly at the multiples, as it always has; the async explorer
-        # reports in merge-sized jumps, and a jump across a boundary
-        # still surfaces.
+        # checker reports once per BFS level (the cumulative states
+        # explored) and the async explorer in merge-sized jumps, so a
+        # count is emitted whenever a jump crosses a boundary.
         if states // self.expand_stride > self._expand_seen // self.expand_stride:
             self._emit(StatesExplored(states=states))
         self._expand_seen = states
@@ -540,9 +539,8 @@ class Session:
         backend = getattr(engine, "inner", engine)
         with self._bound(engine, request):
             if isinstance(backend, SerialEngine):
-                # The serial closure is depth-first: exploration
-                # progress comes from the checker's per-expansion hook,
-                # not levels.
+                # The serial closure reports progress through the
+                # checker's cumulative per-level count, not levels.
                 analysis = engine.analyze(
                     resolved.policy, resolved.scope,
                     choice_mode=request.choice_mode,

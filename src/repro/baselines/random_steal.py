@@ -31,6 +31,8 @@ class RandomStealPolicy(Policy):
 
     #: Seeded-random choice: equivariant under no renaming (see Policy).
     choice_invariance = "none"
+    #: Filter and steal amount read only the two views' loads.
+    filter_invariance = "loads"
 
     def __init__(self, seed: int = 0) -> None:
         self._rng = random.Random(seed)

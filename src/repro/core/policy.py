@@ -118,13 +118,15 @@ class Policy(ABC):
     #: scalar load fields of the two views (``nr_ready``,
     #: ``has_current``, ``nr_threads``, ``weighted_load``), never on
     #: ``cid``, ``node``, ``version``, task identities, or external
-    #: state — true of every policy in this library; ``"scoped-loads"``
-    #: — loads plus a static cid-based pair admission (the policy must
-    #: expose ``core_to_group``); ``"none"`` — anything else, which
-    #: disables the kernel. Subclasses whose filter consults cids,
-    #: nodes, or mutable state MUST override this, or the kernel would
-    #: silently compute wrong successors.
-    filter_invariance: str = "loads"
+    #: state; ``"scoped-loads"`` — loads plus a static cid-based pair
+    #: admission (the policy must expose ``core_to_group``); ``"none"``
+    #: (the default) — anything else, which keeps the policy on the
+    #: tuple executor. Eligibility is opt-in: the kernel probes the
+    #: filter at one cid pair, so a policy that declares ``"loads"``
+    #: but consults cids, nodes, or mutable state would silently get
+    #: wrong successors. Every library policy declares ``"loads"``, and
+    #: a subclass inherits its parent's declaration.
+    filter_invariance: str = "none"
 
     def load(self, core: CoreView) -> float:
         """The user-defined load metric (Listing 1's ``load()``).

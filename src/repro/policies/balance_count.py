@@ -33,6 +33,9 @@ class BalanceCountPolicy(Policy):
             (and the proven) value is 2.
     """
 
+    #: Filter and steal amount read only the two views' loads.
+    filter_invariance = "loads"
+
     def __init__(self, margin: int = 2) -> None:
         if margin < 1:
             raise ConfigurationError(f"margin must be >= 1, got {margin}")

@@ -31,6 +31,8 @@ class NaiveOverloadedPolicy(Policy):
     """
 
     name = "naive_overloaded"
+    #: Filter and steal amount read only the two views' loads.
+    filter_invariance = "loads"
 
     def can_steal(self, thief: CoreView, stealee: CoreView) -> bool:
         """``stealee.load() >= 2`` — no comparison with the thief."""
@@ -51,6 +53,8 @@ class GreedyReadyPolicy(Policy):
     """
 
     name = "greedy_ready"
+    #: Filter and steal amount read only the two views' loads.
+    filter_invariance = "loads"
 
     def can_steal(self, thief: CoreView, stealee: CoreView) -> bool:
         """Victim merely needs a ready (stealable) task."""
@@ -69,6 +73,8 @@ class InvertedFilterPolicy(Policy):
     """
 
     name = "inverted_filter"
+    #: Filter and steal amount read only the two views' loads.
+    filter_invariance = "loads"
 
     def can_steal(self, thief: CoreView, stealee: CoreView) -> bool:
         """Backwards on purpose: victim has *fewer* threads than thief."""
@@ -89,6 +95,8 @@ class OverStealingPolicy(Policy):
     """
 
     name = "over_stealing"
+    #: Filter and steal amount read only the two views' loads.
+    filter_invariance = "loads"
 
     def can_steal(self, thief: CoreView, stealee: CoreView) -> bool:
         """Listing 1's sound filter."""

@@ -44,6 +44,9 @@ class WeightedBalancePolicy(Policy):
             steal from any overloaded core (Lemma1 existence direction).
     """
 
+    #: Filter and steal amount read only the two views' loads.
+    filter_invariance = "loads"
+
     def __init__(self, margin_weight: int = 2 * MIN_TASK_WEIGHT) -> None:
         if margin_weight < 1:
             raise ConfigurationError(

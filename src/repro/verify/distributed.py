@@ -97,6 +97,7 @@ from repro.verify.model_checker import (
     PackedGraph,
     TransitionGraph,
     WorkConservationAnalysis,
+    closure_start,
 )
 from repro.verify.symmetry import SymmetryGroup, resolve_symmetry
 from repro.verify.obligations import timed_check
@@ -217,6 +218,19 @@ def _enable_keepalive(sock: socket.socket) -> None:
                                 getattr(socket, name), value)
     except OSError:
         pass  # keepalive is an optimisation, never a requirement
+
+
+def _disable_nagle(sock: socket.socket) -> None:
+    """Send small frames at once instead of waiting for the peer's ACK.
+
+    Task, result, heartbeat and forward frames are request/response
+    sized; with Nagle's algorithm a short frame can sit in the send
+    buffer until the previous one is acknowledged.
+    """
+    try:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    except OSError:
+        pass  # a latency optimisation, never a requirement
 
 
 def _ingest_traced(value: Any, worker: str) -> Any:
@@ -504,6 +518,7 @@ class WorkerServer:
                 with conn:
                     conn.settimeout(None)
                     _enable_keepalive(conn)
+                    _disable_nagle(conn)
                     self._serve_connection(conn)
         self._server = None
 
@@ -711,6 +726,7 @@ class SocketTransport(WorkerClient):
             self._sock = socket.create_connection(
                 (host, port), timeout=connect_timeout_s
             )
+            _disable_nagle(self._sock)
             self._sock.settimeout(patience_s)
             send_message(self._sock,
                          WireMessage(kind=HELLO, payload=hello_payload()),
@@ -1560,16 +1576,16 @@ def async_closure(coordinator: Coordinator, config: CheckerConfig,
 
     Same contract — canonical initial states in, decoded tuple graph
     out — with the level loop replaced by an
-    :class:`AsyncPartitionExplorer` run. The canonicalisation, codec
-    derivation, and final decode are copied from ``bfs_closure`` verbatim
-    so both modes feed byte-identical graphs to every downstream
-    consumer.
+    :class:`AsyncPartitionExplorer` run. The canonicalisation and codec
+    derivation (:func:`~repro.verify.model_checker.closure_start`) and
+    the final decode are the ones ``bfs_closure`` runs, so both modes
+    feed byte-identical graphs to every downstream consumer.
     """
-    group = resolve_symmetry(symmetric, symmetry)
-    canon = {group.canonicalize(s) for s in initial_states}
-    if not canon:
+    start = closure_start(initial_states,
+                          resolve_symmetry(symmetric, symmetry))
+    if start is None:
         return {}, False
-    codec = StateCodec.for_states(len(next(iter(canon))), canon)
+    codec, frontier = start
     if n_partitions is None:
         n_partitions = max(
             1, DEFAULT_PARTITIONS_PER_WORKER * coordinator.n_workers
@@ -1578,9 +1594,7 @@ def async_closure(coordinator: Coordinator, config: CheckerConfig,
         coordinator, config, codec, n_partitions, sequential=sequential,
         on_expand=on_expand, on_partition_split=on_partition_split,
     )
-    edges, truncated = explorer.run(
-        sorted(codec.encode(state) for state in canon)
-    )
+    edges, truncated = explorer.run(frontier.tolist())
     return decode_graph(codec, edges), truncated
 
 

@@ -38,6 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
+import numpy as np
+
 from repro.core.errors import VerificationError
 from repro.verify.enumeration import LoadState, StateScope
 
@@ -174,21 +176,14 @@ class StateCodec:
         """Pack many states (list in, list out, order preserved).
 
         Int-form codecs pack the whole batch in one vectorised numpy
-        matmul with the digit place values when numpy is importable;
-        results are identical to the scalar loop either way.
+        matmul with the digit place values; results are identical to the
+        scalar loop.
         """
         values = states if isinstance(states, list) else list(states)
         if self.use_int and len(values) > 8:
-            try:
-                import numpy
-            except ImportError:
-                pass
-            else:
-                arr = numpy.asarray(values, dtype=numpy.int64)
-                weights = numpy.int64(1) << numpy.asarray(
-                    self._shifts, dtype=numpy.int64
-                )
-                return (arr @ weights).tolist()
+            arr = np.asarray(values, dtype=np.int64)
+            weights = np.int64(1) << np.asarray(self._shifts, dtype=np.int64)
+            return (arr @ weights).tolist()
         return [self.encode(state) for state in values]
 
     def decode_batch(self,
@@ -196,20 +191,14 @@ class StateCodec:
         """Unpack many states (list in, list out, order preserved).
 
         Int-form codecs unpack the whole batch in one vectorised numpy
-        shift when numpy is importable; results are identical to the
-        scalar loop either way.
+        shift; results are identical to the scalar loop.
         """
         values = packed if isinstance(packed, list) else list(packed)
         if self.use_int and len(values) > 8:
-            try:
-                import numpy
-            except ImportError:
-                pass
-            else:
-                arr = numpy.asarray(values, dtype=numpy.int64)
-                shifts = numpy.asarray(self._shifts, dtype=numpy.int64)
-                digits = ((arr[:, None] >> shifts) & self._mask).tolist()
-                return list(map(tuple, digits))
+            arr = np.asarray(values, dtype=np.int64)
+            shifts = np.asarray(self._shifts, dtype=np.int64)
+            digits = ((arr[:, None] >> shifts) & self._mask).tolist()
+            return list(map(tuple, digits))
         return [self.decode(value) for value in values]
 
     def describe(self) -> str:
@@ -228,16 +217,10 @@ def decode_graph(codec: StateCodec,
     The boundary step of every packed closure: the tuple graph is what
     certificates, rendering, and store keys consume, so it must match
     the tuple engine's graph key for key. Uses one vectorised numpy
-    unpack for int-form codecs when numpy is importable; otherwise the
-    scalar ``decode`` loop (bit-identical results either way).
+    unpack for int-form codecs; bytes-form codecs run the scalar
+    ``decode`` loop (bit-identical results either way).
     """
-    numpy = None
-    if codec.use_int:
-        try:
-            import numpy
-        except ImportError:
-            numpy = None
-    if numpy is None:
+    if not codec.use_int:
         return {
             codec.decode(packed): frozenset(
                 codec.decode(successor) for successor in successors
@@ -248,8 +231,8 @@ def decode_graph(codec: StateCodec,
     counts = [len(successors) for successors in edges.values()]
     for successors in edges.values():
         flat.extend(successors)
-    arr = numpy.asarray(flat, dtype=numpy.int64)
-    shifts = numpy.asarray(codec._shifts, dtype=numpy.int64)
+    arr = np.asarray(flat, dtype=np.int64)
+    shifts = np.asarray(codec._shifts, dtype=np.int64)
     digits = ((arr[:, None] >> shifts) & codec._mask).tolist()
     states = list(map(tuple, digits))
     n_keys = len(edges)

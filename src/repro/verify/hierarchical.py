@@ -36,6 +36,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Sequence
 
+import numpy as np
+
 from repro.core.cpu import CoreSnapshot, CoreView
 from repro.core.errors import VerificationError
 from repro.core.machine import Machine
@@ -544,7 +546,7 @@ class HierarchicalModelChecker(ModelChecker):
         # core -> group indicator matrix (n_cores x n_groups), built on
         # first use by the packed fast path to batch the per-state group
         # aggregates of a whole frontier chunk into two matmuls.
-        self._group_mat_np: Any = None
+        self._group_mat: Any = None
         self._group_loads_invariant = (
             getattr(self.group_policy, "filter_invariance", "none")
             == "loads"
@@ -787,14 +789,13 @@ class HierarchicalModelChecker(ModelChecker):
         per_state: list[tuple[set[LoadState], bool]] = []
         missing: list[LoadState] = []
         loads_batch = codec.decode_batch(packed_states)
-        np = kernel._np
         tots_list: list[list[int]] | None = None
         runs_list: list[list[int]] | None = None
-        if np is not None and len(loads_batch) > 8:
+        if len(loads_batch) > 8:
             # Batch the per-group (total, running) aggregates of the
             # whole chunk: two matmuls against the core->group
             # indicator matrix replace a per-state per-core loop.
-            if self._group_mat_np is None:
+            if self._group_mat is None:
                 mat = np.zeros(
                     (len(loads_batch[0]), len(self.groups)),
                     dtype=np.int64,
@@ -802,11 +803,11 @@ class HierarchicalModelChecker(ModelChecker):
                 for gid, cores in enumerate(self.groups):
                     for cid in cores:
                         mat[cid, gid] = 1
-                self._group_mat_np = mat
+                self._group_mat = mat
             arr = np.asarray(loads_batch, dtype=np.int64)
-            tots_list = (arr @ self._group_mat_np).tolist()
+            tots_list = (arr @ self._group_mat).tolist()
             runs_list = ((arr > 0).astype(np.int64)
-                         @ self._group_mat_np).tolist()
+                         @ self._group_mat).tolist()
         for index, loads in enumerate(loads_batch):
             if tots_list is None or runs_list is None:
                 mids, truncated = self._inter_mid_states(loads)
@@ -820,9 +821,8 @@ class HierarchicalModelChecker(ModelChecker):
                     memo[mid] = None  # type: ignore[assignment]
                     missing.append(mid)
         if missing:
-            # One kernel batch for every mid state the chunk needs:
-            # lets the numpy tier vectorise the multi-thief mids
-            # instead of running each through the Python executor.
+            # One kernel batch for every mid state the chunk needs, so
+            # the multi-thief mids vectorise together.
             group = self.symmetry
             batched = kernel.expand_batch(codec.encode_batch(missing))
             if group.is_trivial:

@@ -11,48 +11,43 @@ so ``can_steal``/``steal_amount`` over live views factor through a
 ``(running_t, running_v, ready_t, ready_v)`` table probed once per
 codec from the *real* policy.
 
-:class:`TransitionKernel` exploits that factoring twice:
+A :class:`TransitionKernel` expands a whole frontier at once: intent
+masks for every state via one advanced-indexing probe, zero- and
+single-thief states handled directly, and every state with ``k >= 2``
+racing thieves expanded through lanes over its victim combinations (a
+per-state mixed-radix decomposition) with each permutation of the ``k``
+thieves executed as ``k`` sequential table-indexed array steals. No
+state falls back to per-state Python; the array form
+(:meth:`TransitionKernel.expand_batch_arrays`) feeds the engines' array
+pipeline without materialising per-state lists. It replays the exact
+victim-combination x steal-order enumeration of
+:func:`~repro.verify.transition.enumerate_round_branches`, including its
+per-combination permutation cap and truncation flag.
 
-* a **pure-Python executor** that replays the exact victim-combination x
-  steal-order enumeration of
-  :func:`~repro.verify.transition.enumerate_round_branches` — including
-  its per-combination permutation cap and truncation flag — on plain
-  integer lists, with no snapshot objects and no policy calls in the
-  hot loop;
-* a **numpy batch tier** that expands a whole frontier at once: intent
-  masks for every state via one advanced-indexing probe, zero- and
-  single-thief states handled directly, and every state with ``k >= 2``
-  racing thieves expanded through lanes over its victim combinations
-  (a per-state mixed-radix decomposition) with each permutation of the
-  ``k`` thieves executed as ``k`` sequential table-indexed array
-  steals. No state falls back to per-state Python; the array form
-  (:meth:`TransitionKernel.expand_batch_arrays`) feeds the engines'
-  array pipeline without materialising per-state lists.
-
-The numpy tier serves closure exploration and, on the same gates, the
+The kernel serves closure exploration and, on the same gates, the
 progress and good-state-closure obligations of
 :class:`~repro.verify.model_checker.ModelChecker`: ``expand_batch_arrays``
 row counts are the tuple executor's branch counts, its optional stall
 flags mark states with a branch that committed no steal, and
 :meth:`TransitionKernel.bad_mask` tests successor badness on packed
 values. A refuted obligation's witness is rebuilt by the tuple
-executor, which also still runs both obligations wherever the numpy
-tier does not (``off``/``python`` tiers, bytes-form codecs, ineligible
-checkers, and the hierarchical checker, whose inter-group phase is
-outside the kernel's model).
+executor, which also still runs both obligations wherever the kernel
+does not (``REPRO_KERNEL=off``, bytes-form codecs, ineligible checkers,
+and the hierarchical checker, whose inter-group phase is outside the
+kernel's model).
 
 Whether a kernel may stand in for the tuple executor at all is an
 eligibility question answered by
 :attr:`~repro.core.policy.Policy.filter_invariance` (``"loads"``,
 ``"scoped-loads"`` with a static pair mask, or ``"none"`` to opt out)
 plus the checker parameters: only ``choice_mode='all'``, the
-stale-snapshot (non-sequential) regime, and ``max_orders >= 1``.
+stale-snapshot (non-sequential) regime, ``max_orders >= 1``, and an
+int-form codec (whole frontiers must fit ``int64`` lanes; bytes-form
+scopes run on the tuple executor).
 
-The ``REPRO_KERNEL`` environment variable selects the tier:
-``off`` (tuple path everywhere), ``python``, ``numpy`` (error if numpy
-is unavailable — the CI smoke job relies on that), or the default
-``auto`` (numpy when importable, else python). Numpy is deliberately an
-optional dependency: nothing in this module imports it at module scope.
+The ``REPRO_KERNEL`` environment variable selects the tier: ``off``
+(the tuple executor everywhere, the oracle the tests and CI diffs
+compare against) or the default ``numpy``.
 """
 
 from __future__ import annotations
@@ -62,38 +57,31 @@ import math
 import os
 from typing import Any, Sequence
 
+import numpy as np
+
 from repro.core.cpu import CoreSnapshot
 from repro.core.errors import VerificationError
 from repro.core.policy import Policy
 from repro.core.task import NICE_0_WEIGHT
 from repro.verify.encoding import PackedState, StateCodec
-from repro.verify.enumeration import LoadState
 from repro.verify.transition import DEFAULT_MAX_ORDERS
 
 #: Environment toggle for the kernel tier.
 KERNEL_ENV = "REPRO_KERNEL"
 
 #: Accepted values of :data:`KERNEL_ENV`.
-KERNEL_MODES = ("off", "python", "numpy", "auto")
+KERNEL_MODES = ("off", "numpy")
 
 
 def kernel_mode() -> str:
     """The configured kernel tier (validated ``REPRO_KERNEL``)."""
-    mode = os.environ.get(KERNEL_ENV, "auto").strip().lower() or "auto"
+    mode = os.environ.get(KERNEL_ENV, "numpy").strip().lower() or "numpy"
     if mode not in KERNEL_MODES:
         raise VerificationError(
             f"{KERNEL_ENV} must be one of {'|'.join(KERNEL_MODES)},"
             f" got {mode!r}"
         )
     return mode
-
-
-def _import_numpy() -> Any:
-    try:
-        import numpy
-    except ImportError:
-        return None
-    return numpy
 
 
 #: Prefix trees of capped thief permutations, keyed ``(k, n_orders)``.
@@ -164,16 +152,13 @@ def build_kernel(policy: Policy, codec: StateCodec,
                  n_cores: int | None = None) -> "TransitionKernel | None":
     """A kernel for ``(policy, codec)``, or ``None`` when ineligible.
 
-    Eligibility: ``REPRO_KERNEL`` not ``off``; ``choice_mode='all'``
-    (policy mode consults ``choose``, which tables cannot capture);
-    ``max_orders >= 1``; and the policy declares a table-compatible
+    Eligibility: ``REPRO_KERNEL`` not ``off``; an int-form codec;
+    ``choice_mode='all'`` (policy mode consults ``choose``, which tables
+    cannot capture); ``max_orders >= 1``; and the policy declares a
+    table-compatible
     :attr:`~repro.core.policy.Policy.filter_invariance`.
-
-    Raises:
-        VerificationError: ``REPRO_KERNEL=numpy`` with numpy missing.
     """
-    mode = kernel_mode()
-    if mode == "off":
+    if kernel_mode() == "off" or not codec.use_int:
         return None
     if choice_mode != "all" or max_orders < 1:
         return None
@@ -181,18 +166,10 @@ def build_kernel(policy: Policy, codec: StateCodec,
     if invariance not in ("loads", "scoped-loads"):
         return None
     n = codec.n_cores if n_cores is None else n_cores
-    numpy = None
-    if mode in ("numpy", "auto"):
-        numpy = _import_numpy()
-        if numpy is None and mode == "numpy":
-            raise VerificationError(
-                f"{KERNEL_ENV}=numpy but numpy is not importable"
-            )
     return TransitionKernel(
         policy, codec,
         max_orders=max_orders,
         pair_mask=pair_mask_for(policy, n),
-        numpy=numpy,
     )
 
 
@@ -202,7 +179,8 @@ class TransitionKernel:
     Built once per ``(policy, codec)`` and cached by the checker; the
     construction probes the real policy over the full
     ``(running, ready)`` grid (bounded by the codec's conserved total),
-    after which no policy code runs during exploration.
+    after which no policy code runs during exploration. The codec must
+    be int-form: frontiers travel as ``int64`` arrays.
 
     Attributes:
         policy: the policy the tables were probed from.
@@ -213,7 +191,7 @@ class TransitionKernel:
     def __init__(self, policy: Policy, codec: StateCodec,
                  max_orders: int = DEFAULT_MAX_ORDERS,
                  pair_mask: Sequence[Sequence[bool]] | None = None,
-                 numpy: Any = None) -> None:
+                 ) -> None:
         self.policy = policy
         self.codec = codec
         self.max_orders = max_orders
@@ -222,13 +200,6 @@ class TransitionKernel:
             else tuple(tuple(row) for row in pair_mask)
         )
         self._build_tables()
-        self._np = None
-        # The vectorised tier needs whole frontiers in int64 lanes, so
-        # it only engages for int-form codecs (the codec guarantees
-        # int form fits 63 bits).
-        if numpy is not None and codec.use_int:
-            self._np = numpy
-            self._build_numpy_tables()
 
     # -- table construction ---------------------------------------------
 
@@ -269,10 +240,8 @@ class TransitionKernel:
         """
         top = self.codec.max_value
         t_cid, v_cid = self._probe_cids()
-        can = [[[[False] * (top + 1) for _ in range(top + 1)]
-                for _ in range(2)] for _ in range(2)]
-        amt = [[[[0] * (top + 1) for _ in range(top + 1)]
-                for _ in range(2)] for _ in range(2)]
+        can = np.zeros((2, 2, top + 1, top + 1), dtype=bool)
+        amt = np.zeros((2, 2, top + 1, top + 1), dtype=np.int64)
         if t_cid >= 0:
             policy = self.policy
             can_steal = policy.can_steal
@@ -288,8 +257,6 @@ class TransitionKernel:
                     v_row = v_views[rv]
                     for qt in range(top + 1):
                         thief = t_views[rt][qt]
-                        can_row = can[rt][rv][qt]
-                        amt_row = amt[rt][rv][qt]
                         # Ready counts on the two sides of a steal can
                         # never sum past the conserved total, so the
                         # triangle qt + qv > top is unreachable — leave
@@ -297,8 +264,10 @@ class TransitionKernel:
                         for qv in range(top + 1 - qt):
                             victim = v_row[qv]
                             if can_steal(thief, victim):
-                                can_row[qv] = True
-                                amt_row[qv] = steal_amount(thief, victim)
+                                can[rt, rv, qt, qv] = True
+                                amt[rt, rv, qt, qv] = steal_amount(
+                                    thief, victim
+                                )
         self._can = can
         self._amt = amt
         # Merged executor table: the live re-check (`can` else skip)
@@ -306,124 +275,27 @@ class TransitionKernel:
         # filtered pair and a non-positive amount both execute as
         # "nothing moves". Intent construction still reads `can` — an
         # admissible pair with amount <= 0 must create a (no-op) branch.
-        self._step = [[[
-            [a if c else 0 for c, a in zip(can_row, amt_row)]
-            for can_row, amt_row in zip(can_q, amt_q)
-        ] for can_q, amt_q in zip(can_v, amt_v)]
-            for can_v, amt_v in zip(can, amt)]
-
-    def _build_numpy_tables(self) -> None:
-        np = self._np
-        self._can_np = np.asarray(self._can, dtype=bool)
-        self._amt_np = np.asarray(self._amt, dtype=np.int64)
-        self._step_np = np.asarray(self._step, dtype=np.int64)
-        self._mask_np = (
+        self._step = np.where(can, amt, 0)
+        self._mask = (
             None if self._pair_mask is None
             else np.asarray(self._pair_mask, dtype=bool)
         )
         n = self.codec.n_cores
-        self._eye_np = np.eye(n, dtype=bool)
-        self._shifts_np = np.asarray(
+        self._eye = np.eye(n, dtype=bool)
+        self._shifts = np.asarray(
             [self.codec.bits * (n - 1 - cid) for cid in range(n)],
             dtype=np.int64,
         )
-        self._weights_np = np.int64(1) << self._shifts_np
+        self._weights = np.int64(1) << self._shifts
         self._digit_mask = np.int64((1 << self.codec.bits) - 1)
 
     def bad_mask(self, packed: Any) -> Any:
         """:func:`~repro.verify.enumeration.is_bad_state` of an ``int64``
         batch: some core has load 0 and some core has load ``>= 2``."""
-        loads = (packed[:, None] >> self._shifts_np) & self._digit_mask
+        loads = (packed[:, None] >> self._shifts) & self._digit_mask
         return (loads == 0).any(axis=1) & (loads >= 2).any(axis=1)
 
-    # -- single-state executor (pure python) -----------------------------
-
-    def successors_loads(self,
-                         loads: Sequence[int]) -> tuple[set[LoadState], bool]:
-        """Raw (uncanonicalised) successor states of one load vector.
-
-        Replays ``enumerate_round_branches`` semantics exactly:
-        intents on round-start views in thief order, the product over
-        per-thief victim sets, every permutation of the racing thieves
-        up to ``max_orders`` per combination (setting the truncation
-        flag when capped), re-check + clamp per executed steal.
-        """
-        n = len(loads)
-        can = self._can
-        step = self._step
-        mask = self._pair_mask
-        running = [1 if load > 0 else 0 for load in loads]
-        ready0 = [load - r for load, r in zip(loads, running)]
-
-        thieves: list[int] = []
-        victim_sets: list[tuple[int, ...]] = []
-        for t in range(n):
-            row = can[running[t]]
-            qt = ready0[t]
-            mask_row = mask[t] if mask is not None else None
-            victims = tuple([
-                v for v in range(n)
-                if v != t
-                and (mask_row is None or mask_row[v])
-                and row[running[v]][qt][ready0[v]]
-            ])
-            if victims:
-                thieves.append(t)
-                victim_sets.append(victims)
-
-        if not thieves:
-            return {tuple(loads)}, False
-
-        perms = list(itertools.permutations(thieves))
-        capped = perms[: self.max_orders]
-        truncated = len(perms) > self.max_orders
-        first_order = capped[:1]
-        out: set[LoadState] = set()
-        loads_list = list(loads)
-        for combo in itertools.product(*victim_sets):
-            victim_of = dict(zip(thieves, combo))
-            # A steal reads and mutates only its own {thief, victim}
-            # cells, so when those pairs are pairwise disjoint every
-            # execution order produces the same state — run one order
-            # instead of all of them (the truncation flag above is
-            # order-count based and unaffected).
-            touched: set[int] = set()
-            disjoint = True
-            for t, v in victim_of.items():
-                if t in touched or v in touched:
-                    disjoint = False
-                    break
-                touched.add(t)
-                touched.add(v)
-            for order in (first_order if disjoint else capped):
-                ready = list(ready0)
-                live = list(loads_list)
-                for t in order:
-                    v = victim_of[t]
-                    qv = ready[v]
-                    # Merged re-check + clamp: filtered pairs and
-                    # non-positive amounts both move nothing.
-                    moved = step[running[t]][running[v]][ready[t]][qv]
-                    if moved <= 0:
-                        continue
-                    if moved > qv:
-                        moved = qv
-                        if moved <= 0:
-                            continue
-                    ready[v] = qv - moved
-                    ready[t] += moved
-                    live[v] -= moved
-                    live[t] += moved
-                out.add(tuple(live))
-        return out, truncated
-
-    def successors_packed(
-        self, packed: PackedState,
-    ) -> tuple[set[LoadState], bool]:
-        """Raw successor states of one packed state (decodes, executes)."""
-        return self.successors_loads(self.codec.decode(packed))
-
-    # -- batch tier -------------------------------------------------------
+    # -- batch expansion ---------------------------------------------------
 
     #: Peak rows (state x victim-combination x permutation) materialised
     #: at once by the k-thief expansion; larger groups run in slices.
@@ -436,19 +308,9 @@ class TransitionKernel:
 
         Returns one ``(successors, truncated)`` pair per input state, in
         input order; successor lists may contain duplicates (callers
-        canonicalise and dedup). The numpy tier rides
-        :meth:`expand_batch_arrays` and slices its flat result; the
-        Python tier loops the scalar executor.
+        canonicalise and dedup). Rides :meth:`expand_batch_arrays` and
+        slices its flat result.
         """
-        if self._np is None:
-            codec = self.codec
-            return [
-                (codec.encode_batch(succ), truncated)
-                for succ, truncated in (
-                    self.successors_packed(p) for p in packed_states
-                )
-            ]
-        np = self._np
         values, counts, truncated = self.expand_batch_arrays(
             np.asarray(packed_states, dtype=np.int64)
         )
@@ -465,7 +327,7 @@ class TransitionKernel:
                             stalls: bool = False) -> tuple[Any, ...]:
         """Array-native raw expansion of an ``int64`` frontier chunk.
 
-        The numpy tier's native surface: takes a packed ``int64`` array
+        The kernel's native surface: takes a packed ``int64`` array
         and returns ``(values, counts, truncated)`` arrays — state ``i``
         owns the run of ``counts[i]`` successors inside ``values``
         (input order, duplicates possible; callers canonicalise and
@@ -482,7 +344,6 @@ class TransitionKernel:
         branch of state ``i`` committed no steal (it has no thief, or
         every steal of one of its rows moved nothing).
         """
-        np = self._np
         n_states = len(packed)
         if n_states == 0:
             empty = (
@@ -492,17 +353,17 @@ class TransitionKernel:
             )
             return empty + (np.empty(0, dtype=bool),) if stalls else empty
         # Decode the whole chunk: loads[s, cid].
-        loads = (packed[:, None] >> self._shifts_np) & self._digit_mask
+        loads = (packed[:, None] >> self._shifts) & self._digit_mask
         running = (loads > 0).astype(np.int64)
         ready = loads - running
         # Intent mask: may thief t steal from victim v in state s?
-        intents = self._can_np[
+        intents = self._can[
             running[:, :, None], running[:, None, :],
             ready[:, :, None], ready[:, None, :],
         ]
-        intents &= ~self._eye_np
-        if self._mask_np is not None:
-            intents &= self._mask_np
+        intents &= ~self._eye
+        if self._mask is not None:
+            intents &= self._mask
         thief_counts = intents.any(axis=2).sum(axis=1)
 
         truncated = np.zeros(n_states, dtype=bool)
@@ -527,7 +388,7 @@ class TransitionKernel:
             qv = ready[s_glob, v_idx]
             # One thief: the re-check runs on unmutated state and passes
             # by construction; only the clamp matters.
-            moved = np.minimum(self._amt_np[rt, rv, qt, qv], qv)
+            moved = np.minimum(self._amt[rt, rv, qt, qv], qv)
             np.clip(moved, 0, None, out=moved)
             if stalled is not None:
                 stalled[s_glob[moved == 0]] = True
@@ -536,11 +397,11 @@ class TransitionKernel:
             new_loads[rows, t_idx] += moved
             new_loads[rows, v_idx] -= moved
             piece_idx.append(s_glob)
-            piece_vals.append(new_loads @ self._weights_np)
+            piece_vals.append(new_loads @ self._weights)
 
         for k in np.unique(thief_counts[thief_counts >= 2]).tolist():
             group = np.nonzero(thief_counts == k)[0]
-            k_idx, k_vals, k_trunc, k_stalled = self._expand_multi_numpy(
+            k_idx, k_vals, k_trunc, k_stalled = self._expand_multi(
                 int(k), group, intents, running, ready, stalls
             )
             piece_idx.append(k_idx)
@@ -559,7 +420,7 @@ class TransitionKernel:
             return all_vals[order], counts, truncated, stalled
         return all_vals[order], counts, truncated
 
-    def _expand_multi_numpy(self, k: int, group: Any, intents: Any,
+    def _expand_multi(self, k: int, group: Any, intents: Any,
                             running: Any, ready: Any,
                             stalls: bool = False,
                             ) -> tuple[Any, Any, bool, Any]:
@@ -578,9 +439,8 @@ class TransitionKernel:
         per lane instead of ``k! * k``. Steals use flattened 1-D table
         gathers, and loads are never materialised in the loop — steals
         move only ready tasks, so ``loads = ready + running`` is
-        reconstructed at the leaves. The scalar executor's
-        disjoint-pair collapse is skipped: commuting orders produce
-        duplicate packed values, which callers dedup anyway. State
+        reconstructed at the leaves. Commuting orders produce duplicate
+        packed values, which callers dedup. State
         slices cap the leaf rows materialised at once at
         :data:`_ROW_CAP`.
 
@@ -593,7 +453,6 @@ class TransitionKernel:
         source state, and ``stalled`` (``None`` unless ``stalls``)
         holds the global indices of states with a no-steal leaf.
         """
-        np = self._np
         n = self.codec.n_cores
         m = len(group)
         sub = intents[group]
@@ -624,8 +483,8 @@ class TransitionKernel:
         rows_per = lanes_per * n_orders
         cum = np.cumsum(rows_per)
         # Flat strides of the 4-D step table for 1-D gathers below.
-        dim_b, dim_c, dim_d = self._step_np.shape[1:]
-        step_flat = self._step_np.reshape(-1)
+        dim_b, dim_c, dim_d = self._step.shape[1:]
+        step_flat = self._step.reshape(-1)
 
         piece_idx: list[Any] = []
         piece_vals: list[Any] = []
@@ -672,7 +531,7 @@ class TransitionKernel:
                 tf = base + t
                 vf = base + v
                 qv = rdy_f[vf]
-                # Merged re-check + clamp, exactly like the scalar
+                # Merged re-check + clamp, exactly like the tuple
                 # executor: filtered pairs and non-positive amounts
                 # both move nothing. Running counts never change —
                 # steals move ready tasks — so the run gathers index
@@ -692,7 +551,7 @@ class TransitionKernel:
             # Leaves enumerate the capped orders; loads = ready+running.
             piece_idx.append(np.tile(glob_l, n_orders))
             piece_vals.append(
-                ((rdy + run_l).reshape(-1, n)) @ self._weights_np
+                ((rdy + run_l).reshape(-1, n)) @ self._weights
             )
             if committed is not None:
                 piece_stalled.append(glob_l[~committed.all(axis=0)])

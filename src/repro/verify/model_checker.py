@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from repro.core.errors import VerificationError
 from repro.core.policy import Policy
 from repro.obs.trace import TRACER
@@ -36,7 +38,7 @@ from repro.verify.enumeration import (
     StateScope,
     is_bad_state,
 )
-from repro.verify.kernel import TransitionKernel, _import_numpy, build_kernel
+from repro.verify.kernel import TransitionKernel, build_kernel
 from repro.verify.symmetry import SymmetryGroup, resolve_symmetry
 from repro.verify.obligations import (
     GOOD_STATE_CLOSURE,
@@ -338,8 +340,8 @@ class ModelChecker:
         Returns the per-state ``(successors, truncated)`` entries plus
         the chunk's flat successor values (each state's deduped
         successors concatenated in input order): a numpy ``int64``
-        array on the vectorised path, else ``None``. The flat form
-        lets BFS drivers build the next frontier with array merges
+        array on the kernel path, else ``None``. The flat form lets
+        the closure loop build the next frontier with array merges
         instead of per-state set unions.
         """
         kernel = None if sequential else self._kernel_for(codec)
@@ -357,35 +359,9 @@ class ModelChecker:
                         truncated,
                     ))
             return out, None
-        if kernel._np is None:
-            # Python tier: per-state successor lists, one batch
-            # canonicalisation call for the whole chunk.
-            with TRACER.span("checker.expand", "checker", tier="python",
-                             states=len(packed_states)):
-                batched = kernel.expand_batch(packed_states)
-            if group.is_trivial:
-                return [
-                    (frozenset(raw), truncated)
-                    for raw, truncated in batched
-                ], None
-            flat_raw = [s for raw, _ in batched for s in raw]
-            with TRACER.span("checker.canonicalise", "checker",
-                             tier="python", values=len(flat_raw)):
-                canon = group.canonicalize_batch(flat_raw, codec)
-            entries = []
-            cursor = 0
-            for raw, truncated in batched:
-                count = len(raw)
-                entries.append((
-                    frozenset(canon[cursor:cursor + count]), truncated
-                ))
-                cursor += count
-            return entries, None
-        # Vectorised tier: expansion, canonicalisation, and per-state
-        # dedup all stay in int64 arrays; Python objects materialise
-        # only at the memo boundary below (one bulk tolist).
-        np = kernel._np
-
+        # Expansion, canonicalisation, and per-state dedup all stay in
+        # int64 arrays; Python objects materialise only at the memo
+        # boundary below (one bulk tolist).
         def dedup(values: Any, owner: Any) -> tuple[Any, Any]:
             order = np.lexsort((values, owner))
             values = values[order]
@@ -451,10 +427,10 @@ class ModelChecker:
 
         The third result concatenates every state's (deduped)
         successors: a numpy ``int64`` array when the whole chunk ran
-        the vectorised pipeline, else a plain list. BFS drivers use it
-        to build the next frontier with one ``np.unique`` + merge
-        instead of per-state set unions; the edge dict is unchanged
-        and remains the wire/store form.
+        the kernel, else a plain list. The closure loop
+        (:func:`bfs_closure`) uses it to build the next frontier with
+        one ``np.unique`` + merge instead of per-state set unions; the
+        edge dict is unchanged and remains the wire/store form.
         """
         memo = self._packed_memo(codec, sequential)
         if memo:
@@ -472,7 +448,7 @@ class ModelChecker:
             edges[packed] = succ
             truncated = truncated or trunc
         if flat is None or len(misses) != len(packed_states):
-            # Tuple/python tiers, or memo hits whose successors are not
+            # The tuple executor, or memo hits whose successors are not
             # in the fresh flat array: collect from the frozensets.
             flat = [s for succ in edges.values() for s in succ]
         return edges, truncated, flat
@@ -502,92 +478,42 @@ class ModelChecker:
         map of a state is a pure function of (policy, state, parameters) —
         two shards reaching the same state compute identical edges.
 
-        Internally the closure is computed level-synchronously over
-        *packed* states (:mod:`repro.verify.encoding`), expanding whole
-        levels through :meth:`expand_packed` so the transition kernel
-        can vectorise them; the finished graph is decoded back to tuple
-        form here, at the boundary, which keeps every downstream
-        consumer (graph algorithms, certificates, store keys, rendered
-        output) byte-identical to the historic tuple engine.
+        The closure is :func:`bfs_closure` with one shard whose chunk
+        expands through :meth:`expand_level` in this process, so the
+        transition kernel vectorises whole levels and the level's flat
+        successor array feeds the frontier merge directly; the finished
+        graph is decoded back to tuple form at the boundary, which keeps
+        every downstream consumer (graph algorithms, certificates, store
+        keys, rendered output) byte-identical to the historic tuple
+        engine.
 
         ``on_expand`` (when given) is called after each expanded level
         with the cumulative number of states explored so far — the
         progress hook behind :class:`repro.api.Session`'s serial-engine
         events. Pure observer; it cannot influence exploration.
         """
-        raw = list(initial_states)
-        if not raw:
-            return {}, False
-        # Canonicalisation permutes loads, so the codec fitted to the
-        # raw states fits their canonical forms too — which lets the
-        # array path below canonicalise the whole initial set in one
-        # packed batch instead of one Python call per state.
-        codec = StateCodec.for_states(len(raw[0]), raw)
-        numpy = _import_numpy() if codec.use_int else None
-        edges_packed: PackedGraph = {}
-        truncated = False
-        if numpy is not None:
-            # Array-native frontier: visited membership is a sorted
-            # int64 array probed with one searchsorted merge per level
-            # instead of a Python set probed per successor. The fresh
-            # frontier comes out ascending, exactly the order
-            # ``sorted(next_frontier)`` produced, so expansion order —
-            # and therefore every downstream byte — is unchanged.
-            frontier_arr = numpy.unique(self.symmetry.canonicalize_batch(
-                numpy.asarray(codec.encode_batch(raw), dtype=numpy.int64),
-                codec,
-            ))
-            seen_arr = frontier_arr
-            level = 0
-            while frontier_arr.size:
-                with TRACER.span("closure.level", "closure", level=level,
-                                 frontier=int(frontier_arr.size)):
-                    level_edges, trunc, flat = self.expand_level(
-                        frontier_arr.tolist(), codec,
-                        sequential=sequential,
-                    )
-                level += 1
-                truncated = truncated or trunc
-                edges_packed.update(level_edges)
-                if on_expand is not None:
-                    on_expand(len(edges_packed))
-                candidates = numpy.unique(numpy.asarray(
-                    flat, dtype=numpy.int64
-                ))
-                pos = numpy.searchsorted(seen_arr, candidates)
-                clipped = numpy.minimum(pos, seen_arr.size - 1)
-                fresh = candidates[
-                    (pos == seen_arr.size) | (seen_arr[clipped] != candidates)
-                ]
-                seen_arr = numpy.insert(
-                    seen_arr, numpy.searchsorted(seen_arr, fresh), fresh
-                )
-                frontier_arr = fresh
-            return decode_graph(codec, edges_packed), truncated
-        initial = [self._canon(s) for s in raw]
-        frontier = sorted({codec.encode(s) for s in initial})
-        seen: set[PackedState] = set(frontier)
-        level = 0
-        while frontier:
-            with TRACER.span("closure.level", "closure", level=level,
-                             frontier=len(frontier)):
-                level_edges, trunc = self.expand_packed(
-                    frontier, codec, sequential=sequential
-                )
-            level += 1
-            truncated = truncated or trunc
-            edges_packed.update(level_edges)
-            if on_expand is not None:
-                on_expand(len(edges_packed))
-            next_frontier = {
-                successor
-                for packed in frontier
-                for successor in level_edges[packed]
-                if successor not in seen
-            }
-            seen.update(next_frontier)
-            frontier = sorted(next_frontier)
-        return decode_graph(codec, edges_packed), truncated
+        def map_expand(codec: StateCodec, chunks: list[list[PackedState]],
+                       seq: bool) -> list[tuple[PackedGraph, bool, Any]]:
+            return [self.expand_level(chunk, codec, sequential=seq)
+                    for chunk in chunks]
+
+        on_level: Callable[[int, int, int], None] | None = None
+        if on_expand is not None:
+            report = on_expand
+            expanded = 0
+
+            def count(level: int, states: int, fresh: int) -> None:
+                # Levels are disjoint, so the running sum of their sizes
+                # is the number of states explored so far.
+                nonlocal expanded
+                expanded += states
+                report(expanded)
+
+            on_level = count
+
+        return bfs_closure(map_expand, 1, initial_states, self.symmetric,
+                           sequential=sequential, symmetry=self.symmetry,
+                           on_level=on_level)
 
     def analyze_graph(self, scope: StateScope, edges: TransitionGraph,
                       truncated: bool, sequential: bool = False,
@@ -654,17 +580,16 @@ class ModelChecker:
         """The numpy kernel, codec and canonical packed form of a sweep.
 
         ``None`` when the obligation must run on the tuple executor: a
-        round the kernel does not model (:attr:`flat_round`), no numpy
-        kernel for the scope's codec (the same gates :meth:`explore`
-        applies), or swept states the scope's codec cannot pack.
+        round the kernel does not model (:attr:`flat_round`), no kernel
+        for the scope's codec (the same gates :meth:`explore` applies),
+        or swept states the scope's codec cannot pack.
         """
         if not self.flat_round:
             return None
         codec = StateCodec.for_scope(scope)
         kernel = self._kernel_for(codec)
-        if kernel is None or kernel._np is None:
+        if kernel is None:
             return None
-        np = kernel._np
         loads = np.asarray(states, dtype=np.int64)
         if states and (loads.ndim != 2 or loads.shape[1] != codec.n_cores
                        or loads.min() < 0
@@ -782,7 +707,6 @@ class ModelChecker:
     def _closure_flags(self, kernel: TransitionKernel, codec: StateCodec,
                        good: Any) -> tuple[int, int | None]:
         """The first packed good state with a bad successor."""
-        np = kernel._np
         if not good.size:
             return 0, None
         unique, inverse = np.unique(good, return_inverse=True)
@@ -855,7 +779,6 @@ class ModelChecker:
                         bad: Any) -> tuple[int, int | None]:
         """The first packed bad state with a branch that commits no
         steal, and the branches of the bad states before it."""
-        np = kernel._np
         if not bad.size:
             return 0, None
         unique, inverse = np.unique(bad, return_inverse=True)
@@ -867,6 +790,119 @@ class ModelChecker:
             return int(branches.sum()), None
         first = int(hits[0])
         return int(branches[:first].sum()), int(bad[first])
+
+
+# ---------------------------------------------------------------------------
+# closure exploration
+# ---------------------------------------------------------------------------
+
+
+def _packed_array(codec: StateCodec, values: Iterable[PackedState]) -> Any:
+    """Packed states as a numpy array: ``int64`` for the int form, and
+    ``object`` holding the ``bytes`` for the bytes form.
+
+    Both dtypes order exactly like the packed values, so ``np.unique``,
+    ``searchsorted`` and ``insert`` keep frontiers sorted in the
+    codec's order in either form.
+    """
+    dtype = np.int64 if codec.use_int else object
+    if isinstance(values, (list, np.ndarray)):
+        return np.asarray(values, dtype=dtype)
+    return np.fromiter(values, dtype=dtype)
+
+
+def closure_start(initial_states: Iterable[LoadState],
+                  group: SymmetryGroup) -> tuple[StateCodec, Any] | None:
+    """The codec and sorted canonical packed frontier of a closure.
+
+    The prologue every closure driver shares (:func:`bfs_closure` and
+    the distributed engine's async mode): the codec is derived from the
+    initial states (canonicalisation permutes loads, so it fits their
+    canonical forms too), which are then canonicalised in one packed
+    batch. ``None`` when there are no initial states.
+    """
+    raw = list(initial_states)
+    if not raw:
+        return None
+    codec = StateCodec.for_states(len(raw[0]), raw)
+    packed = _packed_array(codec, codec.encode_batch(raw))
+    return codec, np.unique(group.canonicalize_batch(packed, codec))
+
+
+def bfs_closure(map_expand: Callable, n_shards: int,
+                initial_states: Iterable[LoadState],
+                symmetric: bool,
+                sequential: bool = False,
+                symmetry: SymmetryGroup | None = None,
+                on_level: "Callable[[int, int, int], None] | None" = None,
+                ) -> tuple[TransitionGraph, bool]:
+    """Level-synchronous BFS over the reachable closure, engine-agnostic.
+
+    The one frontier/visited loop: the serial checker
+    (:meth:`ModelChecker.explore`), the process pool and the
+    distributed engine's level-sync mode all run it. The caller owns
+    the visited set and the frontier, both sorted numpy arrays of
+    *packed* states (:mod:`repro.verify.encoding`; ``int64``, or
+    ``object`` for bytes-form codecs). Each level, the frontier is
+    striped round-robin into ``n_shards`` chunks and handed to
+    ``map_expand(codec, chunks, sequential)``, which must return one
+    packed ``(edges, truncated)`` pair per chunk (a pool maps them onto
+    worker processes; a coordinator ships them to remote workers as one
+    batched frontier-exchange round per level). A result may carry a
+    third item, the chunk's flat successor values (what
+    :meth:`ModelChecker.expand_level` returns); otherwise the
+    successors are read from the chunk's edges. The codec is
+    order-preserving, so the packed sort stripes states into exactly the
+    chunks the tuple engine built. Every state is expanded exactly once
+    globally, so expansion work splits ``n_shards`` ways, and each level
+    costs one round trip regardless of link latency. The finished graph
+    is decoded back to tuple form before returning, keeping every
+    downstream consumer byte-identical to the tuple engine.
+
+    ``on_level`` (when given) is called after each completed level with
+    ``(level_index, states_expanded_this_level, next_frontier_size)`` —
+    the hook :class:`repro.api.Session` turns into ``LevelCompleted``
+    progress events. The callback cannot influence exploration.
+    """
+    start = closure_start(initial_states,
+                          resolve_symmetry(symmetric, symmetry))
+    if start is None:
+        return {}, False
+    codec, frontier = start
+    seen = frontier
+    edges: PackedGraph = {}
+    truncated = False
+    level = 0
+    while frontier.size:
+        states = frontier.tolist()
+        chunks = [states[shard::n_shards] for shard in range(n_shards)]
+        chunks = [chunk for chunk in chunks if chunk]
+        successors: list[Any] = []
+        with TRACER.span("closure.level", "closure", level=level,
+                         frontier=len(states), chunks=len(chunks)):
+            for shard_edges, shard_truncated, *flat in map_expand(
+                codec, chunks, sequential
+            ):
+                edges.update(shard_edges)
+                truncated = truncated or shard_truncated
+                successors.append(_packed_array(
+                    codec,
+                    flat[0] if flat
+                    else (s for succ in shard_edges.values() for s in succ),
+                ))
+        # Visited membership is one searchsorted merge per level. The
+        # fresh states come out ascending, so the next frontier is
+        # sorted without a sort.
+        candidates = np.unique(np.concatenate(successors))
+        pos = np.searchsorted(seen, candidates)
+        clipped = np.minimum(pos, seen.size - 1)
+        fresh = candidates[(pos == seen.size) | (seen[clipped] != candidates)]
+        seen = np.insert(seen, np.searchsorted(seen, fresh), fresh)
+        if on_level is not None:
+            on_level(level, len(states), int(fresh.size))
+        level += 1
+        frontier = fresh
+    return decode_graph(codec, edges), truncated
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,11 @@ The engine has three layers:
    state-sweep obligations, the progress/closure obligations, or one
    slice of a randomised campaign. The model checker's reachable-closure
    exploration is instead a **level-synchronous parallel BFS**
-   (:func:`_explore_bfs`): the parent owns the frontier and stripes each
-   level across the pool, so every state is expanded exactly once
-   globally — chunk-local closures would overlap and waste the pool on
-   redundant re-exploration. Every pool process owns one
+   (:func:`_explore_bfs` over the shared
+   :func:`~repro.verify.model_checker.bfs_closure`): the parent owns the
+   frontier and stripes each level across the pool, so every state is
+   expanded exactly once globally — chunk-local closures would overlap
+   and waste the pool on redundant re-exploration. Every pool process owns one
    :class:`~repro.verify.model_checker.ModelChecker` (installed by the
    pool initializer) whose round-branch transitions are memoized keyed
    on (canonical) state — the "within each shard" transition cache,
@@ -88,10 +89,9 @@ import multiprocessing.context
 import os
 import pickle
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.core.policy import Policy
-from repro.obs.trace import TRACER
 from repro.topology.numa import NumaTopology
 from repro.verify.campaign import CampaignConfig, CampaignReport, run_campaign
 from repro.verify.enumeration import (
@@ -106,13 +106,13 @@ from repro.verify.lemmas import (
     check_lemma1,
     check_steal_soundness,
 )
-from repro.verify.encoding import PackedState, StateCodec, decode_graph
-from repro.verify.kernel import _import_numpy
+from repro.verify.encoding import PackedState, StateCodec
 from repro.verify.model_checker import (
     ModelChecker,
     PackedGraph,
     TransitionGraph,
     WorkConservationAnalysis,
+    bfs_closure,
 )
 from repro.verify.obligations import (
     ProofReport,
@@ -466,9 +466,10 @@ def derive_campaign_seed(seed: int, shard: int) -> int:
 # Everything below `drivers` dispatches work through either a
 # multiprocessing pool (this module) or a coordinator over remote
 # workers (repro.verify.distributed). The two engines share this core:
-# the same shard specs, the same frontier-exchange BFS (parameterised on
-# "map these chunks to (edges, truncated) pairs"), and the same
-# certificate assembly over the merged shard results — which is what
+# the same shard specs, the same frontier-exchange BFS (``bfs_closure``,
+# which lives in repro.verify.model_checker because the serial checker
+# runs it too, parameterised on "map these chunks to (edges, truncated)
+# pairs"), and the same certificate assembly over the merged shard results — which is what
 # guarantees their verdicts are byte-identical to each other and to the
 # serial path.
 
@@ -514,115 +515,6 @@ def partition_of(packed: PackedState, codec: StateCodec,
         codec.canonical_bytes(packed), digest_size=8
     ).digest()
     return int.from_bytes(digest, "big") % n_partitions
-
-
-def bfs_closure(map_expand: Callable, n_shards: int,
-                initial_states: Iterable[LoadState],
-                symmetric: bool,
-                sequential: bool = False,
-                symmetry: SymmetryGroup | None = None,
-                on_level: "Callable[[int, int, int], None] | None" = None,
-                ) -> tuple[TransitionGraph, bool]:
-    """Level-synchronous BFS over the reachable closure, engine-agnostic.
-
-    The caller owns the ``seen`` set and the frontier, both held in
-    *packed* form (:mod:`repro.verify.encoding`; the codec is derived
-    here from the initial states and shipped with every chunk). Each
-    level, the sorted packed frontier is striped round-robin into
-    ``n_shards`` chunks and handed to ``map_expand(codec, chunks,
-    sequential)``, which must return one packed ``(edges, truncated)``
-    pair per chunk (a pool maps them onto worker processes; a
-    coordinator ships them to remote workers as one batched
-    frontier-exchange round per level). The codec is order-preserving,
-    so the packed sort stripes states into exactly the chunks the tuple
-    engine built. Every state is expanded exactly once globally (unlike
-    closure-per-shard exploration, whose shards each re-explore the
-    overlap of their reachable sets), so expansion work — the dominant
-    cost of refuted policies with large closures — splits ``n_shards``
-    ways, and each level costs one round trip regardless of link
-    latency. The finished graph is decoded back to tuple form before
-    returning, keeping every downstream consumer byte-identical to the
-    tuple engine.
-
-    ``on_level`` (when given) is called after each completed level with
-    ``(level_index, states_expanded_this_level, next_frontier_size)`` —
-    the hook :class:`repro.api.Session` turns into ``LevelCompleted``
-    progress events. The callback cannot influence exploration.
-    """
-    group = resolve_symmetry(symmetric, symmetry)
-    canon = {group.canonicalize(s) for s in initial_states}
-    if not canon:
-        return {}, False
-    codec = StateCodec.for_states(len(next(iter(canon))), canon)
-    numpy = _import_numpy() if codec.use_int else None
-    edges: PackedGraph = {}
-    truncated = False
-    level = 0
-    if numpy is not None:
-        # Array-native frontier bookkeeping: visited membership is a
-        # sorted int64 array probed with one searchsorted merge per
-        # level. Shard edge dicts stay the wire form; their successor
-        # frozensets drain through one ``fromiter`` pass instead of
-        # per-successor set probes. The fresh frontier comes out
-        # ascending — exactly ``sorted(next_frontier)`` — so striping
-        # and every downstream byte are unchanged.
-        frontier_arr = numpy.unique(numpy.asarray(
-            codec.encode_batch(list(canon)), dtype=numpy.int64
-        ))
-        seen_arr = frontier_arr
-        while frontier_arr.size:
-            frontier = frontier_arr.tolist()
-            chunks = [frontier[shard::n_shards]
-                      for shard in range(n_shards)]
-            chunks = [chunk for chunk in chunks if chunk]
-            with TRACER.span("closure.level", "closure", level=level,
-                             frontier=len(frontier),
-                             chunks=len(chunks)):
-                for shard_edges, shard_truncated in map_expand(
-                    codec, chunks, sequential
-                ):
-                    edges.update(shard_edges)
-                    truncated = truncated or shard_truncated
-            candidates = numpy.unique(numpy.fromiter(
-                (s for state in frontier for s in edges[state]),
-                dtype=numpy.int64,
-            ))
-            pos = numpy.searchsorted(seen_arr, candidates)
-            clipped = numpy.minimum(pos, seen_arr.size - 1)
-            fresh = candidates[
-                (pos == seen_arr.size) | (seen_arr[clipped] != candidates)
-            ]
-            seen_arr = numpy.insert(
-                seen_arr, numpy.searchsorted(seen_arr, fresh), fresh
-            )
-            if on_level is not None:
-                on_level(level, len(frontier), int(fresh.size))
-            level += 1
-            frontier_arr = fresh
-        return decode_graph(codec, edges), truncated
-    frontier = sorted(codec.encode(s) for s in canon)
-    seen = set(frontier)
-    while frontier:
-        chunks = [frontier[shard::n_shards] for shard in range(n_shards)]
-        chunks = [chunk for chunk in chunks if chunk]
-        with TRACER.span("closure.level", "closure", level=level,
-                         frontier=len(frontier), chunks=len(chunks)):
-            for shard_edges, shard_truncated in map_expand(codec, chunks,
-                                                           sequential):
-                edges.update(shard_edges)
-                truncated = truncated or shard_truncated
-        next_frontier = {
-            successor
-            for state in frontier
-            for successor in edges[state]
-            if successor not in seen
-        }
-        seen.update(next_frontier)
-        if on_level is not None:
-            on_level(level, len(frontier), len(next_frontier))
-        level += 1
-        frontier = sorted(next_frontier)
-    return decode_graph(codec, edges), truncated
 
 
 def assemble_certificate(

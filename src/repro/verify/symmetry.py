@@ -63,6 +63,8 @@ import math
 from collections import Counter
 from typing import Any, Iterator, Sequence
 
+import numpy as np
+
 from repro.core.errors import VerificationError
 from repro.topology.domains import SchedDomain
 from repro.topology.numa import NumaTopology
@@ -77,15 +79,6 @@ from repro.verify.enumeration import (
     iter_canonical_states,
     iter_states,
 )
-
-
-def _numpy() -> Any:
-    """numpy when importable, else ``None`` (scalar fallbacks apply)."""
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - numpy is present in CI
-        return None
-    return numpy
 
 
 class SymmetryGroup:
@@ -137,22 +130,22 @@ class SymmetryGroup:
     def canonicalize_batch(self, packed: Any, codec: "StateCodec") -> Any:
         """:meth:`canonicalize_packed` over a whole batch at once.
 
-        Accepts either a sequence of packed states or (int-form codecs)
-        a numpy ``int64`` array, and returns the same container kind:
-        array in, array out; sequence in, list out. The batch form is
-        the engines' canonicalisation surface — one call per expansion
-        level instead of one per successor — and subclasses override it
-        with fully vectorised digit-sort paths. The base implementation
-        is the scalar loop, so exotic groups and bytes-form codecs stay
+        Accepts either a sequence of packed states or a numpy array of
+        them (``int64`` for int-form codecs, ``object`` for bytes-form
+        ones), and returns the same container kind: array in, array out
+        (same dtype); sequence in, list out. The batch form is the
+        engines' canonicalisation surface — one call per expansion level
+        instead of one per successor — and subclasses override it with
+        fully vectorised digit-sort paths. The base implementation is
+        the scalar loop, so exotic groups and bytes-form codecs stay
         correct without a numpy rewrite.
         """
-        numpy = _numpy()
-        if numpy is not None and isinstance(packed, numpy.ndarray):
+        if isinstance(packed, np.ndarray):
             values = [
                 self.canonicalize_packed(state, codec)
                 for state in packed.tolist()
             ]
-            return numpy.asarray(values, dtype=numpy.int64)
+            return np.asarray(values, dtype=packed.dtype)
         return [self.canonicalize_packed(state, codec) for state in packed]
 
     def iter_representatives(self, scope: StateScope) -> Iterator[LoadState]:
@@ -254,10 +247,7 @@ class TrivialGroup(SymmetryGroup):
     def canonicalize_batch(self, packed: Any, codec: StateCodec) -> Any:
         # Identity passthrough: the caller's array (or sequence) is
         # already canonical, digit for digit.
-        if isinstance(packed, list):
-            return packed
-        numpy = _numpy()
-        if numpy is not None and isinstance(packed, numpy.ndarray):
+        if isinstance(packed, (list, np.ndarray)):
             return packed
         return list(packed)
 
@@ -300,20 +290,19 @@ class FlatSymmetryGroup(SymmetryGroup):
         return codec.sort_desc(packed)
 
     def canonicalize_batch(self, packed: Any, codec: StateCodec) -> Any:
-        numpy = _numpy()
-        if numpy is None or not codec.use_int:
+        if not codec.use_int:
             return super().canonicalize_batch(packed, codec)
-        is_array = isinstance(packed, numpy.ndarray)
+        is_array = isinstance(packed, np.ndarray)
         arr = packed if is_array \
-            else numpy.asarray(list(packed), dtype=numpy.int64)
+            else np.asarray(list(packed), dtype=np.int64)
         if arr.size == 0:
             return arr if is_array else []
-        shifts = numpy.asarray(codec._shifts, dtype=numpy.int64)
+        shifts = np.asarray(codec._shifts, dtype=np.int64)
         digits = (arr[:, None] >> shifts) & codec._mask
         # One argsort-free descending sort per row, then repack against
         # the descending place values (column 0 is most significant).
-        digits = numpy.sort(digits, axis=1)[:, ::-1]
-        out = digits @ (numpy.int64(1) << shifts)
+        digits = np.sort(digits, axis=1)[:, ::-1]
+        out = digits @ (np.int64(1) << shifts)
         return out if is_array else out.tolist()
 
     def iter_representatives(self, scope: StateScope) -> Iterator[LoadState]:
@@ -455,39 +444,37 @@ class BlockSymmetryGroup(SymmetryGroup):
         mean identical block tuples, so any tie order is the same
         assignment.
         """
-        numpy = _numpy()
-        if numpy is None or not codec.use_int:
+        if not codec.use_int:
             return super().canonicalize_batch(packed, codec)
-        is_array = isinstance(packed, numpy.ndarray)
+        is_array = isinstance(packed, np.ndarray)
         arr = packed if is_array \
-            else numpy.asarray(list(packed), dtype=numpy.int64)
+            else np.asarray(list(packed), dtype=np.int64)
         if arr.size == 0:
             return arr if is_array else []
-        shifts = numpy.asarray(codec._shifts, dtype=numpy.int64)
+        shifts = np.asarray(codec._shifts, dtype=np.int64)
         digits = (arr[:, None] >> shifts) & codec._mask
         for block in self.blocks:
             cols = list(block)
             if len(cols) > 1:
-                digits[:, cols] = -numpy.sort(-digits[:, cols], axis=1)
+                digits[:, cols] = -np.sort(-digits[:, cols], axis=1)
         for cls in self.classes:
             if len(cls) < 2:
                 continue
             size = len(self.blocks[cls[0]])
-            score_weights = numpy.int64(1) << (
-                codec.bits * numpy.arange(size - 1, -1, -1,
-                                          dtype=numpy.int64)
+            score_weights = np.int64(1) << (
+                codec.bits * np.arange(size - 1, -1, -1, dtype=np.int64)
             )
-            stacked = numpy.stack(
+            stacked = np.stack(
                 [digits[:, list(self.blocks[b])] for b in cls], axis=1
             )
             scores = stacked @ score_weights
-            order = numpy.argsort(-scores, axis=1, kind="stable")
-            stacked = numpy.take_along_axis(
+            order = np.argsort(-scores, axis=1, kind="stable")
+            stacked = np.take_along_axis(
                 stacked, order[:, :, None], axis=1
             )
             for position, b in enumerate(cls):
                 digits[:, list(self.blocks[b])] = stacked[:, position]
-        out = digits @ (numpy.int64(1) << shifts)
+        out = digits @ (np.int64(1) << shifts)
         return out if is_array else out.tolist()
 
     # ------------------------------------------------------------------

@@ -39,7 +39,6 @@ class TestEngineSpans:
                                             ("off", "tuple")])
     def test_obligation_spans_name_the_tier_that_served_them(
             self, monkeypatch, mode, tier):
-        pytest.importorskip("numpy")
         monkeypatch.setenv("REPRO_KERNEL", mode)
         TRACER.enable()
         Session().run(_request())

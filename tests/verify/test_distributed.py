@@ -207,6 +207,47 @@ class TestSocketEquivalence:
             assert client.ping()
 
 
+class TestNoDelay:
+    def test_both_ends_of_the_worker_socket_disable_nagle(self, monkeypatch):
+        """Coordinator and worker sockets both set TCP_NODELAY."""
+        import socket as socket_module
+
+        server_side: list[int] = []
+        serve = WorkerServer._serve_connection
+
+        def recording_serve(self, conn):
+            server_side.append(conn.getsockopt(
+                socket_module.IPPROTO_TCP, socket_module.TCP_NODELAY
+            ))
+            return serve(self, conn)
+
+        monkeypatch.setattr(WorkerServer, "_serve_connection",
+                            recording_serve)
+        server = WorkerServer(host="127.0.0.1", port=0, heartbeat_s=0.2)
+        ready = threading.Event()
+        thread = threading.Thread(
+            target=server.serve_forever,
+            kwargs={"announce": lambda line: None, "ready": ready},
+            daemon=True,
+        )
+        thread.start()
+        assert ready.wait(5)
+        try:
+            transport = SocketTransport("127.0.0.1", server.bound_port,
+                                        patience_s=5.0)
+            try:
+                assert transport.ping()
+                assert transport._sock.getsockopt(
+                    socket_module.IPPROTO_TCP, socket_module.TCP_NODELAY
+                ) != 0
+            finally:
+                transport.close()
+        finally:
+            server.shutdown()
+            thread.join(timeout=5)
+        assert server_side and server_side[0] != 0
+
+
 class _FlakyTransport(InProcessTransport):
     """Dies (transport-level) on its first ``fail_first`` submissions."""
 

@@ -5,22 +5,29 @@ executor it replaces, so every test here is a differential one:
 
 * ``TransitionKernel`` successors and truncation flags versus
   :func:`~repro.verify.transition.enumerate_round_branches`, across
-  policies, permutation caps, and both the Python and numpy tiers;
+  policies and permutation caps;
 * the hierarchical packed fast path's ``_inter_mid_states`` versus the
   shared tuple helper ``_inter_outcomes`` (the docstring contract in
   ``repro.verify.hierarchical`` points at this file);
-* the ``REPRO_KERNEL`` eligibility gates (mode parsing, opt-outs);
+* the ``REPRO_KERNEL`` eligibility gates (mode parsing, opt-in
+  declarations, bytes-form codecs);
 * the progress obligation's row counts and stall flags versus the
   tuple executor's branches, and ``bad_mask`` versus ``is_bad_state``.
 """
 
+import contextlib
+import io
 import itertools
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api.request import PolicySpec, build_policy
+from repro.cli import main
 from repro.core.errors import VerificationError
+from repro.core.policy import Policy
 from repro.policies import (
     BalanceCountPolicy,
     GreedyHalvingPolicy,
@@ -32,7 +39,13 @@ from repro.policies import (
     WeightedBalancePolicy,
 )
 from repro.topology.numa import symmetric_numa
-from repro.verify import StateCodec, TransitionKernel, build_kernel
+from repro.verify import (
+    StateCodec,
+    StateScope,
+    TransitionKernel,
+    build_kernel,
+    prove_work_conserving,
+)
 from repro.verify.hierarchical import (
     HierarchicalModelChecker,
     HierarchySpec,
@@ -40,14 +53,9 @@ from repro.verify.hierarchical import (
 )
 from repro.verify.enumeration import is_bad_state
 from repro.verify.kernel import kernel_mode
+from repro.verify.obligations import ProofStatus
 from repro.verify.symmetry import TrivialGroup
 from repro.verify.transition import enumerate_round_branches
-
-try:
-    import numpy  # noqa: F401
-    HAVE_NUMPY = True
-except ImportError:
-    HAVE_NUMPY = False
 
 POLICIES = [
     BalanceCountPolicy(),
@@ -60,15 +68,9 @@ POLICIES = [
     WeightedBalancePolicy(),
 ]
 
-TIERS = ["python"] + (["numpy"] if HAVE_NUMPY else [])
-
-
-def kernel_for(policy, codec, tier, max_orders=5040):
-    """Build a kernel pinned to one tier regardless of the environment."""
-    return TransitionKernel(
-        policy, codec, max_orders=max_orders,
-        numpy=numpy if tier == "numpy" else None,
-    )
+def kernel_for(policy, codec, max_orders=5040):
+    """Build a kernel regardless of the environment's REPRO_KERNEL."""
+    return TransitionKernel(policy, codec, max_orders=max_orders)
 
 
 def assert_batch_matches_tuples(kernel, codec, states, max_orders):
@@ -83,32 +85,29 @@ def assert_batch_matches_tuples(kernel, codec, states, max_orders):
 
 
 class TestKernelMatchesTupleExecutor:
-    @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize(
         "policy", POLICIES, ids=lambda p: p.name,
     )
-    def test_full_product_space(self, policy, tier):
+    def test_full_product_space(self, policy):
         """Every 4-core state with loads 0..3, uncapped permutations."""
         states = list(itertools.product(range(4), repeat=4))
         codec = StateCodec(n_cores=4, max_value=12)
-        kernel = kernel_for(policy, codec, tier)
+        kernel = kernel_for(policy, codec)
         assert_batch_matches_tuples(kernel, codec, states, 5040)
 
-    @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize("max_orders", [1, 2, 3])
-    def test_truncation_caps_agree(self, tier, max_orders):
+    def test_truncation_caps_agree(self, max_orders):
         """The per-combination permutation cap and its truncation flag."""
         states = list(itertools.product(range(4), repeat=4))
         codec = StateCodec(n_cores=4, max_value=12)
         kernel = kernel_for(
-            NaiveOverloadedPolicy(), codec, tier, max_orders=max_orders
+            NaiveOverloadedPolicy(), codec, max_orders=max_orders
         )
         assert_batch_matches_tuples(kernel, codec, states, max_orders)
 
-    @pytest.mark.parametrize("tier", TIERS)
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_random_wider_states(self, tier, data):
+    def test_random_wider_states(self, data):
         """Sampled 5-core states — beyond the exhaustive 4-core grid."""
         policy = data.draw(st.sampled_from(POLICIES))
         states = data.draw(st.lists(
@@ -117,20 +116,8 @@ class TestKernelMatchesTupleExecutor:
             min_size=1, max_size=8,
         ))
         codec = StateCodec(n_cores=5, max_value=15)
-        kernel = kernel_for(policy, codec, tier, max_orders=6)
+        kernel = kernel_for(policy, codec, max_orders=6)
         assert_batch_matches_tuples(kernel, codec, states, 6)
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-    def test_python_and_numpy_tiers_agree(self):
-        states = list(itertools.product(range(4), repeat=4))
-        codec = StateCodec(n_cores=4, max_value=12)
-        py = kernel_for(BalanceCountPolicy(), codec, "python")
-        np_ = kernel_for(BalanceCountPolicy(), codec, "numpy")
-        packed = codec.encode_batch(states)
-        for (a, ta), (b, tb) in zip(py.expand_batch(packed),
-                                    np_.expand_batch(packed)):
-            assert set(a) == set(b)
-            assert ta == tb
 
 
 class TestHierarchicalMidStates:
@@ -172,11 +159,17 @@ class TestHierarchicalMidStates:
 class TestEligibilityGates:
     def test_mode_parsing(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        assert kernel_mode() == "auto"
-        monkeypatch.setenv("REPRO_KERNEL", " PYTHON ")
-        assert kernel_mode() == "python"
-        monkeypatch.setenv("REPRO_KERNEL", "vectorised")
-        with pytest.raises(VerificationError):
+        assert kernel_mode() == "numpy"
+        monkeypatch.setenv("REPRO_KERNEL", " OFF ")
+        assert kernel_mode() == "off"
+        monkeypatch.setenv("REPRO_KERNEL", "Numpy")
+        assert kernel_mode() == "numpy"
+
+    @pytest.mark.parametrize("mode", ["python", "auto", "vectorised"])
+    def test_removed_and_unknown_modes_are_rejected(self, monkeypatch,
+                                                    mode):
+        monkeypatch.setenv("REPRO_KERNEL", mode)
+        with pytest.raises(VerificationError, match="off|numpy"):
             kernel_mode()
 
     def test_off_disables_the_kernel(self, monkeypatch):
@@ -185,7 +178,7 @@ class TestEligibilityGates:
         assert build_kernel(BalanceCountPolicy(), codec) is None
 
     def test_policy_and_checker_opt_outs(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "python")
+        monkeypatch.setenv("REPRO_KERNEL", "numpy")
         codec = StateCodec(n_cores=3, max_value=6)
         policy = BalanceCountPolicy()
         assert build_kernel(policy, codec, choice_mode="policy") is None
@@ -196,19 +189,84 @@ class TestEligibilityGates:
 
         assert build_kernel(OpaquePolicy(), codec) is None
 
-    @pytest.mark.skipif(HAVE_NUMPY, reason="numpy is installed")
-    def test_numpy_mode_requires_numpy(self, monkeypatch):
+    def test_undeclared_policy_gets_no_kernel(self, monkeypatch):
+        """Eligibility is opt-in: a direct ``Policy`` subclass that
+        declares nothing stays on the tuple executor."""
         monkeypatch.setenv("REPRO_KERNEL", "numpy")
-        codec = StateCodec(n_cores=3, max_value=6)
-        with pytest.raises(VerificationError):
-            build_kernel(BalanceCountPolicy(), codec)
+
+        class Undeclared(Policy):
+            def can_steal(self, thief, stealee):
+                return stealee.nr_threads - thief.nr_threads >= 2
+
+        assert Undeclared.filter_invariance == "none"
+        assert build_kernel(Undeclared(),
+                            StateCodec(n_cores=3, max_value=6)) is None
+
+    @pytest.mark.parametrize("name", [
+        "balance_count", "greedy_halving", "naive", "weighted",
+        "idle_random_steal", "numa_choice",
+    ])
+    def test_benchmark_policies_build_a_kernel(self, monkeypatch, name):
+        """Every policy the benchmark proves or hunts still declares
+        itself loads-invariant, so none of them loses the kernel."""
+        monkeypatch.setenv("REPRO_KERNEL", "numpy")
+        policy = build_policy(PolicySpec(name=name), symmetric_numa(3, 2))
+        assert build_kernel(policy,
+                            StateCodec(n_cores=6, max_value=12)) is not None
+
+    def test_bytes_form_codec_gets_no_kernel(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL", "numpy")
+        codec = StateCodec(n_cores=16, max_value=16)
+        assert not codec.use_int
+        assert build_kernel(BalanceCountPolicy(), codec) is None
+
+    def test_bytes_form_hunt_matches_kernel_off(self, monkeypatch):
+        """``hunt balance_count --cores 16 --max-load 1 --symmetric``
+        packs 80-bit states: the same output under both modes."""
+        outputs = {}
+        for mode in ("off", "numpy"):
+            monkeypatch.setenv("REPRO_KERNEL", mode)
+            buffer = io.StringIO()
+            with contextlib.redirect_stdout(buffer):
+                code = main(["hunt", "balance_count", "--cores", "16",
+                             "--max-load", "1", "--symmetric"])
+            outputs[mode] = (code, buffer.getvalue())
+        assert outputs["numpy"] == outputs["off"]
+        assert "over 17 states" in outputs["off"][1]
+
+    @pytest.mark.parametrize("mode", ["off", "numpy"])
+    def test_cid_reading_filter_is_refuted_on_every_tier(self, monkeypatch,
+                                                          mode):
+        """A filter that never picks core 0 as victim starves it: the
+        lasso ``(2, 0, 0)`` repeats forever. The kernel probes one cid
+        pair, so it must not serve this undeclared policy; if it did,
+        progress and work conservation would be proved with ``N = 1``."""
+        monkeypatch.setenv("REPRO_KERNEL", mode)
+
+        class SkipsCoreZero(Policy):
+            name = "skips_core_zero"
+
+            def can_steal(self, thief, stealee):
+                return (stealee.cid != 0
+                        and self.load(stealee) - self.load(thief) >= 2)
+
+            def steal_amount(self, thief, stealee):
+                return 1
+
+        cert = prove_work_conserving(SkipsCoreZero(),
+                                     StateScope(n_cores=3, max_load=3))
+        report = cert.report
+        assert report.result_for("progress").status is ProofStatus.REFUTED
+        wc = report.result_for("work_conservation")
+        assert wc.status is ProofStatus.REFUTED
+        assert (2, 0, 0) in wc.counterexample.data["cycle"]
+        assert not cert.proved
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 class TestManyThiefExpansion:
     """The n-thief array expansion versus the tuple executor.
 
-    The numpy tier executes *every* thief count through the mixed-radix
+    The kernel executes *every* thief count through the mixed-radix
     shared-prefix-tree expansion — there is no per-state fallback — so
     states with three, four, and five racing thieves must reproduce the
     tuple executor's successor sets and truncation flags exactly, caps
@@ -228,23 +286,22 @@ class TestManyThiefExpansion:
     @staticmethod
     def thief_count(kernel, packed):
         """Number of cores with at least one admissible victim."""
-        np = kernel._np
-        arr = np.asarray([packed], dtype=np.int64)
-        loads = (arr[:, None] >> kernel._shifts_np) & kernel._digit_mask
-        running = (loads > 0).astype(np.int64)
+        arr = numpy.asarray([packed], dtype=numpy.int64)
+        loads = (arr[:, None] >> kernel._shifts) & kernel._digit_mask
+        running = (loads > 0).astype(numpy.int64)
         ready = loads - running
-        intents = kernel._can_np[
+        intents = kernel._can[
             running[:, :, None], running[:, None, :],
             ready[:, :, None], ready[:, None, :],
         ]
-        intents &= ~kernel._eye_np
-        if kernel._mask_np is not None:
-            intents &= kernel._mask_np
+        intents &= ~kernel._eye
+        if kernel._mask is not None:
+            intents &= kernel._mask
         return int(intents.any(axis=2).sum())
 
     def test_handpicked_states_cover_three_to_five_thieves(self):
         codec = StateCodec(n_cores=6, max_value=20)
-        kernel = kernel_for(BalanceCountPolicy(), codec, "numpy")
+        kernel = kernel_for(BalanceCountPolicy(), codec)
         counts = {
             self.thief_count(kernel, codec.encode(s))
             for s in self.MANY_THIEF_STATES
@@ -257,7 +314,7 @@ class TestManyThiefExpansion:
         permissive policies make the uncapped tuple oracle enumerate
         hundreds of thousands of orders per state."""
         codec = StateCodec(n_cores=6, max_value=20)
-        kernel = kernel_for(policy, codec, "numpy", max_orders=30)
+        kernel = kernel_for(policy, codec, max_orders=30)
         assert_batch_matches_tuples(
             kernel, codec, self.MANY_THIEF_STATES, 30
         )
@@ -265,7 +322,7 @@ class TestManyThiefExpansion:
     def test_many_thief_uncapped_universe(self):
         """The full k! = 120 order universe, no truncation anywhere."""
         codec = StateCodec(n_cores=6, max_value=20)
-        kernel = kernel_for(BalanceCountPolicy(), codec, "numpy")
+        kernel = kernel_for(BalanceCountPolicy(), codec)
         assert_batch_matches_tuples(
             kernel, codec, self.MANY_THIEF_STATES, 5040
         )
@@ -275,7 +332,7 @@ class TestManyThiefExpansion:
         """Caps that truncate 3!, 4! and 5! mid-tree, flag included."""
         codec = StateCodec(n_cores=6, max_value=20)
         kernel = kernel_for(
-            BalanceCountPolicy(), codec, "numpy", max_orders=max_orders
+            BalanceCountPolicy(), codec, max_orders=max_orders
         )
         assert_batch_matches_tuples(
             kernel, codec, self.MANY_THIEF_STATES, max_orders
@@ -291,7 +348,7 @@ class TestManyThiefExpansion:
         """
         states = list(itertools.product((0, 2, 3), repeat=6))
         codec = StateCodec(n_cores=6, max_value=18)
-        kernel = kernel_for(BalanceCountPolicy(), codec, "numpy",
+        kernel = kernel_for(BalanceCountPolicy(), codec,
                             max_orders=24)
         assert_batch_matches_tuples(kernel, codec, states, 24)
 
@@ -300,7 +357,7 @@ class TestManyThiefExpansion:
         owns the run ``values[sum(counts[:i]):][:counts[i]]``, matching
         ``expand_batch`` exactly."""
         codec = StateCodec(n_cores=6, max_value=20)
-        kernel = kernel_for(BalanceCountPolicy(), codec, "numpy")
+        kernel = kernel_for(BalanceCountPolicy(), codec)
         packed = codec.encode_batch(self.MANY_THIEF_STATES)
         values, counts, truncated = kernel.expand_batch_arrays(
             numpy.asarray(packed, dtype=numpy.int64)
@@ -317,7 +374,6 @@ class TestManyThiefExpansion:
             cursor += count
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 class TestBranchCountsAndStalls:
     """The progress obligation's view of the kernel: per-state row
     counts are the tuple executor's branch counts, and the stall flag
@@ -353,14 +409,14 @@ class TestBranchCountsAndStalls:
     def test_full_product_space(self, policy):
         states = list(itertools.product(range(4), repeat=4))
         codec = StateCodec(n_cores=4, max_value=12)
-        kernel = kernel_for(policy, codec, "numpy")
+        kernel = kernel_for(policy, codec)
         self.assert_rows_match_branches(kernel, codec, states, 5040)
 
     @pytest.mark.parametrize("max_orders", [1, 2, 7, 23])
     def test_many_thief_states_under_caps(self, max_orders):
         codec = StateCodec(n_cores=6, max_value=20)
         kernel = kernel_for(
-            BalanceCountPolicy(margin=1), codec, "numpy",
+            BalanceCountPolicy(margin=1), codec,
             max_orders=max_orders,
         )
         self.assert_rows_match_branches(
@@ -370,7 +426,7 @@ class TestBranchCountsAndStalls:
 
     def test_empty_batch(self):
         codec = StateCodec(n_cores=3, max_value=6)
-        kernel = kernel_for(BalanceCountPolicy(), codec, "numpy")
+        kernel = kernel_for(BalanceCountPolicy(), codec)
         result = kernel.expand_batch_arrays(
             numpy.empty(0, dtype=numpy.int64), stalls=True
         )
@@ -379,7 +435,7 @@ class TestBranchCountsAndStalls:
     def test_bad_mask_matches_is_bad_state(self):
         states = list(itertools.product(range(4), repeat=4))
         codec = StateCodec(n_cores=4, max_value=12)
-        kernel = kernel_for(BalanceCountPolicy(), codec, "numpy")
+        kernel = kernel_for(BalanceCountPolicy(), codec)
         mask = kernel.bad_mask(
             numpy.asarray(codec.encode_batch(states), dtype=numpy.int64)
         )

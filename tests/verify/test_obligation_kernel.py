@@ -41,8 +41,6 @@ from repro.verify.symmetry import (
     TrivialGroup,
 )
 
-pytest.importorskip("numpy")
-
 POLICIES = [
     BalanceCountPolicy(margin=1),
     BalanceCountPolicy(margin=2),
@@ -196,7 +194,7 @@ def _two_overloaded(state) -> bool:
 
 
 def _two_overloaded_mask(self, packed):
-    loads = (packed[:, None] >> self._shifts_np) & self._digit_mask
+    loads = (packed[:, None] >> self._shifts) & self._digit_mask
     return (loads >= 2).sum(axis=1) >= 2
 
 
@@ -249,9 +247,8 @@ class TestTuplePathStays:
                     if s.category == "obligation"] == ["tuple", "tuple"]
         assert results["numpy"] == results["off"]
 
-    @pytest.mark.parametrize("mode", ["off", "python"])
-    def test_kernel_off_and_python_tier_take_the_tuple_path(self, mode):
-        with kernel_env(mode):
+    def test_kernel_off_takes_the_tuple_path(self):
+        with kernel_env("off"):
             checker = ModelChecker(BalanceCountPolicy())
             scope = StateScope(n_cores=3, max_load=2)
             assert checker._packed_sweep(

@@ -328,12 +328,7 @@ class TestChoiceEquivarianceGuard:
                      symmetric=True)
 
 
-try:
-    import numpy
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - numpy is present in CI
-    HAVE_NUMPY = False
-
+import numpy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -368,7 +363,7 @@ class TestBatchCanonicalisation:
     engines canonicalise whole successor arrays in one call, and any
     divergence from the scalar path would silently change verdicts.
     Pinned for every group shape and both codec forms (int and bytes —
-    the latter exercising the scalar fallback).
+    the latter exercising the scalar fallback), as lists and as arrays.
     """
 
     @pytest.mark.parametrize("label,n_cores,group", BATCH_GROUPS,
@@ -383,11 +378,10 @@ class TestBatchCanonicalisation:
         packed = codec.encode_batch(states)
         expected = [group.canonicalize_packed(p, codec) for p in packed]
         assert list(group.canonicalize_batch(packed, codec)) == expected
-        if HAVE_NUMPY:
-            arr = numpy.asarray(packed, dtype=numpy.int64)
-            out = group.canonicalize_batch(arr, codec)
-            assert isinstance(out, numpy.ndarray)
-            assert out.tolist() == expected
+        arr = numpy.asarray(packed, dtype=numpy.int64)
+        out = group.canonicalize_batch(arr, codec)
+        assert isinstance(out, numpy.ndarray)
+        assert out.tolist() == expected
 
     @pytest.mark.parametrize("label,n_cores,group", BATCH_GROUPS,
                              ids=[g[0] for g in BATCH_GROUPS])
@@ -402,6 +396,11 @@ class TestBatchCanonicalisation:
         packed = codec.encode_batch(states)
         expected = [group.canonicalize_packed(p, codec) for p in packed]
         assert list(group.canonicalize_batch(packed, codec)) == expected
+        # The closure loop holds bytes-form frontiers in object arrays.
+        arr = numpy.asarray(packed, dtype=object)
+        out = group.canonicalize_batch(arr, codec)
+        assert isinstance(out, numpy.ndarray) and out.dtype == object
+        assert out.tolist() == expected
 
     @pytest.mark.parametrize("label,n_cores,group", BATCH_GROUPS,
                              ids=[g[0] for g in BATCH_GROUPS])
