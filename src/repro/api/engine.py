@@ -1,20 +1,23 @@
 """Engine adapters: one protocol over serial, pool, and distributed backends.
 
-The verification stack grew three execution backends — the serial
-checkers, the :mod:`multiprocessing` pool of
-:mod:`repro.verify.parallel`, and the coordinator/worker dispatch of
-:mod:`repro.verify.distributed` — with the guarantee that all three
-produce byte-identical verdicts. This module makes that guarantee a
-*type*: :class:`Engine` is the protocol every backend implements, and
-callers (the :class:`~repro.api.session.Session`, primarily) pick a
-backend by constructing a different adapter — never by importing
+The verification stack has three execution backends — this process, the
+:mod:`multiprocessing` pool of :mod:`repro.verify.parallel`, and the
+coordinator/worker dispatch of :mod:`repro.verify.distributed` — with
+the guarantee that all three produce byte-identical verdicts. This
+module makes that guarantee a *type*: :class:`Engine` is the protocol
+every backend implements, and callers (the
+:class:`~repro.api.session.Session`, primarily) pick a backend by
+constructing a different adapter — never by importing
 ``parallel``/``distributed`` internals.
 
-Adding a future backend (async hash-partitioned exploration, an
-authenticated transport) means writing one new ``Engine``
-implementation; every entry point — CLI, spec files, programmatic
-callers — picks it up through :func:`create_engine` without a new flag
-plumb-through.
+The backends differ only in where a list of shard tasks runs, so each
+adapter supplies a :class:`~repro.verify.work_conservation.TaskMap`
+(:meth:`TaskEngine.tasks`) and inherits ``prove``, ``analyze`` and
+``run_campaign`` from :class:`TaskEngine`, which hands the map to the
+one driver of each request kind. Adding a future backend (an
+authenticated transport, say) means writing one ``tasks`` method;
+every entry point — CLI, spec files, programmatic callers — picks it up
+through :func:`create_engine` without a new flag plumb-through.
 
 Engines are context managers: ``__enter__`` acquires whatever the
 backend needs (nothing, a pool per call, a worker fleet), ``__exit__``
@@ -26,7 +29,17 @@ exact failure surface the CLI has always presented.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Protocol, Sequence, runtime_checkable
+from contextlib import contextmanager
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    ContextManager,
+    Iterator,
+    Protocol,
+    Sequence,
+    runtime_checkable,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - hints only; imported lazily at runtime
     from repro.verify.distributed import Coordinator, LocalWorkerPool
@@ -35,15 +48,19 @@ from repro.core.errors import VerificationError
 from repro.core.policy import Policy
 from repro.obs.trace import TRACER
 from repro.topology.numa import NumaTopology
-from repro.verify.campaign import CampaignConfig, CampaignReport, run_campaign
+from repro.verify.campaign import CampaignConfig, CampaignReport
 from repro.verify.enumeration import StateScope
-from repro.verify.hierarchical import HierarchySpec, build_checker
+from repro.verify.hierarchical import HierarchySpec
 from repro.verify.model_checker import WorkConservationAnalysis
 from repro.verify.symmetry import SymmetryGroup
 from repro.verify.transition import DEFAULT_MAX_ORDERS
 from repro.verify.work_conservation import (
+    TaskMap,
     WorkConservationCertificate,
-    prove_work_conserving,
+    analyze,
+    campaign,
+    local_tasks,
+    prove,
 )
 
 from repro.api.request import EngineSpec, RequestError
@@ -73,12 +90,12 @@ class EngineError(VerificationError):
 class Engine(Protocol):
     """What a verification backend must provide.
 
-    All three methods mirror the serial entry points exactly —
-    identical parameters, identical result types — because the
-    engine-equivalence guarantee (same request, same verdict, any
-    backend) is only meaningful if the surface is shared. Progress
-    callbacks are optional observers; an engine that cannot emit a
-    given signal ignores the callback.
+    All three request methods share one surface — identical parameters,
+    identical result types — because the engine-equivalence guarantee
+    (same request, same verdict, any backend) is only meaningful if the
+    surface is shared; :class:`TaskEngine` implements them once over a
+    backend's task map. Progress callbacks are optional observers; an
+    engine that cannot emit a given signal ignores the callback.
     """
 
     def describe(self) -> str:
@@ -123,13 +140,54 @@ class Engine(Protocol):
         ...
 
 
-class SerialEngine:
-    """The unsharded reference path, in this process.
+class TaskEngine:
+    """``prove``, ``analyze`` and ``run_campaign``, written once.
 
-    ``prove`` reports no levels, so ``on_level`` is ignored there;
-    ``analyze`` reports exploration progress through the checker's
-    ``on_expand`` hook (the cumulative states explored after each BFS
-    level) instead, which the session throttles into events.
+    A backend implements :meth:`tasks`; each request kind hands the map
+    to its driver in :mod:`repro.verify.work_conservation`. Progress
+    hooks pass through to the closure: ``on_level`` fires per BFS level
+    and ``on_expand`` with the cumulative states explored, whichever the
+    caller supplies (the async distributed mode honours only
+    ``on_expand``); ``on_machine`` reaches campaigns that run in this
+    process.
+    """
+
+    def tasks(self, on_machine: MachineCallback | None = None,
+              ) -> ContextManager[TaskMap]:
+        """Where this backend runs a request's shard tasks."""
+        raise NotImplementedError
+
+    def prove(self, policy: Policy, scope: StateScope, *,
+              on_level: LevelCallback | None = None,
+              on_expand: ExpandCallback | None = None,
+              **params: Any) -> WorkConservationCertificate:
+        with self.tasks() as tasks:
+            return prove(policy, scope, tasks, on_level=on_level,
+                         on_expand=on_expand, **params)
+
+    def analyze(self, policy: Policy | None, scope: StateScope, *,
+                on_level: LevelCallback | None = None,
+                on_expand: ExpandCallback | None = None,
+                **params: Any) -> WorkConservationAnalysis:
+        with self.tasks() as tasks:
+            return analyze(policy, scope, tasks, on_level=on_level,
+                           on_expand=on_expand, **params)
+
+    def run_campaign(self, policy_factory: Callable[[], Policy],
+                     config: CampaignConfig, *,
+                     on_machine: MachineCallback | None = None,
+                     ) -> CampaignReport:
+        with self.tasks(on_machine) as tasks:
+            return campaign(policy_factory, config, tasks)
+
+
+class SerialEngine(TaskEngine):
+    """The unsharded reference path: one shard, in this process.
+
+    ``prove`` reports no exploration progress, so its ``on_level`` is
+    ignored; ``analyze`` reports through ``on_expand`` (the cumulative
+    states explored after each BFS level), which the session throttles
+    into events, and campaigns report every machine.
     """
 
     def describe(self) -> str:
@@ -141,40 +199,23 @@ class SerialEngine:
     def __exit__(self, *exc_info: object) -> None:
         return None
 
-    def prove(self, policy, scope, *, choice_mode="all",
-              max_orders=DEFAULT_MAX_ORDERS, symmetric=False,
-              symmetry=None, topology=None, on_level=None,
-              ) -> WorkConservationCertificate:
-        return prove_work_conserving(
-            policy, scope, choice_mode=choice_mode, max_orders=max_orders,
-            symmetric=symmetric, symmetry=symmetry, topology=topology,
-        )
+    @contextmanager
+    def tasks(self, on_machine: MachineCallback | None = None,
+              ) -> Iterator[TaskMap]:
+        yield local_tasks(on_machine)
 
-    def analyze(self, policy, scope, *, choice_mode="all",
-                max_orders=DEFAULT_MAX_ORDERS, symmetric=False,
-                sequential=False, symmetry=None, topology=None,
-                hierarchy=None, on_level=None,
-                on_expand: Callable[[int], None] | None = None,
-                ) -> WorkConservationAnalysis:
-        checker = build_checker(
-            policy, choice_mode=choice_mode, max_orders=max_orders,
-            symmetric=symmetric, symmetry=symmetry, topology=topology,
-            hierarchy=hierarchy,
-        )
-        return checker.analyze(scope, sequential=sequential,
-                               on_expand=on_expand)
-
-    def run_campaign(self, policy_factory, config, *,
-                     on_machine=None) -> CampaignReport:
-        return run_campaign(policy_factory, config, on_machine=on_machine)
+    def prove(self, policy: Policy, scope: StateScope, *,
+              on_level: LevelCallback | None = None,
+              **params: Any) -> WorkConservationCertificate:
+        return super().prove(policy, scope, **params)
 
 
-class PoolEngine:
+class PoolEngine(TaskEngine):
     """The ``--jobs N`` multiprocessing engine.
 
-    A thin adapter over :mod:`repro.verify.parallel`; each call owns its
-    pool (the drivers create and tear one down per sweep), so enter/exit
-    hold no state.
+    Each call owns its pool (:func:`repro.verify.parallel.pool_tasks`
+    creates and tears one down per request), so enter/exit hold no
+    state.
     """
 
     def __init__(self, jobs: int) -> None:
@@ -189,41 +230,14 @@ class PoolEngine:
     def __exit__(self, *exc_info: object) -> None:
         return None
 
-    def prove(self, policy, scope, *, choice_mode="all",
-              max_orders=DEFAULT_MAX_ORDERS, symmetric=False,
-              symmetry=None, topology=None, on_level=None,
-              ) -> WorkConservationCertificate:
-        from repro.verify.parallel import prove_work_conserving_parallel
+    def tasks(self, on_machine: MachineCallback | None = None,
+              ) -> ContextManager[TaskMap]:
+        from repro.verify.parallel import pool_tasks
 
-        return prove_work_conserving_parallel(
-            policy, scope, jobs=self.jobs, choice_mode=choice_mode,
-            max_orders=max_orders, symmetric=symmetric, symmetry=symmetry,
-            topology=topology, on_level=on_level,
-        )
-
-    def analyze(self, policy, scope, *, choice_mode="all",
-                max_orders=DEFAULT_MAX_ORDERS, symmetric=False,
-                sequential=False, symmetry=None, topology=None,
-                hierarchy=None, on_level=None,
-                ) -> WorkConservationAnalysis:
-        from repro.verify.parallel import analyze_parallel
-
-        return analyze_parallel(
-            policy, scope, jobs=self.jobs, choice_mode=choice_mode,
-            max_orders=max_orders, symmetric=symmetric,
-            sequential=sequential, symmetry=symmetry, topology=topology,
-            hierarchy=hierarchy, on_level=on_level,
-        )
-
-    def run_campaign(self, policy_factory, config, *,
-                     on_machine=None) -> CampaignReport:
-        from repro.verify.parallel import run_campaign_parallel
-
-        return run_campaign_parallel(policy_factory, config,
-                                     jobs=self.jobs)
+        return pool_tasks(self.jobs)
 
 
-class DistributedEngine:
+class DistributedEngine(TaskEngine):
     """The coordinator/worker engine behind ``--distributed``/``--workers``.
 
     ``__enter__`` acquires the worker fleet per the construction
@@ -327,57 +341,15 @@ class DistributedEngine:
             )
         return self._coordinator
 
-    def prove(self, policy, scope, *, choice_mode="all",
-              max_orders=DEFAULT_MAX_ORDERS, symmetric=False,
-              symmetry=None, topology=None, on_level=None,
-              on_expand: ExpandCallback | None = None,
-              ) -> WorkConservationCertificate:
-        from repro.verify.distributed import prove_work_conserving_distributed
+    @contextmanager
+    def tasks(self, on_machine: MachineCallback | None = None,
+              ) -> Iterator[TaskMap]:
+        from repro.verify.distributed import coordinator_tasks
 
         try:
-            return prove_work_conserving_distributed(
-                policy, scope, self.coordinator, choice_mode=choice_mode,
-                max_orders=max_orders, symmetric=symmetric,
-                symmetry=symmetry, topology=topology,
-                mode=self.mode, partitions=self.partitions,
-                on_level=on_level, on_expand=on_expand,
-                on_partition_split=self.on_partition_split,
-            )
-        except EngineError:
-            raise
-        except VerificationError as exc:
-            raise EngineError(f"distributed run failed: {exc}") from exc
-
-    def analyze(self, policy, scope, *, choice_mode="all",
-                max_orders=DEFAULT_MAX_ORDERS, symmetric=False,
-                sequential=False, symmetry=None, topology=None,
-                hierarchy=None, on_level=None,
-                on_expand: ExpandCallback | None = None,
-                ) -> WorkConservationAnalysis:
-        from repro.verify.distributed import analyze_distributed
-
-        try:
-            return analyze_distributed(
-                policy, scope, self.coordinator, choice_mode=choice_mode,
-                max_orders=max_orders, symmetric=symmetric,
-                sequential=sequential, symmetry=symmetry,
-                topology=topology, hierarchy=hierarchy,
-                mode=self.mode, partitions=self.partitions,
-                on_level=on_level, on_expand=on_expand,
-                on_partition_split=self.on_partition_split,
-            )
-        except EngineError:
-            raise
-        except VerificationError as exc:
-            raise EngineError(f"distributed run failed: {exc}") from exc
-
-    def run_campaign(self, policy_factory, config, *,
-                     on_machine=None) -> CampaignReport:
-        from repro.verify.distributed import run_campaign_distributed
-
-        try:
-            return run_campaign_distributed(policy_factory, config,
-                                            self.coordinator)
+            yield coordinator_tasks(self.coordinator, self.mode,
+                                    self.partitions,
+                                    self.on_partition_split)
         except EngineError:
             raise
         except VerificationError as exc:

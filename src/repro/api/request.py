@@ -10,7 +10,7 @@ resolved objects (a :class:`~repro.core.policy.Policy` instance, a
 :class:`~repro.verify.symmetry.SymmetryGroup`) are derived on demand by
 :meth:`VerificationRequest.resolve`, so a request can be serialised
 losslessly (see :mod:`repro.api.report`) and rebuilt anywhere — the same
-discipline :class:`~repro.verify.wire.CheckerConfig` applies one layer
+discipline :class:`~repro.verify.tasks.CheckerConfig` applies one layer
 down for remote workers.
 
 Use the fluent builder for readable construction::

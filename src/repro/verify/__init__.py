@@ -7,7 +7,9 @@ termination certificate, and trace audits of concrete executions — all
 composed by :func:`prove_work_conserving` into a certificate carrying an
 explicit round bound ``N`` or a counterexample lasso.
 
-Every sweep also runs sharded across a process pool
+The pipeline is written once (:mod:`repro.verify.work_conservation`)
+over a map of shard tasks (:mod:`repro.verify.tasks`), and every sweep
+also runs sharded across a process pool
 (:mod:`repro.verify.parallel`, ``--jobs`` on the CLI):
 :func:`prove_work_conserving_parallel`, :func:`analyze_parallel` and
 :func:`run_campaign_parallel` partition the state space with the chunked
@@ -96,16 +98,8 @@ from repro.verify.obligations import (
     ProofStatus,
 )
 from repro.verify.parallel import (
-    PolicyReplicator,
     analyze_parallel,
-    assemble_certificate,
     bfs_closure,
-    derive_campaign_seed,
-    make_campaign_tasks,
-    make_shard_specs,
-    merge_campaign_reports,
-    merge_graphs,
-    merge_proof_results,
     prove_work_conserving_parallel,
     resolve_jobs,
     run_campaign_parallel,
@@ -117,7 +111,6 @@ from repro.verify.distributed import (
     SocketTransport,
     TaskFailed,
     WorkerLost,
-    WorkerRuntime,
     WorkerServer,
     analyze_distributed,
     connect_workers,
@@ -194,8 +187,16 @@ from repro.verify.reactivity import (
     audit_reactivity,
     derive_reactivity_bound,
 )
+from repro.verify.tasks import PolicyReplicator, WorkerRuntime
 from repro.verify.work_conservation import (
     WorkConservationCertificate,
+    assemble_certificate,
+    derive_campaign_seed,
+    make_campaign_tasks,
+    make_shard_specs,
+    merge_campaign_reports,
+    merge_graphs,
+    merge_proof_results,
     prove_work_conserving,
 )
 

@@ -1,12 +1,15 @@
 """Distributed verification: coordinator/worker shard dispatch.
 
 :mod:`repro.verify.parallel` made the §4 pipeline shard-parallel on one
-host; this module lets the shards leave the machine. A
-:class:`Coordinator` hands the same :class:`~repro.verify.parallel.
-ShardSpec`/campaign-slice tasks to workers over a pluggable transport,
-collects the picklable shard results, and folds them through the
-*unchanged* merge reducers — so the distributed verdict is byte-identical
-to the pool engine's, which is byte-identical to the serial path.
+host; this module lets the shards leave the machine. Its engine is a
+:class:`~repro.verify.work_conservation.TaskMap`
+(:func:`coordinator_tasks`): the one pipeline driver builds the same
+:mod:`repro.verify.tasks` shard tasks as for every engine, a
+:class:`Coordinator` hands them to workers over a pluggable transport,
+each worker runs them on the same :class:`~repro.verify.tasks.
+WorkerRuntime`, and the picklable shard results fold through the same
+merge reducers — so the distributed verdict is byte-identical to the
+pool engine's, which is byte-identical to the serial path.
 
 Architecture
 ------------
@@ -38,8 +41,8 @@ Architecture
 
 * **BFS frontier exchange** (``mode="level-sync"``) — the model
   checker's closure exploration reuses
-  :func:`~repro.verify.parallel.bfs_closure` with chunks shipped as
-  :class:`~repro.verify.wire.ExpandTask` batches: one round trip per
+  :func:`~repro.verify.model_checker.bfs_closure` with chunks shipped
+  as :class:`~repro.verify.tasks.ExpandTask` batches: one round trip per
   BFS level, with the coordinator deduplicating canonical states between
   levels, so exploration works over high-latency links (cost per level
   is one exchange, not one per state). Workers memoize one
@@ -48,7 +51,7 @@ Architecture
 
 * **Async hash-partitioned exploration** (``mode="async"``) — the
   barrier-free alternative: canonical packed states are partitioned by
-  a seed-independent hash (:func:`~repro.verify.parallel.partition_of`),
+  a seed-independent hash (:func:`~repro.verify.tasks.partition_of`),
   each worker drains its own partitions *transitively* (same-partition
   successors never cross the wire) and streams cross-partition
   successors back as pipelined ``forward`` frames while still
@@ -86,32 +89,28 @@ from collections import Counter, deque
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.errors import VerificationError
-from repro.obs.trace import TRACER, spans_to_payload, trace_clock
+from repro.obs.trace import TRACER
 from repro.topology.numa import NumaTopology
-from repro.verify.campaign import CampaignConfig, CampaignReport, run_campaign
+from repro.verify.campaign import CampaignConfig, CampaignReport
 from repro.verify.encoding import PackedState, StateCodec, decode_graph
 from repro.verify.enumeration import StateScope
-from repro.verify.hierarchical import HierarchySpec, build_checker
+from repro.verify.hierarchical import HierarchySpec
 from repro.verify.model_checker import (
-    ModelChecker,
     PackedGraph,
     TransitionGraph,
     WorkConservationAnalysis,
     closure_start,
 )
 from repro.verify.symmetry import SymmetryGroup, resolve_symmetry
-from repro.verify.obligations import timed_check
-from repro.verify.parallel import (
-    LivenessShardResult,
-    SweepShardResult,
-    assemble_certificate,
-    bfs_closure,
-    liveness_shard_worker,
-    make_campaign_tasks,
-    make_shard_specs,
-    merge_campaign_reports,
+from repro.verify.tasks import (
+    CheckerConfig,
+    ForwardBatch,
+    PartitionControlTask,
+    PartitionExpandResult,
+    PartitionExpandTask,
+    TracedResult,
+    WorkerRuntime,
     partition_of,
-    sweep_shard_worker,
 )
 from repro.verify.transition import DEFAULT_MAX_ORDERS
 from repro.verify.wire import (
@@ -125,17 +124,7 @@ from repro.verify.wire import (
     RESULT,
     SHUTDOWN,
     TASK,
-    CampaignTask,
-    CheckerConfig,
     ConnectionClosed,
-    ExpandTask,
-    ForwardBatch,
-    LivenessTask,
-    PartitionControlTask,
-    PartitionExpandTask,
-    PartitionExpandResult,
-    SweepTask,
-    TracedResult,
     WireMessage,
     WireProtocolError,
     decode_message,
@@ -144,7 +133,13 @@ from repro.verify.wire import (
     recv_message,
     send_message,
 )
-from repro.verify.work_conservation import WorkConservationCertificate
+from repro.verify.work_conservation import (
+    TaskMap,
+    WorkConservationCertificate,
+    analyze,
+    campaign,
+    prove,
+)
 
 #: Default seconds between worker heartbeat frames during a task.
 DEFAULT_HEARTBEAT_S = 1.0
@@ -252,204 +247,6 @@ def _ingest_traced(value: Any, worker: str) -> Any:
 # ---------------------------------------------------------------------------
 # worker side
 # ---------------------------------------------------------------------------
-
-
-class WorkerRuntime:
-    """Executes wire task payloads; the single worker-side entry point.
-
-    Keeps one memoized :class:`ModelChecker` per distinct
-    :class:`CheckerConfig` so successive :class:`ExpandTask` batches of
-    the same proof hit warm transition caches — the worker-side half of
-    the "within each shard" memoization the pool engine gets from its
-    process initializer.
-    """
-
-    def __init__(self) -> None:
-        self._checkers: dict[bytes, ModelChecker] = {}
-        # Async-mode visited sets, keyed (run_id, partition): the states
-        # this worker has already expanded (or been seeded with) for a
-        # partition it owns. Seeding REPLACES an entry wholesale — on
-        # migration the coordinator knows exactly which states already
-        # have merged edges, and stale local history must not survive.
-        self._partitions: dict[tuple[str, int], set[PackedState]] = {}
-
-    def _checker_for(self, config: CheckerConfig) -> ModelChecker:
-        key = config.cache_key()
-        checker = self._checkers.get(key)
-        if checker is None:
-            checker = build_checker(
-                config.policy,
-                choice_mode=config.choice_mode,
-                max_orders=config.max_orders,
-                symmetric=config.symmetric,
-                symmetry=config.symmetry,
-                topology=config.topology,
-                hierarchy=config.hierarchy,
-            )
-            self._checkers[key] = checker
-        return checker
-
-    def execute(self, task: Any,
-                emit: Callable[[ForwardBatch], None] | None = None) -> Any:
-        """Run one task payload and return its (picklable) result.
-
-        A ``trace=True`` task asks this worker to capture spans while
-        executing and return them wrapped in
-        :class:`~repro.verify.wire.TracedResult` — but only when this
-        process's tracer is *off*, i.e. we really are a remote worker.
-        In-process transports run inside the coordinator, where the
-        tracer is already recording straight onto the merged timeline
-        and wrapping would double-count.
-
-        Args:
-            task: a :data:`~repro.verify.wire.TASK_TYPES` payload.
-            emit: mid-task frame sink (transports with a live back
-                channel stream :class:`ForwardBatch` frames through it;
-                without one, forwards ride home in the task result).
-
-        Raises:
-            WireProtocolError: payload is not a known task type.
-        """
-        if getattr(task, "trace", False) and not TRACER.enabled:
-            TRACER.enable(worker=f"worker-pid-{os.getpid()}")
-            try:
-                value = self._execute(task, emit)
-            finally:
-                spans = TRACER.drain()
-                TRACER.disable()
-            return TracedResult(value=value,
-                                spans=spans_to_payload(spans),
-                                clock=trace_clock(), pid=os.getpid())
-        return self._execute(task, emit)
-
-    def _execute(self, task: Any,
-                 emit: Callable[[ForwardBatch], None] | None) -> Any:
-        with TRACER.span("worker." + type(task).__name__, "worker"):
-            return self._dispatch_task(task, emit)
-
-    def _dispatch_task(self, task: Any,
-                       emit: Callable[[ForwardBatch], None] | None,
-                       ) -> Any:
-        if isinstance(task, SweepTask):
-            return sweep_shard_worker(task.spec)
-        if isinstance(task, LivenessTask):
-            return liveness_shard_worker(task.spec)
-        if isinstance(task, ExpandTask):
-            return self._expand(task)
-        if isinstance(task, PartitionExpandTask):
-            return self._expand_partition(task, emit)
-        if isinstance(task, PartitionControlTask):
-            return self._control(task)
-        if isinstance(task, CampaignTask):
-            return run_campaign(task.replicator, task.config)
-        raise WireProtocolError(
-            f"unknown task payload {type(task).__name__!r}"
-        )
-
-    def _expand(self, task: ExpandTask):
-        checker = self._checker_for(task.config)
-        if task.codec is not None:
-            # Wire v3: packed frontier chunk in, packed graph out.
-            return checker.expand_packed(task.packed, task.codec,
-                                         sequential=task.sequential)
-        edges: TransitionGraph = {}
-        truncated = False
-        for state in task.states:
-            succ, trunc = checker.successors(state,
-                                             sequential=task.sequential)
-            truncated = truncated or trunc
-            edges[state] = succ
-        return edges, truncated
-
-    def _expand_partition(
-        self, task: PartitionExpandTask,
-        emit: Callable[[ForwardBatch], None] | None,
-    ) -> PartitionExpandResult:
-        """Drain one batch transitively inside its hash partition.
-
-        Same-partition successors feed the next local chunk without
-        touching the wire; cross-partition successors are streamed out
-        as :class:`ForwardBatch` frames *between* chunks, so the
-        coordinator routes them (and other workers expand them) while
-        this worker is still computing. The per-partition visited set
-        persists across tasks on the same connection, so later batches
-        of the same partition never re-expand a state.
-        """
-        checker = self._checker_for(task.config)
-        codec = task.codec
-        visited = self._partitions.setdefault(
-            (task.run_id, task.partition), set()
-        )
-        # A batch state may already be visited: the coordinator routes a
-        # state the moment another partition forwards it, which can race
-        # with this worker having discovered it locally.
-        pending = {state for state in task.batch if state not in visited}
-        edges: PackedGraph = {}
-        truncated = False
-        forwards: dict[int, set[PackedState]] = {}
-        forwarded: set[PackedState] = set()
-        # blake2b routing runs once per *distinct* successor per task —
-        # the flat successor stream is deduped per chunk and the
-        # computed target memoized across chunks — instead of once per
-        # edge occurrence.
-        target_of: dict[PackedState, int] = {}
-        while pending:
-            chunk = tuple(sorted(pending))
-            visited.update(chunk)
-            chunk_edges, chunk_truncated, flat = checker.expand_level(
-                chunk, codec, sequential=task.sequential
-            )
-            truncated = truncated or chunk_truncated
-            edges.update(chunk_edges)
-            pending = set()
-            fresh: dict[int, set[PackedState]] = {}
-            values = flat if isinstance(flat, list) else flat.tolist()
-            for successor in set(values):
-                target = target_of.get(successor)
-                if target is None:
-                    target = partition_of(successor, codec,
-                                          task.n_partitions)
-                    target_of[successor] = target
-                if target == task.partition:
-                    if successor not in visited:
-                        pending.add(successor)
-                elif successor not in forwarded:
-                    forwarded.add(successor)
-                    fresh.setdefault(target, set()).add(successor)
-            if not fresh:
-                continue
-            if emit is not None:
-                emit(ForwardBatch(
-                    run_id=task.run_id, partition=task.partition,
-                    targets={target: tuple(sorted(states))
-                             for target, states in fresh.items()},
-                ))
-            else:
-                for target, states in fresh.items():
-                    forwards.setdefault(target, set()).update(states)
-        return PartitionExpandResult(
-            partition=task.partition,
-            edges=edges,
-            truncated=truncated,
-            forwards={target: tuple(sorted(states))
-                      for target, states in forwards.items()},
-        )
-
-    def _control(self, task: PartitionControlTask) -> bool:
-        """Apply a partition lifecycle op; returns an ack."""
-        if task.op == "seed":
-            self._partitions[(task.run_id, task.partition)] = set(
-                task.visited
-            )
-            return True
-        if task.op == "drop-run":
-            for key in [key for key in self._partitions
-                        if key[0] == task.run_id]:
-                del self._partitions[key]
-            return True
-        raise WireProtocolError(
-            f"unknown partition control op {task.op!r}"
-        )
 
 
 class WorkerServer:
@@ -644,7 +441,7 @@ class WorkerClient:
 
     Attributes:
         on_forward: mid-task frame sink. When set, transports deliver
-            each :class:`~repro.verify.wire.ForwardBatch` the worker
+            each :class:`~repro.verify.tasks.ForwardBatch` the worker
             streams *during* :meth:`submit` to this callable (from the
             submitting thread); the async explorer points it at its
             router. When ``None``, frames are dropped (level-sync tasks
@@ -1177,7 +974,7 @@ class AsyncPartitionExplorer:
     """Barrier-free closure exploration over hash partitions.
 
     The reachable state space is split into ``n_partitions`` by
-    :func:`~repro.verify.parallel.partition_of`; every partition has
+    :func:`~repro.verify.tasks.partition_of`; every partition has
     exactly one owning worker at any moment, and workers drain their
     partitions continuously — there is no BFS level and no barrier.
     All coordinator-side state lives behind one condition variable:
@@ -1525,12 +1322,16 @@ class AsyncPartitionExplorer:
             self._route(initial_packed)
         self.coordinator.add_membership_listener(self._on_worker_added)
         try:
-            self._threads = [
+            # Started from a local list: a worker joining while these
+            # start appends (and starts) its own thread in _threads.
+            threads = [
                 threading.Thread(target=self._dispatch, args=(client,),
                                  daemon=True)
                 for client in clients
             ]
-            for thread in self._threads:
+            with self._cond:
+                self._threads.extend(threads)
+            for thread in threads:
                 thread.start()
             while True:
                 with self._cond:
@@ -1572,7 +1373,7 @@ def async_closure(coordinator: Coordinator, config: CheckerConfig,
                   on_partition_split:
                       "Callable[[int, str, str, int], None] | None" = None,
                   ) -> tuple[TransitionGraph, bool]:
-    """Async counterpart of :func:`~repro.verify.parallel.bfs_closure`.
+    """Async counterpart of :func:`~repro.verify.model_checker.bfs_closure`.
 
     Same contract — canonical initial states in, decoded tuple graph
     out — with the level loop replaced by an
@@ -1609,20 +1410,48 @@ def resolve_mode(mode: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# drivers (mirror repro.verify.parallel's, one shard per worker)
+# drivers (one shard per worker)
 # ---------------------------------------------------------------------------
 
 
-def _map_expand(coordinator: Coordinator, config: CheckerConfig):
-    """``bfs_closure`` adapter: one batched exchange round per level."""
-    def map_expand(codec, chunks, sequential):
-        return coordinator.map([
-            ExpandTask(config=config, codec=codec, packed=tuple(chunk),
-                       sequential=sequential, trace=TRACER.enabled)
-            for chunk in chunks
-        ])
+def coordinator_tasks(
+    coordinator: Coordinator, mode: str = "level-sync",
+    partitions: int | None = None,
+    on_partition_split:
+        "Callable[[int, str, str, int], None] | None" = None,
+) -> TaskMap:
+    """The distributed engine's
+    :class:`~repro.verify.work_conservation.TaskMap`.
 
-    return map_expand
+    One shard per live worker, mapped through :meth:`Coordinator.map`.
+    ``mode`` selects how the closure runs: ``"level-sync"`` (the
+    barriered :func:`~repro.verify.model_checker.bfs_closure` over
+    mapped expand tasks, reporting levels) or ``"async"`` (the
+    barrier-free :func:`async_closure` over ``partitions`` hash
+    partitions, reporting cumulative progress and steals through
+    ``on_partition_split``). The sweep phases are mode-independent —
+    their shard split stays one per worker either way, which is why
+    both modes share one store coverage class.
+
+    Raises:
+        VerificationError: unknown ``mode``.
+        WorkerLost: the coordinator has no live worker.
+    """
+    resolve_mode(mode)
+    if coordinator.n_workers < 1:
+        raise WorkerLost("no live workers to dispatch shards to")
+    if mode == "level-sync":
+        return TaskMap(coordinator.n_workers, coordinator.map)
+
+    def explore_async(config, initial_states, sequential, on_expand):
+        return async_closure(
+            coordinator, config, initial_states, config.symmetric,
+            n_partitions=partitions, sequential=sequential,
+            symmetry=config.symmetry, on_expand=on_expand,
+            on_partition_split=on_partition_split,
+        )
+
+    return TaskMap(coordinator.n_workers, coordinator.map, explore_async)
 
 
 def prove_work_conserving_distributed(
@@ -1642,62 +1471,17 @@ def prove_work_conserving_distributed(
 
     Identical verdicts, counterexamples, and state counts to
     :func:`~repro.verify.parallel.prove_work_conserving_parallel` at
-    ``jobs = n_workers`` and to the serial path — same specs, same BFS
-    striping, same reducers; only the transport differs.
-
-    ``mode`` selects how the closure phase runs: ``"level-sync"`` (the
-    barriered :func:`~repro.verify.parallel.bfs_closure`, reporting
-    through ``on_level``) or ``"async"`` (the barrier-free
-    :func:`async_closure` over ``partitions`` hash partitions,
-    reporting cumulative progress through ``on_expand`` and steals
-    through ``on_partition_split``). The sweep and liveness phases are
-    mode-independent — their shard split stays one per worker either
-    way, which is why both modes share one store coverage class.
+    ``jobs = n_workers`` and to the serial path — same driver, same
+    tasks, same reducers; only the task map differs (see
+    :func:`coordinator_tasks` for ``mode`` and the hooks).
     """
-    resolve_mode(mode)
-    n_shards = coordinator.n_workers
-    if n_shards < 1:
-        raise WorkerLost("no live workers to dispatch shards to")
-    group = resolve_symmetry(symmetric, symmetry)
-    # Built before any dispatch so invalid parameter combinations (e.g.
-    # an unsound symmetry/choice_mode pairing) fail with the same clean
-    # one-line error the serial path gives, not a worker traceback.
-    checker = ModelChecker(policy, choice_mode=choice_mode,
-                           max_orders=max_orders, symmetric=symmetric,
-                           symmetry=symmetry, topology=topology)
-    specs = make_shard_specs(policy, scope, n_shards, choice_mode,
-                             max_orders, symmetric, symmetry=symmetry,
-                             topology=topology)
-    sweep_shards: list[SweepShardResult] = coordinator.map(
-        [SweepTask(spec=spec, trace=TRACER.enabled) for spec in specs]
+    return prove(
+        policy, scope,
+        coordinator_tasks(coordinator, mode, partitions, on_partition_split),
+        choice_mode=choice_mode, max_orders=max_orders,
+        symmetric=symmetric, symmetry=symmetry, topology=topology,
+        on_level=on_level, on_expand=on_expand,
     )
-    live_shards: list[LivenessShardResult] = coordinator.map(
-        [LivenessTask(spec=spec, trace=TRACER.enabled) for spec in specs]
-    )
-
-    config = CheckerConfig(policy=policy, choice_mode=choice_mode,
-                           max_orders=max_orders, symmetric=symmetric,
-                           symmetry=symmetry, topology=topology)
-    with timed_check() as timer:
-        initial = group.iter_representatives(scope)
-        if mode == "async":
-            edges, truncated = async_closure(
-                coordinator, config, initial, symmetric,
-                n_partitions=partitions, sequential=False,
-                symmetry=symmetry, on_expand=on_expand,
-                on_partition_split=on_partition_split,
-            )
-        else:
-            edges, truncated = bfs_closure(
-                _map_expand(coordinator, config), n_shards, initial,
-                symmetric, sequential=False, symmetry=symmetry,
-                on_level=on_level,
-            )
-        analysis = checker.analyze_graph(scope, edges, truncated)
-    analysis.elapsed_s = timer.elapsed
-
-    return assemble_certificate(policy, sweep_shards, live_shards, analysis,
-                                symmetric=symmetric, symmetry=symmetry)
 
 
 def analyze_distributed(policy, scope: StateScope,
@@ -1718,42 +1502,16 @@ def analyze_distributed(policy, scope: StateScope,
     analyze_parallel`: workers expand, the coordinator runs the cheap
     deterministic graph algorithms once. A
     :class:`~repro.verify.hierarchical.HierarchySpec` switches workers
-    and coordinator alike to the hierarchical round checker. ``mode``
-    selects barriered (``"level-sync"``) or barrier-free (``"async"``)
-    closure exploration; see
-    :func:`prove_work_conserving_distributed`."""
-    resolve_mode(mode)
-    n_shards = coordinator.n_workers
-    if n_shards < 1:
-        raise WorkerLost("no live workers to dispatch shards to")
-    group = resolve_symmetry(symmetric, symmetry)
-    checker = build_checker(policy, choice_mode=choice_mode,
-                            max_orders=max_orders, symmetric=symmetric,
-                            symmetry=symmetry, topology=topology,
-                            hierarchy=hierarchy)
-    config = CheckerConfig(policy=policy, choice_mode=choice_mode,
-                           max_orders=max_orders, symmetric=symmetric,
-                           symmetry=symmetry, topology=topology,
-                           hierarchy=hierarchy)
-    with timed_check() as timer:
-        initial = group.iter_representatives(scope)
-        if mode == "async":
-            edges, truncated = async_closure(
-                coordinator, config, initial, symmetric,
-                n_partitions=partitions, sequential=sequential,
-                symmetry=symmetry, on_expand=on_expand,
-                on_partition_split=on_partition_split,
-            )
-        else:
-            edges, truncated = bfs_closure(
-                _map_expand(coordinator, config), n_shards, initial,
-                symmetric, sequential=sequential, symmetry=symmetry,
-                on_level=on_level,
-            )
-        analysis = checker.analyze_graph(scope, edges, truncated,
-                                         sequential=sequential)
-    analysis.elapsed_s = timer.elapsed
-    return analysis
+    and coordinator alike to the hierarchical round checker; see
+    :func:`coordinator_tasks` for ``mode``."""
+    return analyze(
+        policy, scope,
+        coordinator_tasks(coordinator, mode, partitions, on_partition_split),
+        choice_mode=choice_mode, max_orders=max_orders,
+        symmetric=symmetric, sequential=sequential, symmetry=symmetry,
+        topology=topology, hierarchy=hierarchy,
+        on_level=on_level, on_expand=on_expand,
+    )
 
 
 def run_campaign_distributed(policy_factory,
@@ -1762,20 +1520,11 @@ def run_campaign_distributed(policy_factory,
                              ) -> CampaignReport:
     """Fan a randomised campaign across remote workers.
 
-    Task slices come from the shared
-    :func:`~repro.verify.parallel.make_campaign_tasks`, so the merged
-    report is identical to the pool engine's at ``jobs = n_workers``
-    (coverage is a function of ``(seed, worker count)``, not of engine
-    or transport).
+    The merged report is identical to the pool engine's at ``jobs =
+    n_workers`` (coverage is a function of ``(seed, worker count)``, not
+    of engine or transport).
     """
-    config = config or CampaignConfig()
-    if coordinator is None or coordinator.n_workers < 1:
+    if coordinator is None:
         raise WorkerLost("no live workers to dispatch campaign slices to")
-    tasks = make_campaign_tasks(policy_factory, config,
-                                coordinator.n_workers)
-    reports: list[CampaignReport] = coordinator.map([
-        CampaignTask(replicator=replicator, config=slice_config,
-                     trace=TRACER.enabled)
-        for replicator, slice_config in tasks
-    ])
-    return merge_campaign_reports(reports)
+    return campaign(policy_factory, config or CampaignConfig(),
+                    coordinator_tasks(coordinator))

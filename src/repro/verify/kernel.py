@@ -43,7 +43,11 @@ eligibility question answered by
 plus the checker parameters: only ``choice_mode='all'``, the
 stale-snapshot (non-sequential) regime, ``max_orders >= 1``, and an
 int-form codec (whole frontiers must fit ``int64`` lanes; bytes-form
-scopes run on the tuple executor).
+scopes run on the tuple executor). The declaration is then checked, not
+trusted: the tables are probed at every admissible core pair with the
+real cid and node, and a policy whose answers differ between pairs (a
+subclass of a library policy that reads cid or node, say) gets no
+kernel.
 
 The ``REPRO_KERNEL`` environment variable selects the tier: ``off``
 (the tuple executor everywhere, the oracle the tests and CI diffs
@@ -149,14 +153,20 @@ def pair_mask_for(policy: Policy, n_cores: int) -> list[list[bool]] | None:
 def build_kernel(policy: Policy, codec: StateCodec,
                  choice_mode: str = "all",
                  max_orders: int = DEFAULT_MAX_ORDERS,
-                 n_cores: int | None = None) -> "TransitionKernel | None":
+                 n_cores: int | None = None,
+                 nodes: Sequence[int] | None = None,
+                 ) -> "TransitionKernel | None":
     """A kernel for ``(policy, codec)``, or ``None`` when ineligible.
 
     Eligibility: ``REPRO_KERNEL`` not ``off``; an int-form codec;
     ``choice_mode='all'`` (policy mode consults ``choose``, which tables
-    cannot capture); ``max_orders >= 1``; and the policy declares a
+    cannot capture); ``max_orders >= 1``; the policy declares a
     table-compatible
-    :attr:`~repro.core.policy.Policy.filter_invariance`.
+    :attr:`~repro.core.policy.Policy.filter_invariance`; and the
+    declaration holds — probed at every admissible core pair, with the
+    real cids and (given ``nodes``, the checker's per-core node ids)
+    the real nodes, every pair answers alike. A subclass that inherits
+    ``"loads"`` but reads cid or node gets no kernel.
     """
     if kernel_mode() == "off" or not codec.use_int:
         return None
@@ -166,11 +176,13 @@ def build_kernel(policy: Policy, codec: StateCodec,
     if invariance not in ("loads", "scoped-loads"):
         return None
     n = codec.n_cores if n_cores is None else n_cores
-    return TransitionKernel(
+    kernel = TransitionKernel(
         policy, codec,
         max_orders=max_orders,
         pair_mask=pair_mask_for(policy, n),
+        nodes=nodes,
     )
+    return kernel if kernel.uniform else None
 
 
 class TransitionKernel:
@@ -186,11 +198,15 @@ class TransitionKernel:
         policy: the policy the tables were probed from.
         codec: the packed-state codec frontiers are expressed in.
         max_orders: permutation cap, mirrored from the tuple executor.
+        uniform: whether every admissible core pair answered the probe
+            alike; only then do the tables stand in for the policy
+            (:func:`build_kernel` refuses the kernel otherwise).
     """
 
     def __init__(self, policy: Policy, codec: StateCodec,
                  max_orders: int = DEFAULT_MAX_ORDERS,
                  pair_mask: Sequence[Sequence[bool]] | None = None,
+                 nodes: Sequence[int] | None = None,
                  ) -> None:
         self.policy = policy
         self.codec = codec
@@ -199,37 +215,11 @@ class TransitionKernel:
             None if pair_mask is None
             else tuple(tuple(row) for row in pair_mask)
         )
-        self._build_tables()
+        self.uniform = self._build_tables(nodes)
 
     # -- table construction ---------------------------------------------
 
-    def _probe_view(self, cid: int, running: int, ready: int) -> CoreSnapshot:
-        """A live view, constructed exactly like ``_LiveState.view``.
-
-        ``filter_invariance="loads"`` licenses ``node=0``: the filter
-        and amount may not consult cid or node, so any placement probes
-        the same table entry the real round would.
-        """
-        return CoreSnapshot(
-            cid=cid,
-            nr_ready=ready,
-            has_current=running == 1,
-            weighted_load=(running + ready) * NICE_0_WEIGHT,
-            node=0,
-            version=0,
-        )
-
-    def _probe_cids(self) -> tuple[int, int]:
-        """A representative admissible (thief, victim) cid pair."""
-        if self._pair_mask is not None:
-            for t, row in enumerate(self._pair_mask):
-                for v, admissible in enumerate(row):
-                    if admissible:
-                        return t, v
-            return -1, -1  # no admissible pair: tables stay all-False
-        return 0, 1
-
-    def _build_tables(self) -> None:
+    def _build_tables(self, nodes: Sequence[int] | None) -> bool:
         """Probe ``can_steal``/``steal_amount`` over the live-state grid.
 
         A core's live view during a round is determined by its
@@ -237,37 +227,57 @@ class TransitionKernel:
         current ready count; ready counts are bounded by the conserved
         total, i.e. by ``codec.max_value``. Tables are indexed
         ``[running_t][running_v][ready_t][ready_v]``.
+
+        The grid is probed at every admissible (thief, victim) pair,
+        with views built exactly like ``_LiveState.view`` (real cid,
+        and the node ``nodes`` gives it). The tables keep the first
+        pair's answers; returns whether every other pair agreed.
         """
+        n = self.codec.n_cores
         top = self.codec.max_value
-        t_cid, v_cid = self._probe_cids()
+        pairs = [(t, v) for t in range(n) for v in range(n)
+                 if t != v and (self._pair_mask is None
+                                or self._pair_mask[t][v])]
+        # Views are precreated per (cid, running, ready) — 2(top+1) per
+        # core instead of one pair per grid cell.
+        views = [[[CoreSnapshot(
+            cid=cid,
+            nr_ready=ready,
+            has_current=running == 1,
+            weighted_load=(running + ready) * NICE_0_WEIGHT,
+            node=nodes[cid] if nodes is not None else 0,
+            version=0,
+        ) for ready in range(top + 1)] for running in (0, 1)]
+            for cid in range(n)]
+        can_steal = self.policy.can_steal
+        steal_amount = self.policy.steal_amount
+        # Ready counts on the two sides of a steal can never sum past
+        # the conserved total, so the triangle qt + qv > top is
+        # unreachable — left unprobed (False / 0).
+        cells = [(rt, rv, qt, qv) for rt in (0, 1) for rv in (0, 1)
+                 for qt in range(top + 1) for qv in range(top + 1 - qt)]
+
+        def answers(t: int, v: int) -> list[int | None]:
+            """The pair's amount per cell, ``None`` where filtered."""
+            return [
+                steal_amount(thief, victim)
+                if can_steal(thief, victim) else None
+                for thief, victim in (
+                    (views[t][rt][qt], views[v][rv][qv])
+                    for rt, rv, qt, qv in cells
+                )
+            ]
+
+        first: list[int | None] = (answers(*pairs[0]) if pairs
+                                   else [None] * len(cells))
+        if any(answers(t, v) != first for t, v in pairs[1:]):
+            return False
         can = np.zeros((2, 2, top + 1, top + 1), dtype=bool)
         amt = np.zeros((2, 2, top + 1, top + 1), dtype=np.int64)
-        if t_cid >= 0:
-            policy = self.policy
-            can_steal = policy.can_steal
-            steal_amount = policy.steal_amount
-            # Views are precreated per (running, ready) — 2(top+1) each
-            # side instead of one pair per grid cell.
-            t_views = [[self._probe_view(t_cid, r, q)
-                        for q in range(top + 1)] for r in (0, 1)]
-            v_views = [[self._probe_view(v_cid, r, q)
-                        for q in range(top + 1)] for r in (0, 1)]
-            for rt in (0, 1):
-                for rv in (0, 1):
-                    v_row = v_views[rv]
-                    for qt in range(top + 1):
-                        thief = t_views[rt][qt]
-                        # Ready counts on the two sides of a steal can
-                        # never sum past the conserved total, so the
-                        # triangle qt + qv > top is unreachable — leave
-                        # it unprobed (False / 0).
-                        for qv in range(top + 1 - qt):
-                            victim = v_row[qv]
-                            if can_steal(thief, victim):
-                                can[rt, rv, qt, qv] = True
-                                amt[rt, rv, qt, qv] = steal_amount(
-                                    thief, victim
-                                )
+        for cell, amount in zip(cells, first):
+            if amount is not None:
+                can[cell] = True
+                amt[cell] = amount
         self._can = can
         self._amt = amt
         # Merged executor table: the live re-check (`can` else skip)
@@ -280,7 +290,6 @@ class TransitionKernel:
             None if self._pair_mask is None
             else np.asarray(self._pair_mask, dtype=bool)
         )
-        n = self.codec.n_cores
         self._eye = np.eye(n, dtype=bool)
         self._shifts = np.asarray(
             [self.codec.bits * (n - 1 - cid) for cid in range(n)],
@@ -288,6 +297,7 @@ class TransitionKernel:
         )
         self._weights = np.int64(1) << self._shifts
         self._digit_mask = np.int64((1 << self.codec.bits) - 1)
+        return True
 
     def bad_mask(self, packed: Any) -> Any:
         """:func:`~repro.verify.enumeration.is_bad_state` of an ``int64``

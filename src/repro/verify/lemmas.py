@@ -14,6 +14,7 @@ abstract states (:func:`repro.verify.enumeration.views_of`), so a bug in
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Iterable, Sequence
 
 from repro.core.cpu import CoreSnapshot, is_overloaded
@@ -272,40 +273,29 @@ def check_choice_irrelevance(policy: Policy, scope: StateScope,
     that ``choose`` returns a candidate (Listing 1's ``ensuring``), this
     makes arbitrary NUMA/cache heuristics in step 2 proof-free.
     ``states`` optionally restricts the sweep to one shard's chunk.
+
+    :func:`check_steal_soundness` already sweeps every filtered
+    candidate and never consults ``choose``, so this is its result
+    relabelled (:func:`as_choice_irrelevance`).
     """
-    checked = 0
-    counterexample: Counterexample | None = None
-    with timed_check() as timer:
-        for state in (iter_states(scope) if states is None else states):
-            views = views_of(state)
-            for thief in views:
-                candidates = [
-                    v for v in views
-                    if v.cid != thief.cid and policy.can_steal(thief, v)
-                ]
-                for victim in candidates:
-                    checked += 1
-                    counterexample = _steal_violation(
-                        policy, state, thief, victim
-                    )
-                    if counterexample is not None:
-                        counterexample = Counterexample(
-                            state=counterexample.state,
-                            detail=(
-                                "choice-irrelevance broken: "
-                                + counterexample.detail
-                            ),
-                            data=counterexample.data,
-                        )
-                        break
-                if counterexample is not None:
-                    break
-            if counterexample is not None:
-                break
-    return _result(
-        CHOICE_IRRELEVANCE, policy, scope, checked, counterexample,
-        timer.elapsed,
-    )
+    return as_choice_irrelevance(check_steal_soundness(policy, scope, states))
+
+
+def as_choice_irrelevance(steal: ProofResult) -> ProofResult:
+    """The choice-irrelevance result a steal-soundness result implies.
+
+    Same pairs, same order, same conditions and count; a counterexample's
+    detail is prefixed ``"choice-irrelevance broken: "``.
+    """
+    counterexample = steal.counterexample
+    if counterexample is not None:
+        counterexample = Counterexample(
+            state=counterexample.state,
+            detail="choice-irrelevance broken: " + counterexample.detail,
+            data=counterexample.data,
+        )
+    return replace(steal, obligation=CHOICE_IRRELEVANCE,
+                   counterexample=counterexample)
 
 
 def check_lemma1_weighted_states(policy: Policy, scope: StateScope,

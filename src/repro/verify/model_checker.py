@@ -313,6 +313,7 @@ class ModelChecker:
                 self.policy, codec,
                 choice_mode=self.choice_mode,
                 max_orders=self.max_orders,
+                nodes=self._nodes,
             )
             self._kernel_cache[codec] = kernel
         return kernel  # type: ignore[return-value]
@@ -497,23 +498,12 @@ class ModelChecker:
             return [self.expand_level(chunk, codec, sequential=seq)
                     for chunk in chunks]
 
-        on_level: Callable[[int, int, int], None] | None = None
-        if on_expand is not None:
-            report = on_expand
-            expanded = 0
-
-            def count(level: int, states: int, fresh: int) -> None:
-                # Levels are disjoint, so the running sum of their sizes
-                # is the number of states explored so far.
-                nonlocal expanded
-                expanded += states
-                report(expanded)
-
-            on_level = count
-
-        return bfs_closure(map_expand, 1, initial_states, self.symmetric,
-                           sequential=sequential, symmetry=self.symmetry,
-                           on_level=on_level)
+        return bfs_closure(
+            map_expand, 1, initial_states, self.symmetric,
+            sequential=sequential, symmetry=self.symmetry,
+            on_level=None if on_expand is None
+            else cumulative_levels(on_expand),
+        )
 
     def analyze_graph(self, scope: StateScope, edges: TransitionGraph,
                       truncated: bool, sequential: bool = False,
@@ -838,9 +828,11 @@ def bfs_closure(map_expand: Callable, n_shards: int,
                 ) -> tuple[TransitionGraph, bool]:
     """Level-synchronous BFS over the reachable closure, engine-agnostic.
 
-    The one frontier/visited loop: the serial checker
-    (:meth:`ModelChecker.explore`), the process pool and the
-    distributed engine's level-sync mode all run it. The caller owns
+    The one frontier/visited loop: every engine's closure driver
+    (:func:`repro.verify.work_conservation.analyze`, mapping each
+    level's chunks as expand tasks — in this process, on a pool, or on
+    the distributed engine's level-sync workers) and
+    :meth:`ModelChecker.explore` run it. The caller owns
     the visited set and the frontier, both sorted numpy arrays of
     *packed* states (:mod:`repro.verify.encoding`; ``int64``, or
     ``object`` for bytes-form codecs). Each level, the frontier is
@@ -862,7 +854,8 @@ def bfs_closure(map_expand: Callable, n_shards: int,
     ``on_level`` (when given) is called after each completed level with
     ``(level_index, states_expanded_this_level, next_frontier_size)`` —
     the hook :class:`repro.api.Session` turns into ``LevelCompleted``
-    progress events. The callback cannot influence exploration.
+    progress events (:func:`cumulative_levels` adapts it to a running
+    count). The callback cannot influence exploration.
     """
     start = closure_start(initial_states,
                           resolve_symmetry(symmetric, symmetry))
@@ -903,6 +896,25 @@ def bfs_closure(map_expand: Callable, n_shards: int,
         level += 1
         frontier = fresh
     return decode_graph(codec, edges), truncated
+
+
+def cumulative_levels(on_expand: Callable[[int], None],
+                      ) -> Callable[[int, int, int], None]:
+    """An ``on_level`` hook that reports the running number of states
+    expanded to ``on_expand`` — the serial engine's ``StatesExplored``
+    progress.
+
+    Levels are disjoint, so the running sum of their sizes is the number
+    of states explored so far.
+    """
+    expanded = 0
+
+    def on_level(level: int, states: int, fresh: int) -> None:
+        nonlocal expanded
+        expanded += states
+        on_expand(expanded)
+
+    return on_level
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ checker measures the actual minimum at scope rather than assuming it.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.core.policy import Policy
@@ -64,33 +65,62 @@ def potential_after_steal(state: Sequence[int], thief: int, victim: int,
     return potential(after)
 
 
-def check_potential_decrease(policy: Policy, scope: StateScope,
-                             states: Iterable[LoadState] | None = None,
-                             ) -> ProofResult:
-    """Exhaustively verify that every admissible steal decreases ``d``.
+@dataclass
+class PotentialSweep:
+    """What one pass over every admissible steal establishes.
 
-    Sweeps every state in scope, every thief, every *candidate* victim
-    (not only the policy's preferred choice — the proof must survive any
-    choice), simulates the clamped steal, and compares potentials. Also
-    records the minimum observed decrease, exposed via the result's
-    counterexample-free path through
-    :func:`min_observed_decrease`. ``states`` optionally restricts the
-    sweep to one shard's chunk (see :mod:`repro.verify.parallel`).
+    Attributes:
+        result: the potential-decrease obligation, with the first
+            counterexample and ``states_checked`` counted up to it.
+        min_decrease: smallest decrease of ``d`` over every admissible
+            steal (``None`` when none is admissible; 0 or negative when
+            some steal fails to decrease ``d``).
+        max_potential: largest ``d`` over the swept states (``None``
+            when there are none).
+    """
+
+    result: ProofResult
+    min_decrease: int | None
+    max_potential: int | None
+
+
+def sweep_potential(policy: Policy, scope: StateScope,
+                    states: Iterable[LoadState] | None = None,
+                    ) -> PotentialSweep:
+    """Visit every admissible steal in scope once.
+
+    Sweeps every state, every thief, every *candidate* victim (not only
+    the policy's preferred choice — the proof must survive any choice),
+    simulates the clamped steal, and compares potentials. The obligation
+    stops counting at its first counterexample; the extrema keep going
+    to the end of the sweep. ``states`` optionally restricts the sweep
+    to one shard's chunk (see :mod:`repro.verify.parallel`).
     """
     checked = 0
     counterexample: Counterexample | None = None
+    minimum: int | None = None
+    peak: int | None = None
     with timed_check() as timer:
         for state in (iter_states(scope) if states is None else states):
             views = views_of(state)
             d_before = potential(state)
+            if peak is None or d_before > peak:
+                peak = d_before
             for thief in views:
                 for victim in views:
                     if victim.cid == thief.cid:
                         continue
                     if not policy.can_steal(thief, victim):
                         continue
-                    checked += 1
                     _, _, moved = simulate_steal(policy, thief, victim)
+                    d_after = potential_after_steal(
+                        state, thief.cid, victim.cid, moved
+                    )
+                    if minimum is None or d_before - d_after < minimum:
+                        minimum = d_before - d_after
+                    if counterexample is not None:
+                        continue
+                    checked += 1
                     if moved == 0:
                         counterexample = Counterexample(
                             state=state,
@@ -100,11 +130,7 @@ def check_potential_decrease(policy: Policy, scope: StateScope,
                             ),
                             data={"thief": thief.cid, "victim": victim.cid},
                         )
-                        break
-                    d_after = potential_after_steal(
-                        state, thief.cid, victim.cid, moved
-                    )
-                    if d_after >= d_before:
+                    elif d_after >= d_before:
                         counterexample = Counterexample(
                             state=state,
                             detail=(
@@ -119,24 +145,34 @@ def check_potential_decrease(policy: Policy, scope: StateScope,
                                 "d_after": d_after,
                             },
                         )
-                        break
-                if counterexample is not None:
-                    break
-            if counterexample is not None:
-                break
     status = (
         ProofStatus.REFUTED if counterexample is not None
         else ProofStatus.PROVED_AT_SCOPE
     )
-    return ProofResult(
-        obligation=POTENTIAL_DECREASE,
-        policy_name=policy.name,
-        status=status,
-        scope=scope.describe(),
-        states_checked=checked,
-        counterexample=counterexample,
-        elapsed_s=timer.elapsed,
+    return PotentialSweep(
+        result=ProofResult(
+            obligation=POTENTIAL_DECREASE,
+            policy_name=policy.name,
+            status=status,
+            scope=scope.describe(),
+            states_checked=checked,
+            counterexample=counterexample,
+            elapsed_s=timer.elapsed,
+        ),
+        min_decrease=minimum,
+        max_potential=peak,
     )
+
+
+def check_potential_decrease(policy: Policy, scope: StateScope,
+                             states: Iterable[LoadState] | None = None,
+                             ) -> ProofResult:
+    """Exhaustively verify that every admissible steal decreases ``d``.
+
+    The obligation half of :func:`sweep_potential`. ``states``
+    optionally restricts the sweep to one shard's chunk.
+    """
+    return sweep_potential(policy, scope, states).result
 
 
 def min_observed_decrease(policy: Policy, scope: StateScope,
@@ -150,24 +186,7 @@ def min_observed_decrease(policy: Policy, scope: StateScope,
     ``states`` optionally restricts the sweep to one shard's chunk; shard
     minima merge by ``min`` (ignoring ``None``).
     """
-    minimum: int | None = None
-    for state in (iter_states(scope) if states is None else states):
-        views = views_of(state)
-        d_before = potential(state)
-        for thief in views:
-            for victim in views:
-                if victim.cid == thief.cid:
-                    continue
-                if not policy.can_steal(thief, victim):
-                    continue
-                _, _, moved = simulate_steal(policy, thief, victim)
-                d_after = potential_after_steal(
-                    state, thief.cid, victim.cid, moved
-                )
-                decrease = d_before - d_after
-                if minimum is None or decrease < minimum:
-                    minimum = decrease
-    return minimum
+    return sweep_potential(policy, scope, states).min_decrease
 
 
 def steal_bound(state: Sequence[int], min_decrease: int) -> int:

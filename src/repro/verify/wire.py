@@ -4,7 +4,7 @@ The coordinator/worker protocol (:mod:`repro.verify.distributed`) moves
 three things across a process or network boundary: shard specifications
 going out, shard results coming back, and the small control vocabulary
 (hello, heartbeat, shutdown) that keeps a long-running proof honest
-about worker health. This module is the schema for all of it —
+about worker health. This module frames all of it —
 everything that touches a socket or a pipe is a :class:`WireMessage`
 inside a length-prefixed frame, and nothing else is.
 
@@ -31,18 +31,8 @@ same trust model as :mod:`multiprocessing` pipes. Workers must only be
 exposed on trusted networks (the reference deployment is localhost
 subprocesses); there is no authentication layer.
 
-Task payloads
--------------
-
-The four task dataclasses mirror the shard workers of
-:mod:`repro.verify.parallel` one for one — :class:`SweepTask` and
-:class:`LivenessTask` wrap a :class:`~repro.verify.parallel.ShardSpec`,
-:class:`ExpandTask` carries one BFS frontier chunk plus the
-:class:`CheckerConfig` needed to rebuild the worker-side memoized
-checker, and :class:`CampaignTask` carries one campaign slice. Their
-results merge through the *unchanged* reducers of the parallel engine,
-which is the whole point: the network boundary sits exactly where the
-process-pool boundary already sat.
+The task payloads and their results live in :mod:`repro.verify.tasks`,
+next to the runtime that executes them; this module only frames them.
 """
 
 from __future__ import annotations
@@ -51,19 +41,10 @@ import json
 import pickle
 import socket
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.core.errors import VerificationError
-from repro.core.policy import Policy
-from repro.topology.numa import NumaTopology
-from repro.verify.campaign import CampaignConfig
-from repro.verify.encoding import PackedState, StateCodec
-from repro.verify.enumeration import LoadState
-from repro.verify.hierarchical import HierarchySpec
-from repro.verify.parallel import PolicyReplicator, ShardSpec
-from repro.verify.symmetry import SymmetryGroup
-from repro.verify.transition import DEFAULT_MAX_ORDERS
 
 #: Protocol version; bump on any incompatible envelope or payload change.
 #: v2: ShardSpec/CheckerConfig grew symmetry-group, topology, and
@@ -81,7 +62,11 @@ from repro.verify.transition import DEFAULT_MAX_ORDERS
 #: (captured spans + the worker's clock reading, for coordinator-side
 #: timeline merging). Incompatible because a v4 peer would hand the
 #: wrapper to its reducers as if it were the result.
-WIRE_VERSION = 5
+#: v6: the task payloads moved to :mod:`repro.verify.tasks`;
+#: ``ShardSpec`` carries a ``CheckerConfig`` instead of repeating its
+#: fields, and ``ExpandTask`` lost its tuple-form ``states`` (its
+#: ``codec`` is required).
+WIRE_VERSION = 6
 
 #: Format byte for pickle-encoded envelopes (arbitrary Python payloads).
 FORMAT_PICKLE = b"P"
@@ -133,246 +118,6 @@ class WireMessage:
     kind: str
     task_id: int = -1
     payload: Any = None
-
-
-# ---------------------------------------------------------------------------
-# task payloads (coordinator -> worker)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CheckerConfig:
-    """Everything needed to rebuild a worker-side model checker.
-
-    Workers cache one memoized :class:`~repro.verify.model_checker.
-    ModelChecker` per distinct config (keyed on this dataclass's pickle),
-    so the branch/successor memos survive across every BFS level a proof
-    sends them.
-
-    Attributes:
-        policy: the policy under verification (``None`` for hierarchical
-            checking, where ``hierarchy`` defines the round).
-        choice_mode: forwarded to the model checker.
-        max_orders: forwarded to the model checker.
-        symmetric: legacy flat-group flag, forwarded to the checker.
-        symmetry: explicit symmetry group (overrides ``symmetric``).
-        topology: machine layout for node-aware snapshot views.
-        hierarchy: when given, workers build a
-            :class:`~repro.verify.hierarchical.HierarchicalModelChecker`
-            instead of the flat checker.
-    """
-
-    policy: Policy | None
-    choice_mode: str = "all"
-    max_orders: int = DEFAULT_MAX_ORDERS
-    symmetric: bool = False
-    symmetry: SymmetryGroup | None = None
-    topology: NumaTopology | None = None
-    hierarchy: HierarchySpec | None = None
-
-    def cache_key(self) -> bytes:
-        """Stable-enough key for the worker's per-config checker cache.
-
-        A miss only costs a fresh (empty-memo) checker; correctness never
-        depends on hits.
-        """
-        return pickle.dumps(self)
-
-
-@dataclass(frozen=True)
-class SweepTask:
-    """Run the five state-sweep obligations over one shard's chunk.
-
-    ``trace`` (v5, and on every other work-carrying task): ask the
-    worker to record spans while executing and ship them back wrapped
-    in :class:`TracedResult`. Strictly observational — the inner result
-    is byte-identical either way.
-    """
-
-    spec: ShardSpec
-    trace: bool = False
-
-
-@dataclass(frozen=True)
-class LivenessTask:
-    """Run progress and good-state closure over one shard's chunk."""
-
-    spec: ShardSpec
-    trace: bool = False
-
-
-@dataclass(frozen=True)
-class ExpandTask:
-    """Expand one BFS frontier chunk: successors of each state.
-
-    Since wire v3 the coordinator ships frontier chunks in packed form
-    (``codec`` + ``packed``) and the worker answers with a packed graph;
-    ``states`` remains for tuple-form chunks (legacy payloads and
-    direct-runtime callers), used only when ``codec`` is ``None``.
-
-    Attributes:
-        config: checker parameters (workers memoize per config).
-        codec: the closure's :class:`~repro.verify.encoding.StateCodec`;
-            ``None`` selects the tuple-form ``states`` path.
-        packed: the chunk of never-before-expanded frontier states,
-            packed under ``codec``.
-        states: tuple-form chunk (only read when ``codec`` is ``None``).
-        sequential: §4.2 regime flag.
-        trace: ship worker spans back (see :class:`SweepTask`).
-    """
-
-    config: CheckerConfig
-    codec: StateCodec | None = None
-    packed: tuple[PackedState, ...] = ()
-    states: tuple[LoadState, ...] = ()
-    sequential: bool = False
-    trace: bool = False
-
-
-@dataclass(frozen=True)
-class CampaignTask:
-    """Run one worker's slice of a randomised campaign.
-
-    Attributes:
-        replicator: picklable policy factory.
-        config: this slice's machine budget and derived seed.
-    """
-
-    replicator: PolicyReplicator
-    config: CampaignConfig = field(default_factory=CampaignConfig)
-    trace: bool = False
-
-
-@dataclass(frozen=True)
-class PartitionExpandTask:
-    """Asynchronously drain one hash partition's pending states (v4).
-
-    Unlike :class:`ExpandTask` (one chunk of a coordinator-owned BFS
-    level), a partition task makes the *worker* own exploration state:
-    the worker keeps a visited set per ``(run_id, partition)``, expands
-    the batch *transitively* — same-partition successors never leave
-    the worker — and streams cross-partition successors back to the
-    coordinator as :data:`FORWARD` frames while it is still computing,
-    so the coordinator can route them to other workers with no level
-    barrier in between.
-
-    Attributes:
-        config: checker parameters (workers memoize per config).
-        codec: the run's :class:`~repro.verify.encoding.StateCodec`.
-        run_id: namespaces the worker-side visited sets; one proof run.
-        partition: which hash partition this batch belongs to.
-        n_partitions: the run's fixed partition count (the hash
-            modulus; fixed at run start, never renegotiated).
-        batch: never-before-routed states of ``partition``, packed.
-        sequential: §4.2 regime flag.
-        trace: ship worker spans back (see :class:`SweepTask`).
-    """
-
-    config: CheckerConfig
-    codec: StateCodec
-    run_id: str
-    partition: int
-    n_partitions: int
-    batch: tuple[PackedState, ...] = ()
-    sequential: bool = False
-    trace: bool = False
-
-
-@dataclass(frozen=True)
-class PartitionControlTask:
-    """Seed or drop worker-side partition state (v4).
-
-    Sent when a partition migrates (work stealing, worker loss, a late
-    join) or when a run finishes:
-
-    * ``op="seed"`` — replace the worker's visited set for ``(run_id,
-      partition)`` with ``visited`` (the states the coordinator has
-      already merged edges for), so the new owner never re-expands
-      finished work;
-    * ``op="drop-run"`` — forget every partition of ``run_id`` (end of
-      run cleanup; ``partition`` is ignored).
-    """
-
-    run_id: str
-    op: str
-    partition: int = -1
-    visited: tuple[PackedState, ...] = ()
-
-
-@dataclass(frozen=True)
-class PartitionExpandResult:
-    """What a :class:`PartitionExpandTask` answers with.
-
-    Attributes:
-        partition: echoes the task's partition.
-        edges: packed successor map of every state this task expanded —
-            the batch plus all same-partition states discovered while
-            draining it (all keys hash to ``partition``).
-        truncated: whether any enumeration was truncated.
-        forwards: cross-partition successors *not* already streamed as
-            :data:`FORWARD` frames (transports without a mid-task
-            channel fall back to returning them here), keyed by target
-            partition.
-    """
-
-    partition: int
-    edges: dict[PackedState, frozenset[PackedState]]
-    truncated: bool = False
-    forwards: dict[int, tuple[PackedState, ...]] = field(
-        default_factory=dict
-    )
-
-
-@dataclass(frozen=True)
-class ForwardBatch:
-    """One mid-task forwarding frame: cross-partition successors.
-
-    Emitted by a worker while a :class:`PartitionExpandTask` is still
-    running, so forwarding pipelines with expansion instead of waiting
-    for the task result.
-
-    Attributes:
-        run_id: the run the states belong to.
-        partition: the source partition (the one being drained).
-        targets: successor states grouped by their target partition.
-    """
-
-    run_id: str
-    partition: int
-    targets: dict[int, tuple[PackedState, ...]] = field(
-        default_factory=dict
-    )
-
-
-@dataclass(frozen=True)
-class TracedResult:
-    """A task result with the worker's captured spans riding along (v5).
-
-    Workers answer a ``trace=True`` task with their ordinary result
-    wrapped in this envelope; the coordinator unwraps it at the single
-    point results re-enter the merge path, ingesting the spans with a
-    clock-offset rebase (see :meth:`repro.obs.trace.Tracer.ingest`) so
-    reducers only ever see the inner value.
-
-    Attributes:
-        value: the unmodified task result.
-        spans: the worker's spans in dict form
-            (:func:`repro.obs.trace.spans_to_payload`).
-        clock: the worker's monotonic-clock reading at packaging time —
-            the coordinator's offset anchor.
-        pid: the worker's OS pid, for trace process attribution.
-    """
-
-    value: Any
-    spans: tuple[dict[str, Any], ...] = ()
-    clock: float = 0.0
-    pid: int = -1
-
-
-#: Task payload types :func:`repro.verify.distributed.WorkerRuntime`
-#: accepts; anything else in a TASK message is a protocol error.
-TASK_TYPES = (SweepTask, LivenessTask, ExpandTask, CampaignTask,
-              PartitionExpandTask, PartitionControlTask)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,8 @@ ENGINES = {
     "pool": EngineSpec(kind="pool", jobs=2),
     "distributed": EngineSpec(kind="distributed", workers=2,
                               in_process=True),
+    "async": EngineSpec(kind="distributed", workers=2, in_process=True,
+                        mode="async"),
 }
 
 
@@ -68,6 +70,7 @@ class TestEngineEquivalence:
         # counterexample — the documented divergence in
         # repro.verify.parallel).
         assert results["pool"] == results["distributed"]
+        assert results["pool"] == results["async"]
         serial, pool = results["serial"], results["pool"]
         assert serial.verdict == pool.verdict
         for ours, theirs in zip(serial.certificate.report.results,

@@ -11,7 +11,10 @@ from repro.cli import _ProgressPrinter
 from repro.obs.trace import TRACER
 from repro.policies import BalanceCountPolicy
 from repro.verify.distributed import WorkerRuntime
-from repro.verify.wire import CheckerConfig, ExpandTask, TracedResult
+from repro.verify.encoding import StateCodec
+from repro.verify.tasks import CheckerConfig, ExpandTask, TracedResult
+
+CODEC = StateCodec(n_cores=3, max_value=3)
 
 
 def _request() -> VerificationRequest:
@@ -64,7 +67,8 @@ class TestWorkerCapture:
     def test_traced_task_returns_wrapped_spans(self):
         runtime = WorkerRuntime()
         task = ExpandTask(config=CheckerConfig(policy=BalanceCountPolicy()),
-                          states=((0, 1, 2),), trace=True)
+                          codec=CODEC, packed=(CODEC.encode((0, 1, 2)),),
+                          trace=True)
         outcome = runtime.execute(task)
         assert isinstance(outcome, TracedResult)
         assert outcome.pid > 0
@@ -78,7 +82,7 @@ class TestWorkerCapture:
     def test_untraced_task_returns_the_bare_value(self):
         runtime = WorkerRuntime()
         task = ExpandTask(config=CheckerConfig(policy=BalanceCountPolicy()),
-                          states=((0, 1, 2),))
+                          codec=CODEC, packed=(CODEC.encode((0, 1, 2)),))
         assert not isinstance(runtime.execute(task), TracedResult)
 
     def test_coordinator_side_tracer_wins_over_capture(self):
@@ -87,7 +91,8 @@ class TestWorkerCapture:
         TRACER.enable()
         runtime = WorkerRuntime()
         task = ExpandTask(config=CheckerConfig(policy=BalanceCountPolicy()),
-                          states=((0, 1, 2),), trace=True)
+                          codec=CODEC, packed=(CODEC.encode((0, 1, 2)),),
+                          trace=True)
         outcome = runtime.execute(task)
         assert not isinstance(outcome, TracedResult)
         assert any(span.name == "worker.ExpandTask"

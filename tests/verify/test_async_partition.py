@@ -37,7 +37,7 @@ from repro.verify.distributed import (
 from repro.verify.encoding import StateCodec
 from repro.verify.enumeration import iter_states
 from repro.verify.parallel import bfs_closure, partition_of
-from repro.verify.wire import (
+from repro.verify.tasks import (
     CheckerConfig,
     ForwardBatch,
     PartitionControlTask,
@@ -138,7 +138,7 @@ def _closure_config(policy) -> CheckerConfig:
 
 def _level_sync_graph(coordinator, config, initial, symmetric=False):
     def map_expand(codec, chunks, sequential):
-        from repro.verify.wire import ExpandTask
+        from repro.verify.tasks import ExpandTask
 
         return coordinator.map([
             ExpandTask(config=config, codec=codec, packed=tuple(chunk),
@@ -329,6 +329,37 @@ class TestDynamicMembership:
             assert 0 <= partition < 8
             assert source != target
             assert pending >= 0
+
+    def test_worker_joining_while_dispatch_threads_start(self,
+                                                         monkeypatch):
+        """A worker admitted while the explorer is still starting its
+        initial dispatch threads starts its own thread exactly once.
+        The join is forced from inside the first initial thread's
+        ``start`` — the window in which a merge callback could add a
+        worker on a loaded machine — so the race is deterministic."""
+        serial = prove_work_conserving(BalanceCountPolicy(), SCOPE)
+        coordinator = in_process_coordinator(2)
+        joined = []
+        original = threading.Thread
+
+        class JoinOnFirstStart(original):
+            def start(self):
+                explorer = getattr(self._target, "__self__", None)
+                if not joined and isinstance(explorer,
+                                             AsyncPartitionExplorer):
+                    joined.append(True)
+                    coordinator.add_worker(InProcessTransport("late"))
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", JoinOnFirstStart)
+        cert = prove_work_conserving_distributed(
+            BalanceCountPolicy(), SCOPE, coordinator, mode="async",
+            partitions=8,
+        )
+        monkeypatch.undo()
+        assert joined
+        assert_certificates_equal(cert, serial)
+        assert "late" in [client.name for client in coordinator.clients]
 
     def test_membership_listeners_fire_on_add(self):
         coordinator = in_process_coordinator(1)

@@ -35,8 +35,15 @@ from repro.verify import (
     run_campaign_parallel,
 )
 from repro.verify.distributed import connect_workers
-from repro.verify.wire import CheckerConfig, ExpandTask, SweepTask
-from repro.verify.parallel import make_shard_specs
+from repro.verify.encoding import StateCodec
+from repro.verify.tasks import (
+    CheckerConfig,
+    ExpandTask,
+    LivenessTask,
+    SweepTask,
+)
+from repro.verify.wire import TASK, WireMessage, decode_message, encode_message
+from repro.verify.work_conservation import make_shard_specs
 
 SCOPE = StateScope(n_cores=3, max_load=2)
 
@@ -293,7 +300,8 @@ class TestReassignment:
         coordinator = Coordinator(clients, max_reassignments=2)
         with pytest.raises(WorkerLost):
             coordinator.map([SweepTask(
-                spec=make_shard_specs(BalanceCountPolicy(), SCOPE, 1)[0]
+                spec=make_shard_specs(CheckerConfig(policy=BalanceCountPolicy()),
+                                  SCOPE, 1)[0]
             )])
 
     def test_task_failure_propagates_without_reassignment(self):
@@ -355,26 +363,51 @@ class TestSubprocessPool:
                 LocalWorkerPool(1)
 
 
+CODEC = StateCodec(n_cores=3, max_value=6)
+
+
+def _expand_task(config, *states):
+    """An expand task over a packed chunk, as the coordinator ships it."""
+    return ExpandTask(config=config, codec=CODEC,
+                      packed=tuple(CODEC.encode(state) for state in states))
+
+
+def _over_the_wire(task):
+    """``task`` as a worker receives it: a fresh decoded copy."""
+    return decode_message(encode_message(
+        WireMessage(kind=TASK, payload=task)
+    )).payload
+
+
 class TestWorkerRuntime:
     def test_checker_memo_is_shared_across_expand_tasks(self):
         runtime = WorkerRuntime()
         config = CheckerConfig(policy=BalanceCountPolicy())
-        runtime.execute(ExpandTask(config=config, states=((0, 1, 2),)))
-        runtime.execute(ExpandTask(config=config, states=((0, 2, 2),)))
+        runtime.execute(_over_the_wire(_expand_task(config, (0, 1, 2))))
+        runtime.execute(_over_the_wire(_expand_task(config, (0, 2, 2))))
         assert len(runtime._checkers) == 1
 
     def test_distinct_configs_get_distinct_checkers(self):
         runtime = WorkerRuntime()
-        runtime.execute(ExpandTask(
-            config=CheckerConfig(policy=BalanceCountPolicy()),
-            states=((0, 1, 2),),
+        runtime.execute(_expand_task(
+            CheckerConfig(policy=BalanceCountPolicy()), (0, 1, 2),
         ))
-        runtime.execute(ExpandTask(
-            config=CheckerConfig(policy=BalanceCountPolicy(),
-                                 symmetric=True),
-            states=((2, 1, 0),),
+        runtime.execute(_expand_task(
+            CheckerConfig(policy=BalanceCountPolicy(), symmetric=True),
+            (2, 1, 0),
         ))
         assert len(runtime._checkers) == 2
+
+    def test_liveness_and_expand_tasks_of_a_proof_share_one_checker(self):
+        runtime = WorkerRuntime()
+        config = CheckerConfig(policy=BalanceCountPolicy())
+        spec = make_shard_specs(config, SCOPE, 1)[0]
+        runtime.execute(_over_the_wire(LivenessTask(spec=spec)))
+        assert len(runtime._checkers) == 1
+        (_, checker), = runtime._checkers.values()
+        runtime.execute(_over_the_wire(_expand_task(config, (0, 1, 2))))
+        assert [entry[1] for entry in runtime._checkers.values()] \
+            == [checker]
 
     def test_unknown_payload_rejected(self):
         from repro.verify.wire import WireProtocolError
@@ -418,7 +451,8 @@ class TestCleanClose:
     def test_clean_close_does_not_report_lost_workers(self):
         coordinator = in_process_coordinator(2)
         coordinator.map([SweepTask(
-            spec=make_shard_specs(BalanceCountPolicy(), SCOPE, 1)[0]
+            spec=make_shard_specs(CheckerConfig(policy=BalanceCountPolicy()),
+                                  SCOPE, 1)[0]
         )])
         coordinator.close()
         assert coordinator.lost_workers == []

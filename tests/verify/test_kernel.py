@@ -263,6 +263,74 @@ class TestEligibilityGates:
         assert not cert.proved
 
 
+    @pytest.mark.parametrize("mode", ["off", "numpy"])
+    def test_cid_reading_subclass_of_a_library_policy_is_refuted(
+            self, monkeypatch, mode):
+        """A subclass of a library policy inherits its ``"loads"``
+        declaration. Overriding the filter to skip core 0 as victim must
+        still refute progress and work conservation on every tier: the
+        kernel probes every core pair, sees the pairs disagree, and
+        leaves the policy to the tuple executor."""
+        monkeypatch.setenv("REPRO_KERNEL", mode)
+
+        class SkipsCoreZero(BalanceCountPolicy):
+            name = "balance_count_skips_core_zero"
+
+            def can_steal(self, thief, stealee):
+                return stealee.cid != 0 and super().can_steal(thief,
+                                                              stealee)
+
+        assert SkipsCoreZero.filter_invariance == "loads"
+        cert = prove_work_conserving(SkipsCoreZero(),
+                                     StateScope(n_cores=3, max_load=3))
+        report = cert.report
+        assert report.result_for("progress").status is ProofStatus.REFUTED
+        wc = report.result_for("work_conservation")
+        assert wc.status is ProofStatus.REFUTED
+        assert (2, 0, 0) in wc.counterexample.data["cycle"]
+        assert not cert.proved
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        base=st.sampled_from([BalanceCountPolicy, GreedyHalvingPolicy,
+                              NaiveOverloadedPolicy, OverStealingPolicy]),
+        n_cores=st.integers(min_value=2, max_value=4),
+        reads=st.sampled_from(["thief-cid", "victim-cid", "victim-node"]),
+        target=st.integers(min_value=0, max_value=4),
+        grouped=st.booleans(),
+    )
+    def test_position_reading_subclasses_match_the_tuple_executor_or_get_no_kernel(
+            self, base, n_cores, reads, target, grouped):
+        """Subclasses of library policies that read a cid or a node: the
+        kernel either reproduces the tuple executor's successors at
+        every state, with the same cids and nodes, or is refused."""
+        nodes = (tuple(cid % 2 for cid in range(n_cores)) if grouped
+                 else None)
+
+        class ReadsPosition(base):
+            def can_steal(self, thief, stealee):
+                position = {"thief-cid": thief.cid,
+                            "victim-cid": stealee.cid,
+                            "victim-node": stealee.node}[reads]
+                return position != target and super().can_steal(thief,
+                                                                stealee)
+
+        policy = ReadsPosition()
+        codec = StateCodec(n_cores=n_cores, max_value=2 * n_cores)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_KERNEL", "numpy")
+            kernel = build_kernel(policy, codec, nodes=nodes)
+        if kernel is None:
+            return
+        states = list(itertools.product(range(3), repeat=n_cores))
+        batch = kernel.expand_batch(codec.encode_batch(states))
+        for state, (succ, truncated) in zip(states, batch):
+            reference = enumerate_round_branches(policy, state, nodes=nodes)
+            assert {codec.decode(p) for p in succ} \
+                == reference.successor_states(), state
+            assert truncated == reference.truncated, state
+
+
 class TestManyThiefExpansion:
     """The n-thief array expansion versus the tuple executor.
 

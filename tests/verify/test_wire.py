@@ -8,7 +8,16 @@ import pytest
 
 from repro.policies import BalanceCountPolicy
 from repro.verify import StateScope
-from repro.verify.parallel import ShardSpec
+from repro.verify.encoding import StateCodec
+from repro.verify.tasks import (
+    CampaignTask,
+    CheckerConfig,
+    ExpandTask,
+    LivenessTask,
+    PolicyReplicator,
+    ShardSpec,
+    SweepTask,
+)
 from repro.verify.wire import (
     ALL_KINDS,
     ERROR,
@@ -19,12 +28,7 @@ from repro.verify.wire import (
     RESULT,
     TASK,
     WIRE_VERSION,
-    CampaignTask,
-    CheckerConfig,
     ConnectionClosed,
-    ExpandTask,
-    LivenessTask,
-    SweepTask,
     WireMessage,
     WireProtocolError,
     decode_message,
@@ -34,11 +38,11 @@ from repro.verify.wire import (
     send_message,
 )
 from repro.verify.campaign import CampaignConfig
-from repro.verify.parallel import PolicyReplicator
 
 SCOPE = StateScope(n_cores=3, max_load=2)
-SPEC = ShardSpec(policy=BalanceCountPolicy(), scope=SCOPE, shard=0,
-                 n_shards=2)
+SPEC = ShardSpec(config=CheckerConfig(policy=BalanceCountPolicy()),
+                 scope=SCOPE, shard=0, n_shards=2)
+CODEC = StateCodec(n_cores=3, max_value=6)
 
 
 class TestEncodeDecode:
@@ -47,7 +51,9 @@ class TestEncodeDecode:
             SweepTask(spec=SPEC),
             LivenessTask(spec=SPEC),
             ExpandTask(config=CheckerConfig(policy=BalanceCountPolicy()),
-                       states=((0, 1, 2), (1, 1, 1)), sequential=True),
+                       codec=CODEC,
+                       packed=tuple(CODEC.encode_batch([(0, 1, 2), (1, 1, 1)])),
+                       sequential=True),
             CampaignTask(replicator=PolicyReplicator(BalanceCountPolicy()),
                          config=CampaignConfig(n_machines=3)),
         ]
@@ -185,9 +191,12 @@ class TestFraming:
     def test_concurrent_sender(self):
         """A frame sent from another thread arrives intact."""
         server, client = self._pair()
+        codec = StateCodec(n_cores=3, max_value=600)
         payload = ExpandTask(
             config=CheckerConfig(policy=BalanceCountPolicy()),
-            states=tuple((i, i + 1, i + 2) for i in range(200)),
+            codec=codec,
+            packed=tuple(codec.encode_batch([(i, i + 1, i + 2)
+                                             for i in range(200)])),
         )
 
         def send():
@@ -198,7 +207,7 @@ class TestFraming:
         thread.start()
         try:
             received = recv_message(server)
-            assert received.payload.states == payload.states
+            assert received.payload.packed == payload.packed
         finally:
             thread.join()
             server.close()

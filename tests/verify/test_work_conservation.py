@@ -109,3 +109,32 @@ class TestScopeScaling:
         cert = prove_work_conserving(BalanceCountPolicy(), small_scope,
                                      choice_mode="policy")
         assert cert.proved
+
+
+class TestSweepCount:
+    def test_serial_prove_sweeps_the_scope_four_times(self, monkeypatch):
+        """Lemma1, filter soundness, steal soundness (which choice
+        irrelevance relabels) and one potential loop each build every
+        state's views once; nothing else sweeps the scope."""
+        from importlib import import_module
+
+        from repro.verify.enumeration import count_states, views_of
+
+        # ``repro.verify.potential`` is also the name of a re-exported
+        # function, so the modules are looked up by name.
+        lemmas = import_module("repro.verify.lemmas")
+        potential = import_module("repro.verify.potential")
+
+        calls = []
+
+        def counting_views_of(state, nodes=None):
+            calls.append(tuple(state))
+            return views_of(state, nodes)
+
+        monkeypatch.setattr(lemmas, "views_of", counting_views_of)
+        monkeypatch.setattr(potential, "views_of", counting_views_of)
+        scope = StateScope(n_cores=3, max_load=2)
+        cert = prove_work_conserving(BalanceCountPolicy(), scope)
+        assert cert.proved
+        assert len(calls) == 4 * count_states(scope)
+
