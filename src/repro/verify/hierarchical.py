@@ -36,8 +36,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-import numpy as np
-
 from repro.core.cpu import CoreSnapshot, CoreView
 from repro.core.errors import VerificationError
 from repro.core.machine import Machine
@@ -320,8 +318,11 @@ def _abstract_group_view(gid: int, cores: Sequence[int],
     Mirrors the dispatch-eager convention: a core with load ``k > 0``
     runs one task and queues ``k - 1``.
     """
-    running = sum(1 for cid in cores if loads[cid] > 0)
-    total = sum(loads[cid] for cid in cores)
+    running = total = 0
+    for cid in cores:
+        load = loads[cid]
+        total += load
+        running += load > 0
     return GroupView(
         cid=gid,
         cores=tuple(cores),
@@ -362,13 +363,12 @@ def _execute_inter_phase(
             max(donors, key=lambda cid: (live[cid], -cid)) if donors
             else max(victim_cores, key=lambda cid: (live[cid], -cid))
         )
-        thief_view = _abstract_group_view(
-            thief_gid, thief_cores, live, group_nodes[thief_gid]
-        )
-        victim_view = _abstract_group_view(
-            victim_gid, victim_cores, live, group_nodes[victim_gid]
-        )
-        if not group_policy.can_steal(thief_view, victim_view) or not donors:
+        if not donors or not group_policy.can_steal(
+            _abstract_group_view(thief_gid, thief_cores, live,
+                                 group_nodes[thief_gid]),
+            _abstract_group_view(victim_gid, victim_cores, live,
+                                 group_nodes[victim_gid]),
+        ):
             attempts.append(AbstractAttempt(agent, donor, False, 0))
             continue
         live[donor] -= 1
@@ -391,10 +391,10 @@ def _inter_outcomes(
     Branches over the inter-group selection (every filtered victim
     group in ``choice_mode='all'``, the policy's own choice otherwise)
     and over every execution order of the racing group steals, capped
-    at ``max_orders`` permutations per victim assignment. Shared by the
-    tuple enumeration (:func:`enumerate_hierarchical_round`) and the
-    packed fast path of :class:`HierarchicalModelChecker`, so the two
-    cannot drift.
+    at ``max_orders`` permutations per victim assignment. The one
+    implementation of the phase: the tuple enumeration
+    (:func:`enumerate_hierarchical_round`) and the packed path of
+    :class:`HierarchicalModelChecker` both call it.
     """
     views = [
         _abstract_group_view(gid, cores, state, group_nodes[gid])
@@ -485,8 +485,12 @@ class HierarchicalModelChecker(ModelChecker):
     """Adversarial model checking of the two-level hierarchical round.
 
     Subclasses :class:`~repro.verify.model_checker.ModelChecker` and
-    replaces only the round-branch enumeration; closure exploration,
-    lasso search, exact worst-case ``N``, and the progress/closure
+    replaces only the round model: the round-enumeration hook
+    (:func:`enumerate_hierarchical_round`) and, on the kernel path, the
+    packed expansion, which composes the shared inter-group phase
+    (:func:`_inter_outcomes`) with the flat kernel path for the
+    intra-group phase. Closure exploration, lasso search, exact
+    worst-case ``N``, the branch memo and the progress/closure
     obligations are inherited unchanged — hierarchical policies get the
     very same adversarial work-conservation checking flat policies do,
     under the domain tree's symmetry group.
@@ -537,322 +541,48 @@ class HierarchicalModelChecker(ModelChecker):
         self._intra_packed_memo: dict[
             StateCodec, dict[LoadState, tuple[frozenset[PackedState], bool]]
         ] = {}
-        # The inter-phase filter memo: the group policy is constructed
-        # above and fixed for the checker's lifetime, so when it is
-        # loads-invariant its ``can_steal`` over two group views factors
-        # through the (running, total) aggregates of the two groups —
-        # each distinct aggregate pair is probed once per checker.
-        self._group_can_memo: dict[tuple[int, int, int, int], bool] = {}
-        # core -> group indicator matrix (n_cores x n_groups), built on
-        # first use by the packed fast path to batch the per-state group
-        # aggregates of a whole frontier chunk into two matmuls.
-        self._group_mat: Any = None
-        self._group_loads_invariant = (
-            getattr(self.group_policy, "filter_invariance", "none")
-            == "loads"
-        )
-
-    def _inter_mid_states(
-        self, state: Sequence[int],
-        totals: list[int] | None = None,
-        runnings: list[int] | None = None,
-    ) -> tuple[set[LoadState], bool]:
-        """Distinct phase-1 end states of one round, with truncation.
-
-        A mid-state-only replay of :func:`_inter_outcomes` /
-        :func:`_execute_inter_phase` for the packed fast path: same
-        intent views, same victim-combination x steal-order
-        enumeration, same donor/agent selection and live re-checks —
-        but it skips the attempt/agent bookkeeping the certificate path
-        needs and tracks the per-group ``(running, total)`` aggregates
-        incrementally instead of re-summing cores per live view. A
-        successful steal moves one task from a donor with ``>= 2``
-        tasks, so the donor keeps running (victim running count is
-        unchanged) and only the agent can newly start running.
-        Equivalence with the tuple helper is pinned by
-        ``tests/verify/test_kernel.py``.
-
-        ``totals`` / ``runnings`` accept the per-group aggregates of
-        ``state`` precomputed by the caller (``_expand_fresh`` batches
-        them for a whole frontier chunk with two numpy matmuls); when
-        omitted they are derived here, identically.
-        """
-        policy = self.group_policy
-        groups = self.groups
-        nodes = self._group_nodes
-        if totals is None or runnings is None:
-            totals = []
-            runnings = []
-            for cores in groups:
-                total = 0
-                running = 0
-                for cid in cores:
-                    load = state[cid]
-                    total += load
-                    if load > 0:
-                        running += 1
-                totals.append(total)
-                runnings.append(running)
-
-        def view(gid: int, tot: Sequence[int],
-                 run: Sequence[int]) -> GroupView:
-            return GroupView(
-                cid=gid,
-                cores=groups[gid],
-                nr_ready=tot[gid] - run[gid],
-                running=run[gid],
-                weighted_load=tot[gid] * NICE_0_WEIGHT,
-                node=nodes[gid],
-            )
-
-        memo = (self._group_can_memo
-                if self._group_loads_invariant else None)
-
-        def can(t: int, v: int, tot: Sequence[int],
-                run: Sequence[int]) -> bool:
-            if memo is None:
-                return policy.can_steal(view(t, tot, run),
-                                        view(v, tot, run))
-            key = (run[t], tot[t], run[v], tot[v])
-            hit = memo.get(key)
-            if hit is None:
-                hit = policy.can_steal(view(t, tot, run),
-                                       view(v, tot, run))
-                memo[key] = hit
-            return hit
-
-        n_groups = len(groups)
-        intents: list[tuple[int, tuple[int, ...]]] = []
-        if self.choice_mode == "all":
-            if memo is None:
-                for t in range(n_groups):
-                    victims = tuple([
-                        v for v in range(n_groups)
-                        if v != t and can(t, v, totals, runnings)
-                    ])
-                    if victims:
-                        intents.append((t, victims))
-            else:
-                # Loads-invariant fast path: the memo lookup inlined,
-                # no closure call per (thief, victim) pair.
-                memo_get = memo.get
-                for t in range(n_groups):
-                    run_t = runnings[t]
-                    tot_t = totals[t]
-                    victims_list = []
-                    for v in range(n_groups):
-                        if v == t:
-                            continue
-                        key = (run_t, tot_t, runnings[v], totals[v])
-                        hit = memo_get(key)
-                        if hit is None:
-                            hit = policy.can_steal(
-                                view(t, totals, runnings),
-                                view(v, totals, runnings),
-                            )
-                            memo[key] = hit
-                        if hit:
-                            victims_list.append(v)
-                    if victims_list:
-                        intents.append((t, tuple(victims_list)))
-        else:
-            views = [view(gid, totals, runnings)
-                     for gid in range(n_groups)]
-            for thief_view in views:
-                candidates = [
-                    v for v in views
-                    if v.cid != thief_view.cid
-                    and policy.can_steal(thief_view, v)
-                ]
-                if not candidates:
-                    continue
-                intents.append((
-                    thief_view.cid,
-                    (policy.choose(thief_view, candidates).cid,),
-                ))
-
-        if not intents:
-            return {tuple(state)}, False
-
-        thieves = [thief for thief, _ in intents]
-        victim_sets = [victims for _, victims in intents]
-
-        if len(thieves) == 1:
-            # One racing group steal: a single permutation (never
-            # truncated — the packed path requires max_orders >= 1) and
-            # the live state equals the round-start state, so no
-            # aggregate copies are needed. The live re-check runs on
-            # those same round-start aggregates and the filter is
-            # deterministic, so it repeats the intent check verbatim —
-            # skip it. Donor: the most loaded core with >= 2 tasks
-            # (ties to the lowest cid); agent: the least loaded thief
-            # core (ties to the lowest cid) — manual scans, matching
-            # the keyed max/min of ``_execute_inter_phase``.
-            t = thieves[0]
-            t_cores = groups[t]
-            base = tuple(state)
-            mids = set()
-            for v in victim_sets[0]:
-                donor = -1
-                best = 1
-                for c in groups[v]:
-                    load = state[c]
-                    if load > best:
-                        best = load
-                        donor = c
-                if donor < 0:
-                    mids.add(base)
-                    continue
-                agent = t_cores[0]
-                low = state[agent]
-                for c in t_cores[1:]:
-                    load = state[c]
-                    if load < low:
-                        low = load
-                        agent = c
-                live = list(state)
-                live[donor] -= 1
-                live[agent] += 1
-                mids.add(tuple(live))
-            return mids, False
-
-        perms = list(itertools.permutations(thieves))
-        capped = perms[: self.max_orders]
-        truncated = len(perms) > self.max_orders
-        mids = set()
-        state_list = list(state)
-        for combo in itertools.product(*victim_sets):
-            assignment = dict(zip(thieves, combo))
-            for order in capped:
-                live = list(state_list)
-                tot = totals[:]
-                run = runnings[:]
-                for t in order:
-                    v = assignment[t]
-                    if memo is None:
-                        hit = can(t, v, tot, run)
-                    else:
-                        key = (run[t], tot[t], run[v], tot[v])
-                        hit = memo.get(key)
-                        if hit is None:
-                            hit = policy.can_steal(view(t, tot, run),
-                                                   view(v, tot, run))
-                            memo[key] = hit
-                    if not hit:
-                        continue
-                    donor = -1
-                    best = 1
-                    for c in groups[v]:
-                        load = live[c]
-                        if load > best:
-                            best = load
-                            donor = c
-                    if donor < 0:
-                        continue
-                    t_cores = groups[t]
-                    agent = t_cores[0]
-                    low = live[agent]
-                    for c in t_cores[1:]:
-                        load = live[c]
-                        if load < low:
-                            low = load
-                            agent = c
-                    live[donor] -= 1
-                    live[agent] += 1
-                    tot[v] -= 1
-                    tot[t] += 1
-                    if live[agent] == 1:
-                        run[t] += 1
-                mids.add(tuple(live))
-        return mids, truncated
 
     def _expand_fresh(self, packed_states: Sequence[PackedState],
                       codec: StateCodec, sequential: bool,
                       ) -> tuple[list[tuple[frozenset[PackedState], bool]], Any]:
-        """Packed hierarchical expansion: tuple inter, kernel intra.
+        """Packed hierarchical expansion: shared inter, kernel intra.
 
-        The inter-group phase is cheap (a handful of groups) and stays
-        on the shared tuple helper; the intra-group phase — the
-        exponential flat round under the scoped policy — runs through
-        the transition kernel, memoized per distinct mid state, with
-        one batch canonicalisation call covering every missing mid's
-        successors. The successor set of a round is exactly the union
-        over phase-1 mid states of the intra round's successors, so
-        this equals the tuple path state for state. The flat result is
-        ``None``: successors are unions over memoized mid entries, so
-        the BFS driver collects them from the frozensets.
+        The inter-group phase runs :func:`_inter_outcomes`, the helper
+        the tuple enumeration uses. The intra-group phase — the flat
+        round under the scoped policy — runs the chunk's distinct,
+        not-yet-memoised mid states through the flat kernel path
+        (:meth:`ModelChecker._expand_fresh`) in one batch. A round's
+        successors are the union of its mid states' intra successors,
+        which is exactly the tuple path's successor set. The flat result
+        is ``None``: the closure loop collects successors from the
+        frozensets.
         """
-        kernel = None if sequential else self._kernel_for(codec)
-        if kernel is None:
+        if sequential or self._kernel_for(codec) is None:
             return super()._expand_fresh(packed_states, codec, sequential)
         memo = self._intra_packed_memo.setdefault(codec, {})
-        per_state: list[tuple[set[LoadState], bool]] = []
-        missing: list[LoadState] = []
-        loads_batch = codec.decode_batch(packed_states)
-        tots_list: list[list[int]] | None = None
-        runs_list: list[list[int]] | None = None
-        if len(loads_batch) > 8:
-            # Batch the per-group (total, running) aggregates of the
-            # whole chunk: two matmuls against the core->group
-            # indicator matrix replace a per-state per-core loop.
-            if self._group_mat is None:
-                mat = np.zeros(
-                    (len(loads_batch[0]), len(self.groups)),
-                    dtype=np.int64,
-                )
-                for gid, cores in enumerate(self.groups):
-                    for cid in cores:
-                        mat[cid, gid] = 1
-                self._group_mat = mat
-            arr = np.asarray(loads_batch, dtype=np.int64)
-            tots_list = (arr @ self._group_mat).tolist()
-            runs_list = ((arr > 0).astype(np.int64)
-                         @ self._group_mat).tolist()
-        for index, loads in enumerate(loads_batch):
-            if tots_list is None or runs_list is None:
-                mids, truncated = self._inter_mid_states(loads)
-            else:
-                mids, truncated = self._inter_mid_states(
-                    loads, tots_list[index], runs_list[index],
-                )
-            per_state.append((mids, truncated))
-            for mid in mids:
-                if mid not in memo:
-                    memo[mid] = None  # type: ignore[assignment]
-                    missing.append(mid)
+        rounds: list[tuple[set[LoadState], bool]] = []
+        missing: set[LoadState] = set()
+        for loads in codec.decode_batch(packed_states):
+            inter, truncated = _inter_outcomes(
+                self.group_policy, self.groups, self._group_nodes, loads,
+                choice_mode=self.choice_mode, max_orders=self.max_orders,
+            )
+            mids = {mid for mid, _, _ in inter}
+            rounds.append((mids, truncated))
+            missing |= mids - memo.keys()
         if missing:
-            # One kernel batch for every mid state the chunk needs, so
-            # the multi-thief mids vectorise together.
-            group = self.symmetry
-            batched = kernel.expand_batch(codec.encode_batch(missing))
-            if group.is_trivial:
-                for mid, (raw, intra_truncated) in zip(missing, batched):
-                    memo[mid] = (frozenset(raw), intra_truncated)
-            else:
-                flat_raw = [s for raw, _ in batched for s in raw]
-                canon = group.canonicalize_batch(flat_raw, codec)
-                cursor = 0
-                for mid, (raw, intra_truncated) in zip(missing, batched):
-                    count = len(raw)
-                    memo[mid] = (
-                        frozenset(canon[cursor:cursor + count]),
-                        intra_truncated,
-                    )
-                    cursor += count
+            batch = list(missing)
+            fresh, _ = super()._expand_fresh(
+                codec.encode_batch(batch), codec, sequential
+            )
+            memo.update(zip(batch, fresh))
         out: list[tuple[frozenset[PackedState], bool]] = []
-        for mids, truncated in per_state:
-            if len(mids) == 1:
-                # Common case (no inter steal, or one uncontested
-                # steal): reuse the memoized frozenset outright.
-                entry = memo[next(iter(mids))]
-                out.append((entry[0], truncated or entry[1]))
-                continue
-            successors: set[PackedState] = set()
-            for mid in mids:
-                entry = memo[mid]
-                successors |= entry[0]
-                truncated = truncated or entry[1]
-            out.append((frozenset(successors), truncated))
+        for mids, truncated in rounds:
+            entries = [memo[mid] for mid in mids]
+            successors = (entries[0][0] if len(entries) == 1
+                          else frozenset().union(*(s for s, _ in entries)))
+            out.append((successors,
+                        truncated or any(t for _, t in entries)))
         return out, None
 
     def _check_group_preservation(self, core_to_group: Sequence[int]) -> None:
@@ -895,9 +625,9 @@ class HierarchicalModelChecker(ModelChecker):
                     " unsound"
                 )
 
-    def branches(self, state: LoadState,
-                 sequential: bool = False) -> BranchEnumeration:
-        """Hierarchical round enumeration, memoized like the flat one.
+    def _enumerate_round(self, state: LoadState,
+                         sequential: bool) -> BranchEnumeration:
+        """Every resolution of one hierarchical round from ``state``.
 
         Raises:
             VerificationError: ``sequential=True`` — hierarchical rounds
@@ -907,19 +637,13 @@ class HierarchicalModelChecker(ModelChecker):
             raise VerificationError(
                 "hierarchical rounds have no sequential (§4.2) regime"
             )
-        key = (state, sequential)
-        cached = self._branch_cache.get(key)
-        if cached is None:
-            cached = enumerate_hierarchical_round(
-                self.group_policy, self.policy, self.groups,
-                self._group_nodes, state,
-                choice_mode=self.choice_mode,
-                max_orders=self.max_orders,
-                nodes=self._nodes,
-            )
-            if is_bad_state(state):
-                self._branch_cache[key] = cached
-        return cached
+        return enumerate_hierarchical_round(
+            self.group_policy, self.policy, self.groups,
+            self._group_nodes, state,
+            choice_mode=self.choice_mode,
+            max_orders=self.max_orders,
+            nodes=self._nodes,
+        )
 
 
 def build_checker(policy: Policy | None, choice_mode: str = "all",

@@ -275,16 +275,26 @@ class ModelChecker:
         key = (state, sequential)
         cached = self._branch_cache.get(key)
         if cached is None:
-            cached = enumerate_round_branches(
-                self.policy, state,
-                choice_mode=self.choice_mode,
-                sequential=sequential,
-                max_orders=self.max_orders,
-                nodes=self._nodes,
-            )
+            cached = self._enumerate_round(state, sequential)
             if is_bad_state(state):
                 self._branch_cache[key] = cached
         return cached
+
+    def _enumerate_round(self, state: LoadState,
+                         sequential: bool) -> BranchEnumeration:
+        """Every resolution of one round from ``state``, unmemoised.
+
+        The one hook a checker with a different round model overrides
+        (see :class:`~repro.verify.hierarchical.HierarchicalModelChecker`);
+        :meth:`branches` owns the memo.
+        """
+        return enumerate_round_branches(
+            self.policy, state,
+            choice_mode=self.choice_mode,
+            sequential=sequential,
+            max_orders=self.max_orders,
+            nodes=self._nodes,
+        )
 
     def successors(self, state: LoadState,
                    sequential: bool = False) -> tuple[frozenset[LoadState], bool]:
@@ -406,27 +416,17 @@ class ModelChecker:
             cursor += count
         return entries, values
 
-    def expand_packed(self, packed_states: Sequence[PackedState],
-                      codec: StateCodec, sequential: bool = False,
-                      ) -> tuple[PackedGraph, bool]:
+    def expand_level(self, packed_states: Sequence[PackedState],
+                     codec: StateCodec, sequential: bool = False,
+                     ) -> tuple[PackedGraph, bool, Any]:
         """Packed successors of a frontier chunk, memoized per checker.
 
         The batch analogue of :meth:`successors`: every engine's
         expansion — serial levels, pool workers, remote workers — runs
         through here, so the kernel/tuple dispatch and the per-checker
-        memo live in exactly one place.
-        """
-        edges, truncated, _ = self.expand_level(
-            packed_states, codec, sequential=sequential
-        )
-        return edges, truncated
-
-    def expand_level(self, packed_states: Sequence[PackedState],
-                     codec: StateCodec, sequential: bool = False,
-                     ) -> tuple[PackedGraph, bool, Any]:
-        """:meth:`expand_packed` plus the level's flat successor values.
-
-        The third result concatenates every state's (deduped)
+        memo live in exactly one place. Returns the edge dict, whether
+        any enumeration was truncated, and the level's flat successor
+        values. The third result concatenates every state's (deduped)
         successors: a numpy ``int64`` array when the whole chunk ran
         the kernel, else a plain list. The closure loop
         (:func:`bfs_closure`) uses it to build the next frontier with
@@ -453,13 +453,6 @@ class ModelChecker:
             # in the fresh flat array: collect from the frozensets.
             flat = [s for succ in edges.values() for s in succ]
         return edges, truncated, flat
-
-    def successors_packed(self, packed: PackedState, codec: StateCodec,
-                          sequential: bool = False,
-                          ) -> tuple[frozenset[PackedState], bool]:
-        """Packed single-state successors (see :meth:`expand_packed`)."""
-        self.expand_packed((packed,), codec, sequential=sequential)
-        return self._packed_memo(codec, sequential)[packed]
 
     # ------------------------------------------------------------------
     # work conservation

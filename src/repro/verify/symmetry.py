@@ -156,18 +156,6 @@ class SymmetryGroup:
         """
         raise NotImplementedError
 
-    def iter_representatives_packed(self, scope: StateScope,
-                                    codec: "StateCodec",
-                                    ) -> "Iterator[PackedState]":
-        """:meth:`iter_representatives`, packed through ``codec``.
-
-        Packing preserves enumeration order (the codec is
-        order-preserving), so the packed stream shards identically to
-        the tuple stream.
-        """
-        for state in self.iter_representatives(scope):
-            yield codec.encode(state)
-
     def count_representatives(self, scope: StateScope) -> int:
         """Number of orbits in ``scope`` — no state enumeration."""
         raise NotImplementedError

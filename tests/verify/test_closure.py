@@ -55,7 +55,8 @@ def pool_like(checker):
     """A ``map_expand`` that returns ``(edges, truncated)`` pairs only,
     like the pool and the level-sync distributed engine."""
     def map_expand(codec, chunks, sequential):
-        return [checker.expand_packed(chunk, codec, sequential=sequential)
+        return [checker.expand_level(chunk, codec,
+                                     sequential=sequential)[:2]
                 for chunk in chunks]
     return map_expand
 

@@ -6,9 +6,8 @@ executor it replaces, so every test here is a differential one:
 * ``TransitionKernel`` successors and truncation flags versus
   :func:`~repro.verify.transition.enumerate_round_branches`, across
   policies and permutation caps;
-* the hierarchical packed fast path's ``_inter_mid_states`` versus the
-  shared tuple helper ``_inter_outcomes`` (the docstring contract in
-  ``repro.verify.hierarchical`` points at this file);
+* ``HierarchicalModelChecker.expand_level`` on the kernel path versus
+  its tuple-path ``successors()``, state by state;
 * the ``REPRO_KERNEL`` eligibility gates (mode parsing, opt-in
   declarations, bytes-form codecs);
 * the progress obligation's row counts and stall flags versus the
@@ -46,16 +45,15 @@ from repro.verify import (
     build_kernel,
     prove_work_conserving,
 )
-from repro.verify.hierarchical import (
-    HierarchicalModelChecker,
-    HierarchySpec,
-    _inter_outcomes,
-)
+from repro.verify.hierarchical import HierarchicalModelChecker, HierarchySpec
 from repro.verify.enumeration import is_bad_state
 from repro.verify.kernel import kernel_mode
 from repro.verify.obligations import ProofStatus
 from repro.verify.symmetry import TrivialGroup
-from repro.verify.transition import enumerate_round_branches
+from repro.verify.transition import (
+    DEFAULT_MAX_ORDERS,
+    enumerate_round_branches,
+)
 
 POLICIES = [
     BalanceCountPolicy(),
@@ -120,40 +118,43 @@ class TestKernelMatchesTupleExecutor:
         assert_batch_matches_tuples(kernel, codec, states, 6)
 
 
-class TestHierarchicalMidStates:
-    """``_inter_mid_states`` (packed fast path) vs ``_inter_outcomes``."""
+class TestHierarchicalKernelPath:
+    """Hierarchical ``expand_level`` on the kernel vs ``successors()``."""
 
-    @pytest.mark.parametrize("nodes,cores,top,max_orders", [
-        (2, 2, 3, 5040),
-        (2, 2, 2, 1),
-        (3, 2, 1, 2),
-    ])
-    def test_exhaustive_mid_state_equivalence(self, nodes, cores, top,
-                                              max_orders):
-        topo = symmetric_numa(nodes, cores)
-        checker = HierarchicalModelChecker(
-            HierarchySpec(topology=topo), symmetry=TrivialGroup(),
-            max_orders=max_orders,
-        )
-        n = nodes * cores
-        for state in itertools.product(range(top + 1), repeat=n):
-            mids, truncated = checker._inter_mid_states(state)
-            outcomes, ref_truncated = _inter_outcomes(
-                checker.group_policy, checker.groups,
-                checker._group_nodes, state,
-                choice_mode=checker.choice_mode, max_orders=max_orders,
+    @pytest.mark.parametrize("symmetry", ["trivial", "domains"])
+    @pytest.mark.parametrize("max_orders", [1, 2, DEFAULT_MAX_ORDERS])
+    @pytest.mark.parametrize("nodes,cores,top", [(2, 2, 3), (3, 2, 2)])
+    def test_every_state_matches_the_tuple_path(self, monkeypatch, nodes,
+                                                cores, top, max_orders,
+                                                symmetry):
+        spec = HierarchySpec(topology=symmetric_numa(nodes, cores))
+
+        def checker():
+            group = (TrivialGroup() if symmetry == "trivial"
+                     else spec.symmetry_group())
+            return HierarchicalModelChecker(spec, symmetry=group,
+                                            max_orders=max_orders)
+
+        scope = StateScope(n_cores=nodes * cores, max_load=top)
+        codec = StateCodec.for_scope(scope)
+        states = list(itertools.product(range(top + 1),
+                                        repeat=nodes * cores))
+        monkeypatch.setenv("REPRO_KERNEL", "off")
+        tuple_checker = checker()
+        reference = [tuple_checker.successors(state) for state in states]
+        monkeypatch.setenv("REPRO_KERNEL", "numpy")
+        kernel_checker = checker()
+        assert kernel_checker._kernel_for(codec) is not None
+        packed = codec.encode_batch(states)
+        # One batch, so mid states are shared across rounds of a chunk;
+        # then each state alone, which reads its own truncation flag.
+        kernel_checker.expand_level(packed, codec)
+        for state, p, (succ, truncated) in zip(states, packed, reference):
+            edges, kernel_truncated, _ = kernel_checker.expand_level(
+                [p], codec
             )
-            assert mids == {mid for mid, _, _ in outcomes}, state
-            assert truncated == ref_truncated, state
-
-    def test_group_can_memo_only_for_loads_invariant_policies(self):
-        checker = HierarchicalModelChecker(
-            HierarchySpec(topology=symmetric_numa(2, 2)),
-            symmetry=TrivialGroup(),
-        )
-        assert checker._group_loads_invariant
-        checker._inter_mid_states((3, 0, 0, 0))
-        assert checker._group_can_memo  # populated by the fast path
+            assert {codec.decode(s) for s in edges[p]} == succ, state
+            assert kernel_truncated == truncated, state
 
 
 class TestEligibilityGates:
