@@ -12,7 +12,7 @@ so ``can_steal``/``steal_amount`` over live views factor through a
 codec from the *real* policy.
 
 A :class:`TransitionKernel` expands a whole frontier at once: intent
-masks for every state via one advanced-indexing probe, zero- and
+masks for every state via one table probe, zero- and
 single-thief states handled directly, and every state with ``k >= 2``
 racing thieves expanded through lanes over its victim combinations (a
 per-state mixed-radix decomposition) with each permutation of the ``k``
@@ -35,6 +35,15 @@ executor, which also still runs both obligations wherever the kernel
 does not (``REPRO_KERNEL=off``, bytes-form codecs, ineligible checkers,
 and the hierarchical checker, whose inter-group phase is outside the
 kernel's model).
+
+The same checked tables serve the §4.2 lemma and §4.3 potential
+sweeps: :meth:`TransitionKernel.admitted` gives the admitted pairs and
+steal amounts of a whole load matrix, from which
+:func:`~repro.verify.tasks.sweep_shard` checks every state-sweep
+obligation in one array pass (see
+:meth:`~repro.verify.model_checker.ModelChecker.sweep_kernel` for which
+kernel it may use); the tuple loops of :mod:`~repro.verify.lemmas` and
+:mod:`~repro.verify.potential` rebuild its counterexamples.
 
 Whether a kernel may stand in for the tuple executor at all is an
 eligibility question answered by
@@ -299,6 +308,32 @@ class TransitionKernel:
         self._digit_mask = np.int64((1 << self.codec.bits) - 1)
         return True
 
+    def admitted(self, loads: Any) -> tuple[Any, Any]:
+        """The pair tables at every state of an ``(S, n)`` load matrix.
+
+        A core with load ``k`` is looked up as running when ``k > 0``
+        with ``k - 1`` ready tasks — the view
+        :func:`~repro.verify.enumeration.views_of` builds, and the
+        round-start view of a round's intents. Returns ``(can,
+        amount)``, both ``(S, n, n)``: ``can[s, t, v]`` is whether thief
+        ``t`` may steal from victim ``v`` in state ``s`` (never on the
+        diagonal or off the pair mask), and ``amount[s, t, v]`` is the
+        unclamped ``steal_amount`` wherever the tables admit the pair.
+        """
+        size = self._amt.shape[-1]
+        running = (loads > 0).astype(np.int64)
+        ready = loads - running
+        # Flat cell index [running_t][running_v][ready_t][ready_v],
+        # split into its thief and victim terms and broadcast once.
+        thief_cell = running * (2 * size * size) + ready * size
+        victim_cell = running * (size * size) + ready
+        cell = thief_cell[:, :, None] + victim_cell[:, None, :]
+        can = self._can.reshape(-1)[cell]
+        can &= ~self._eye
+        if self._mask is not None:
+            can &= self._mask
+        return can, self._step.reshape(-1)[cell]
+
     def bad_mask(self, packed: Any) -> Any:
         """:func:`~repro.verify.enumeration.is_bad_state` of an ``int64``
         batch: some core has load 0 and some core has load ``>= 2``."""
@@ -367,13 +402,7 @@ class TransitionKernel:
         running = (loads > 0).astype(np.int64)
         ready = loads - running
         # Intent mask: may thief t steal from victim v in state s?
-        intents = self._can[
-            running[:, :, None], running[:, None, :],
-            ready[:, :, None], ready[:, None, :],
-        ]
-        intents &= ~self._eye
-        if self._mask is not None:
-            intents &= self._mask
+        intents, amounts = self.admitted(loads)
         thief_counts = intents.any(axis=2).sum(axis=1)
 
         truncated = np.zeros(n_states, dtype=bool)
@@ -392,13 +421,10 @@ class TransitionKernel:
         if single.size:
             s_local, t_idx, v_idx = np.nonzero(intents[single])
             s_glob = single[s_local]
-            rt = running[s_glob, t_idx]
-            rv = running[s_glob, v_idx]
-            qt = ready[s_glob, t_idx]
             qv = ready[s_glob, v_idx]
             # One thief: the re-check runs on unmutated state and passes
             # by construction; only the clamp matters.
-            moved = np.minimum(self._amt[rt, rv, qt, qv], qv)
+            moved = np.minimum(amounts[s_glob, t_idx, v_idx], qv)
             np.clip(moved, 0, None, out=moved)
             if stalled is not None:
                 stalled[s_glob[moved == 0]] = True

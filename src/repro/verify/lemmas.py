@@ -10,6 +10,15 @@ counterexample found.
 All checkers run the *actual policy code* on snapshot views built from
 abstract states (:func:`repro.verify.enumeration.views_of`), so a bug in
 ``can_steal`` or ``steal_amount`` cannot hide behind a parallel model.
+
+A proof's state sweeps run these loops only where no transition kernel
+serves them (``REPRO_KERNEL=off``, bytes-form scopes, policies without
+a kernel or with ``"scoped-loads"`` tables); elsewhere
+:func:`repro.verify.tasks.sweep_shard` checks the same obligations in
+one array pass over the kernel's checked tables. The loops stay the
+oracle that pass is tested against, and they rebuild its
+counterexamples: a refuted obligation is replayed here on its first
+failing state.
 """
 
 from __future__ import annotations

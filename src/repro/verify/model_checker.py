@@ -198,7 +198,10 @@ class ModelChecker:
         ] = {}
         self._branch_cache: dict[tuple[LoadState, bool],
                                  BranchEnumeration] = {}
-        self._kernel_cache: dict[StateCodec, TransitionKernel | None] = {}
+        self._kernel_cache: dict[
+            tuple[StateCodec, tuple[int, ...] | None],
+            TransitionKernel | None,
+        ] = {}
         # Keyed per (codec, sequential) with a plain packed-state inner
         # dict: frontier states hash one machine int each instead of a
         # three-element tuple, and a fresh run skips per-state lookups
@@ -315,18 +318,40 @@ class ModelChecker:
     # packed expansion
     # ------------------------------------------------------------------
 
-    def _kernel_for(self, codec: StateCodec) -> TransitionKernel | None:
-        """The (possibly ineligible) kernel for ``codec``, memoized."""
-        kernel = self._kernel_cache.get(codec, _KERNEL_UNSET)
+    def _kernel_for(self, codec: StateCodec,
+                    node_free: bool = False) -> TransitionKernel | None:
+        """The (possibly ineligible) kernel for ``codec``, memoized.
+
+        ``node_free`` probes the tables with every core at node 0 instead
+        of at the checker's node ids; without a topology both are the
+        same kernel.
+        """
+        nodes = None if node_free else self._nodes
+        kernel = self._kernel_cache.get((codec, nodes), _KERNEL_UNSET)
         if kernel is _KERNEL_UNSET:
             kernel = build_kernel(
                 self.policy, codec,
                 choice_mode=self.choice_mode,
                 max_orders=self.max_orders,
-                nodes=self._nodes,
+                nodes=nodes,
             )
-            self._kernel_cache[codec] = kernel
+            self._kernel_cache[(codec, nodes)] = kernel
         return kernel  # type: ignore[return-value]
+
+    def sweep_kernel(self, scope: StateScope) -> TransitionKernel | None:
+        """The kernel the state sweeps over ``scope`` run on, or ``None``.
+
+        The §4.2 lemma sweeps and the §4.3 potential sweep check the
+        views :func:`~repro.verify.enumeration.views_of` builds — every
+        core at node 0 — at every off-diagonal pair, so the tables must
+        answer for exactly those: under a topology the sweeps get a
+        kernel probed without node ids, and ``"scoped-loads"`` policies
+        get none (their tables leave the off-mask pairs unprobed).
+        Otherwise the gates are :meth:`explore`'s.
+        """
+        if getattr(self.policy, "filter_invariance", "none") != "loads":
+            return None
+        return self._kernel_for(StateCodec.for_scope(scope), node_free=True)
 
     def _packed_memo(self, codec: StateCodec, sequential: bool,
                      ) -> dict[PackedState, tuple[frozenset[PackedState], bool]]:

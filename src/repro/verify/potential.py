@@ -19,6 +19,11 @@ For a single one-task steal between cores whose loads differ by at least
 2, the pair's term shrinks by exactly 4 (the ordered-pair sum counts the
 pair twice) and no cross term grows, so the minimum decrease is 4; the
 checker measures the actual minimum at scope rather than assuming it.
+
+:func:`sweep_potential` is the tuple loop: the oracle and fallback of
+the fused array sweep in :func:`repro.verify.tasks.sweep_shard`, which
+computes ``d`` in the same sorted-coefficient form as :func:`potential`
+and replays this loop on the first state refuting the obligation.
 """
 
 from __future__ import annotations

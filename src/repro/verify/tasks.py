@@ -7,10 +7,11 @@ differ only in *where* a list runs — in this process, on a
 task payloads and :class:`WorkerRuntime`, which executes them in all
 three places:
 
-* :class:`SweepTask` — the four state sweeps (Lemma1, filter soundness,
-  steal soundness, the potential loop) over one shard's chunk of
-  :func:`~repro.verify.enumeration.iter_states`; choice irrelevance is a
-  relabelling of the steal-soundness result;
+* :class:`SweepTask` — the state-sweep obligations (Lemma1, filter
+  soundness, steal soundness, choice irrelevance, potential decrease)
+  over one shard's chunk of :func:`~repro.verify.enumeration.iter_states`,
+  as one array pass over the kernel's tables where the config's checker
+  has a kernel for them (:func:`sweep_shard`);
 * :class:`LivenessTask` — progress and good-state closure over one
   shard's chunk of the symmetry group's representatives;
 * :class:`ExpandTask` — one packed BFS frontier chunk;
@@ -28,16 +29,20 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
+import numpy as np
+
+from repro.core.errors import VerificationError
 from repro.core.policy import Policy
 from repro.obs.trace import TRACER, spans_to_payload, trace_clock
 from repro.topology.numa import NumaTopology
 from repro.verify.campaign import CampaignConfig, run_campaign
 from repro.verify.encoding import PackedState, StateCodec
-from repro.verify.enumeration import StateScope, iter_states_chunk
+from repro.verify.enumeration import LoadState, StateScope, iter_states_chunk
 from repro.verify.hierarchical import HierarchySpec, build_checker
+from repro.verify.kernel import TransitionKernel
 from repro.verify.lemmas import (
     as_choice_irrelevance,
     check_filter_soundness,
@@ -45,8 +50,17 @@ from repro.verify.lemmas import (
     check_steal_soundness,
 )
 from repro.verify.model_checker import ModelChecker
-from repro.verify.obligations import ProofResult
-from repro.verify.potential import sweep_potential
+from repro.verify.obligations import (
+    FILTER_SOUNDNESS,
+    LEMMA1,
+    POTENTIAL_DECREASE,
+    STEAL_SOUNDNESS,
+    Obligation,
+    ProofResult,
+    ProofStatus,
+    timed_check,
+)
+from repro.verify.potential import check_potential_decrease, sweep_potential
 from repro.verify.symmetry import SymmetryGroup
 from repro.verify.transition import DEFAULT_MAX_ORDERS
 from repro.verify.wire import WireProtocolError
@@ -385,29 +399,149 @@ def partition_of(packed: PackedState, codec: StateCodec,
     return int.from_bytes(digest, "big") % n_partitions
 
 
-def sweep_shard(spec: ShardSpec) -> SweepShardResult:
-    """The state-sweep obligations over one shard's chunk, in four sweeps.
+def sweep_shard(spec: ShardSpec,
+                kernel: TransitionKernel | None) -> SweepShardResult:
+    """The five state-sweep obligations over one shard's chunk.
 
-    Choice irrelevance checks the same pairs as steal soundness with the
-    same conditions, so it is the steal-soundness result relabelled; one
-    potential loop yields the potential obligation and the extrema of
-    the certificate's bound.
+    Given a kernel (:meth:`~repro.verify.model_checker.ModelChecker.
+    sweep_kernel`), one array pass over the chunk's load matrix checks
+    them all (:func:`_fused_sweep`); without one, the four tuple loops of
+    :mod:`~repro.verify.lemmas` and :mod:`~repro.verify.potential` do.
+    Either way choice irrelevance is the steal-soundness result
+    relabelled, and the potential sweep also yields the extrema of the
+    certificate's bound.
     """
     policy, scope = spec.config.policy, spec.scope
     assert policy is not None, "state sweeps need a flat policy"
     chunk = list(iter_states_chunk(scope, spec.shard, spec.n_shards))
-    steal = check_steal_soundness(policy, scope, chunk)
-    potential = sweep_potential(policy, scope, chunk)
+    with TRACER.span("checker.sweep", "obligation",
+                     tier="tuple" if kernel is None else "numpy",
+                     states=len(chunk)):
+        if kernel is not None:
+            return _fused_sweep(kernel, policy, scope, chunk)
+        steal = check_steal_soundness(policy, scope, chunk)
+        potential = sweep_potential(policy, scope, chunk)
+        return SweepShardResult(
+            results={
+                "lemma1": check_lemma1(policy, scope, chunk),
+                "filter_soundness": check_filter_soundness(policy, scope,
+                                                           chunk),
+                "steal_soundness": steal,
+                "choice_irrelevance": as_choice_irrelevance(steal),
+                "potential_decrease": potential.result,
+            },
+            min_decrease=potential.min_decrease,
+            max_potential=potential.max_potential,
+        )
+
+
+#: Core pairs per block of the fused sweep: a block of states holds at
+#: most this many admitted steals (``n * (n - 1)`` per state), which
+#: bounds the post-steal load rows materialised at once.
+_SWEEP_PAIRS = 1 << 17
+
+
+def _fused_sweep(kernel: TransitionKernel, policy: Policy,
+                 scope: StateScope,
+                 chunk: list[LoadState]) -> SweepShardResult:
+    """The state sweeps of ``chunk`` as one array pass over the kernel.
+
+    Per state, each obligation gets what the tuple loop would add to
+    ``states_checked`` and whether the state refutes it. A refuted
+    obligation replays its tuple checker on the first refuting state
+    only, so its counterexample and count are the tuple sweep's.
+    """
+    n = scope.n_cores
+    loads_all = np.asarray(chunk, dtype=np.int64).reshape(-1, n)
+    # Per state: what [lemma1, filter soundness, steal soundness and the
+    # potential obligation] add to ``states_checked``, and whether the
+    # state refutes [lemma1, filter, steal, potential].
+    checked = np.zeros((3, len(chunk)), dtype=np.int64)
+    refuted = np.zeros((4, len(chunk)), dtype=bool)
+    decreases: list[int] = []
+    peaks: list[int] = []
+    coef = 2 * np.arange(n, dtype=np.int64) - (n - 1)
+    block = max(1, _SWEEP_PAIRS // (n * n))
+    with timed_check() as timer:
+        for start in range(0, len(chunk), block):
+            loads = loads_all[start:start + block]
+            here = slice(start, start + len(loads))
+            can, amount = kernel.admitted(loads)
+            over = loads >= 2  # is_overloaded of a views_of view
+            idle = loads == 0
+            # Lemma1, at every idle thief: existence and completeness.
+            refuted[0, here] = (idle & (
+                (over.any(axis=1)[:, None] & ~can.any(axis=2))
+                | (can & ~over[:, None, :]).any(axis=2)
+            )).any(axis=1)
+            # Filter soundness: an admitted victim has a ready task.
+            refuted[1, here] = (can & (loads <= 1)[:, None, :]).any(
+                axis=(1, 2))
+            checked[0, here] = idle.sum(axis=1)
+            checked[1, here] = n * (n - 1)
+            checked[2, here] = can.sum(axis=(1, 2))
+            # Every admitted steal, in the tuple loops' (state, thief,
+            # victim) order.
+            s, t, v = np.nonzero(can)
+            owner = start + s
+            lt, lv = loads[s, t], loads[s, v]
+            moved = np.clip(np.minimum(amount[s, t, v], lv - 1), 0, None)
+            new_t, new_v = lt + moved, lv - moved
+            unsound = ((moved < 1) | (new_v == 0) | (new_t > new_v)
+                       | (np.abs(new_v - new_t) >= np.abs(lv - lt)))
+            refuted[2, owner[unsound]] = True
+            d_before = 2 * (np.sort(loads, axis=1) @ coef)
+            after = loads[s]
+            rows = np.arange(len(s))
+            after[rows, t] = new_t
+            after[rows, v] = new_v
+            d_after = 2 * (np.sort(after, axis=1) @ coef)
+            refuted[3, owner[(moved == 0) | (d_after >= d_before[s])]] = True
+            if len(s):
+                decreases.append(int((d_before[s] - d_after).min()))
+            peaks.append(int(d_before.max()))
+
+    def settle(obligation: Obligation, row: int, flags: Any,
+               check: Callable[[Policy, StateScope, list[LoadState]],
+                               ProofResult]) -> ProofResult:
+        """Proved when no state is flagged; otherwise the tuple
+        ``check`` replays the first flagged state, and the states before
+        it add their ``checked[row]`` counts to its ``states_checked``."""
+        hits = np.flatnonzero(flags)
+        if not hits.size:
+            return ProofResult(
+                obligation=obligation, policy_name=policy.name,
+                status=ProofStatus.PROVED_AT_SCOPE, scope=scope.describe(),
+                states_checked=int(checked[row].sum()),
+                elapsed_s=timer.elapsed,
+            )
+        first = int(hits[0])
+        replay = check(policy, scope, [chunk[first]])
+        if replay.counterexample is None:
+            raise VerificationError(
+                f"{policy.name}: the transition kernel flagged state"
+                f" {chunk[first]} for {obligation.key} but the tuple"
+                " checker finds no counterexample"
+            )
+        return replace(replay, elapsed_s=timer.elapsed,
+                       states_checked=int(checked[row, :first].sum())
+                       + replay.states_checked)
+
+    steal = settle(STEAL_SOUNDNESS, 2, refuted[2], check_steal_soundness)
     return SweepShardResult(
         results={
-            "lemma1": check_lemma1(policy, scope, chunk),
-            "filter_soundness": check_filter_soundness(policy, scope, chunk),
+            "lemma1": settle(LEMMA1, 0, refuted[0], check_lemma1),
+            "filter_soundness": settle(FILTER_SOUNDNESS, 1, refuted[1],
+                                       check_filter_soundness),
             "steal_soundness": steal,
             "choice_irrelevance": as_choice_irrelevance(steal),
-            "potential_decrease": potential.result,
+            # Every admitted steal counts for the potential obligation
+            # too, so it shares steal soundness's counts.
+            "potential_decrease": settle(POTENTIAL_DECREASE, 2, refuted[3],
+                                         check_potential_decrease),
         },
-        min_decrease=potential.min_decrease,
-        max_potential=potential.max_potential,
+        min_decrease=min(decreases, default=None),
+        max_potential=max(peaks, default=None),
     )
 
 
@@ -518,7 +652,8 @@ class WorkerRuntime:
             WireProtocolError: payload is not a known task type.
         """
         if isinstance(task, SweepTask):
-            return sweep_shard(task.spec)
+            return sweep_shard(task.spec, self.checker_for(
+                task.spec.config).sweep_kernel(task.spec.scope))
         if isinstance(task, LivenessTask):
             return self._liveness(task.spec)
         if isinstance(task, ExpandTask):

@@ -47,9 +47,11 @@ class TestEngineSpans:
         Session().run(_request())
         spans = [s for s in TRACER.drain() if s.category == "obligation"]
         assert sorted(s.name for s in spans) == ["checker.closure",
-                                                 "checker.progress"]
+                                                 "checker.progress",
+                                                 "checker.sweep"]
         assert {s.args["tier"] for s in spans} == {tier}
-        # Every state of the 3-core, load 0..2 scope is swept.
+        # Every state of the 3-core, load 0..2 scope is swept, by the
+        # liveness obligations and by the state sweeps alike.
         assert {s.args["states"] for s in spans} == {27}
 
     def test_rendered_output_identical_with_tracing_on_and_off(self):

@@ -112,13 +112,15 @@ class TestScopeScaling:
 
 
 class TestSweepCount:
-    def test_serial_prove_sweeps_the_scope_four_times(self, monkeypatch):
-        """Lemma1, filter soundness, steal soundness (which choice
-        irrelevance relabels) and one potential loop each build every
-        state's views once; nothing else sweeps the scope."""
+    """How often the state sweeps build ``views_of`` views: four times
+    per state on the tuple loops, and on the numpy kernel only for the
+    states a refuted obligation replays."""
+
+    @pytest.fixture
+    def views_calls(self, monkeypatch):
         from importlib import import_module
 
-        from repro.verify.enumeration import count_states, views_of
+        from repro.verify.enumeration import views_of
 
         # ``repro.verify.potential`` is also the name of a re-exported
         # function, so the modules are looked up by name.
@@ -133,8 +135,41 @@ class TestSweepCount:
 
         monkeypatch.setattr(lemmas, "views_of", counting_views_of)
         monkeypatch.setattr(potential, "views_of", counting_views_of)
+        return calls
+
+    def test_serial_prove_sweeps_the_scope_four_times(self, monkeypatch,
+                                                      views_calls):
+        """Lemma1, filter soundness, steal soundness (which choice
+        irrelevance relabels) and one potential loop each build every
+        state's views once; nothing else sweeps the scope."""
+        from repro.verify.enumeration import count_states
+
+        monkeypatch.setenv("REPRO_KERNEL", "off")
         scope = StateScope(n_cores=3, max_load=2)
         cert = prove_work_conserving(BalanceCountPolicy(), scope)
         assert cert.proved
-        assert len(calls) == 4 * count_states(scope)
+        assert len(views_calls) == 4 * count_states(scope)
+
+    def test_kernel_prove_builds_no_views(self, monkeypatch, views_calls):
+        monkeypatch.setenv("REPRO_KERNEL", "numpy")
+        cert = prove_work_conserving(BalanceCountPolicy(),
+                                     StateScope(n_cores=3, max_load=2))
+        assert cert.proved
+        assert views_calls == []
+
+    def test_kernel_refutation_replays_only_its_witnesses(self, monkeypatch,
+                                                          views_calls):
+        """Each refuted sweep obligation replays its tuple checker on
+        its first failing state, and no other state gets views."""
+        monkeypatch.setenv("REPRO_KERNEL", "numpy")
+        cert = prove_work_conserving(NaiveOverloadedPolicy(),
+                                     StateScope(n_cores=3, max_load=2))
+        replayed = [
+            cert.report.result_for(key).counterexample.state
+            for key in ("lemma1", "filter_soundness", "steal_soundness",
+                        "potential_decrease")
+            if not cert.report.result_for(key).ok
+        ]
+        assert replayed
+        assert sorted(views_calls) == sorted(replayed)
 
