@@ -21,8 +21,9 @@ from repro.verify import (
     LocalWorkerPool,
     StateScope,
     prove_work_conserving,
-    prove_work_conserving_distributed,
 )
+from repro.verify.distributed import coordinator_tasks
+from repro.verify.work_conservation import prove
 
 from conftest import record_result
 
@@ -37,9 +38,8 @@ def test_bench_distributed_equivalence(benchmark):
         coordinator = Coordinator([
             InProcessTransport("bench-a"), InProcessTransport("bench-b"),
         ])
-        return prove_work_conserving_distributed(
-            BalanceCountPolicy(), SEED_SCOPE, coordinator
-        )
+        return prove(BalanceCountPolicy(), SEED_SCOPE,
+                     coordinator_tasks(coordinator))
 
     in_process = benchmark(in_process_proof)
 
@@ -47,14 +47,12 @@ def test_bench_distributed_equivalence(benchmark):
         InProcessTransport("bench-async-a"),
         InProcessTransport("bench-async-b"),
     ])
-    over_async = prove_work_conserving_distributed(
-        BalanceCountPolicy(), SEED_SCOPE, async_coordinator, mode="async",
-    )
+    over_async = prove(BalanceCountPolicy(), SEED_SCOPE,
+                       coordinator_tasks(async_coordinator, mode="async"))
 
     with LocalWorkerPool(2) as coordinator:
-        over_tcp = prove_work_conserving_distributed(
-            BalanceCountPolicy(), SEED_SCOPE, coordinator
-        )
+        over_tcp = prove(BalanceCountPolicy(), SEED_SCOPE,
+                         coordinator_tasks(coordinator))
 
     assert in_process.render() == serial.render()
     assert over_tcp.render() == serial.render()

@@ -21,6 +21,7 @@ producing:
 import os
 import time
 
+from repro.api import Session, VerificationRequest
 from repro.metrics import render_table
 from repro.policies.naive import NaiveOverloadedPolicy
 from repro.verify import (
@@ -28,10 +29,11 @@ from repro.verify import (
     InProcessTransport,
     StateScope,
     default_zoo,
-    prove_work_conserving_distributed,
-    prove_work_conserving_parallel,
     verify_zoo,
 )
+from repro.verify.distributed import coordinator_tasks
+from repro.verify.parallel import pool_tasks
+from repro.verify.work_conservation import prove
 
 from conftest import record_result
 
@@ -42,7 +44,11 @@ CPUS = os.cpu_count() or 1
 def test_bench_parallel_equivalence(benchmark):
     """Zoo matrix at the seed scope: jobs=2 is byte-identical to serial."""
     serial = verify_zoo(default_zoo(), SEED_SCOPE)
-    parallel = benchmark(verify_zoo, default_zoo(), SEED_SCOPE, jobs=2)
+    request = (VerificationRequest.builder("zoo")
+               .scope(cores=SEED_SCOPE.n_cores, max_load=SEED_SCOPE.max_load)
+               .pool(jobs=2)
+               .build())
+    parallel = benchmark(lambda: Session().run(request).zoo)
     assert parallel.render() == serial.render()
     record_result("parallel_equivalence", parallel.render())
 
@@ -70,9 +76,8 @@ def test_bench_parallel_scaling():
     certificates = {}
     for jobs in job_counts:
         start = time.perf_counter()
-        certificates[jobs] = prove_work_conserving_parallel(
-            NaiveOverloadedPolicy(), scope, jobs=jobs
-        )
+        with pool_tasks(jobs) as tasks:
+            certificates[jobs] = prove(NaiveOverloadedPolicy(), scope, tasks)
         timings[jobs] = time.perf_counter() - start
 
     baseline = certificates[job_counts[0]]
@@ -102,9 +107,8 @@ def test_bench_parallel_scaling():
             InProcessTransport(f"scale-async-{i}")
             for i in range(n_workers)
         ])
-        cert = prove_work_conserving_distributed(
-            NaiveOverloadedPolicy(), scope, coordinator, mode="async",
-        )
+        cert = prove(NaiveOverloadedPolicy(), scope,
+                     coordinator_tasks(coordinator, mode="async"))
         assert cert.proved == baseline.proved
         assert (cert.analysis.states_explored
                 == baseline.analysis.states_explored)

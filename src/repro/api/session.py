@@ -535,33 +535,25 @@ class Session:
         from repro.api.engine import SerialEngine
 
         resolved = request.resolve()
-        # A caching engine is as serial as the backend it wraps.
-        backend = getattr(engine, "inner", engine)
+        # The serial closure reports progress through the checker's
+        # cumulative per-level count, not levels; a caching engine is as
+        # serial as the backend it wraps.
+        hooks = (
+            {"on_expand": self._on_expand}
+            if isinstance(getattr(engine, "inner", engine), SerialEngine)
+            else self._progress_hooks(engine)
+        )
         with self._bound(engine, request):
-            if isinstance(backend, SerialEngine):
-                # The serial closure reports progress through the
-                # checker's cumulative per-level count, not levels.
-                analysis = engine.analyze(
-                    resolved.policy, resolved.scope,
-                    choice_mode=request.choice_mode,
-                    max_orders=request.effective_max_orders,
-                    symmetric=request.symmetric,
-                    symmetry=resolved.symmetry,
-                    topology=resolved.topology,
-                    hierarchy=resolved.hierarchy,
-                    on_expand=self._on_expand,
-                )
-            else:
-                analysis = engine.analyze(
-                    resolved.policy, resolved.scope,
-                    choice_mode=request.choice_mode,
-                    max_orders=request.effective_max_orders,
-                    symmetric=request.symmetric,
-                    symmetry=resolved.symmetry,
-                    topology=resolved.topology,
-                    hierarchy=resolved.hierarchy,
-                    **self._progress_hooks(engine),
-                )
+            analysis = engine.analyze(
+                resolved.policy, resolved.scope,
+                choice_mode=request.choice_mode,
+                max_orders=request.effective_max_orders,
+                symmetric=request.symmetric,
+                symmetry=resolved.symmetry,
+                topology=resolved.topology,
+                hierarchy=resolved.hierarchy,
+                **hooks,
+            )
         return result_from_analysis(request, analysis)
 
     @staticmethod

@@ -7,23 +7,22 @@ termination certificate, and trace audits of concrete executions — all
 composed by :func:`prove_work_conserving` into a certificate carrying an
 explicit round bound ``N`` or a counterexample lasso.
 
-The pipeline is written once (:mod:`repro.verify.work_conservation`)
-over a map of shard tasks (:mod:`repro.verify.tasks`), and every sweep
-also runs sharded across a process pool
-(:mod:`repro.verify.parallel`, ``--jobs`` on the CLI):
-:func:`prove_work_conserving_parallel`, :func:`analyze_parallel` and
-:func:`run_campaign_parallel` partition the state space with the chunked
-iterators of :mod:`repro.verify.enumeration` and merge per-shard results
-with deterministic reducers, producing verdicts identical to the serial
-path at any worker count.
+The pipeline is written once (:mod:`repro.verify.work_conservation`):
+the ``prove``, ``analyze`` and ``campaign`` drivers take a ``TaskMap``
+that says where a request's shard tasks (:mod:`repro.verify.tasks`)
+run, and merge per-shard results with deterministic reducers, so the
+verdict is identical on every engine. The serial map is one in-process
+shard (``local_tasks``); :func:`repro.verify.parallel.pool_tasks`
+(``--jobs`` on the CLI) spreads the shards over a process pool;
+:func:`repro.verify.distributed.coordinator_tasks` (``--distributed N``
+/ ``--workers host:port,...``) sends them to remote workers over the
+versioned wire protocol of :mod:`repro.verify.wire`, with
+heartbeat/timeout, shard reassignment on worker loss, and a batched
+frontier exchange per BFS level. See ``docs/distributed.md``.
 
-The same shards can leave the machine: :mod:`repro.verify.distributed`
-(``--distributed N`` / ``--workers host:port,...`` on the CLI) dispatches
-them to remote workers over the versioned wire protocol of
-:mod:`repro.verify.wire` — with heartbeat/timeout, shard reassignment on
-worker loss, and a batched frontier exchange per BFS level — and folds
-the results through the same reducers, again with identical verdicts.
-See ``docs/distributed.md``.
+Most callers pick an engine through :mod:`repro.api` instead
+(``SerialEngine``, ``PoolEngine``, ``DistributedEngine``), which holds
+the task map for them.
 """
 
 from repro.verify.enumeration import (
@@ -97,13 +96,7 @@ from repro.verify.obligations import (
     ProofResult,
     ProofStatus,
 )
-from repro.verify.parallel import (
-    analyze_parallel,
-    bfs_closure,
-    prove_work_conserving_parallel,
-    resolve_jobs,
-    run_campaign_parallel,
-)
+from repro.verify.parallel import bfs_closure, resolve_jobs
 from repro.verify.distributed import (
     Coordinator,
     InProcessTransport,
@@ -112,11 +105,8 @@ from repro.verify.distributed import (
     TaskFailed,
     WorkerLost,
     WorkerServer,
-    analyze_distributed,
     connect_workers,
     parse_endpoint,
-    prove_work_conserving_distributed,
-    run_campaign_distributed,
 )
 from repro.verify.wire import (
     WIRE_VERSION,
@@ -225,7 +215,6 @@ __all__ = [
     "build_kernel",
     "kernel_mode",
     "PolicyReplicator",
-    "analyze_parallel",
     "assemble_certificate",
     "bfs_closure",
     "derive_campaign_seed",
@@ -234,9 +223,7 @@ __all__ = [
     "merge_campaign_reports",
     "merge_graphs",
     "merge_proof_results",
-    "prove_work_conserving_parallel",
     "resolve_jobs",
-    "run_campaign_parallel",
     "Coordinator",
     "InProcessTransport",
     "LocalWorkerPool",
@@ -245,11 +232,8 @@ __all__ = [
     "WorkerLost",
     "WorkerRuntime",
     "WorkerServer",
-    "analyze_distributed",
     "connect_workers",
     "parse_endpoint",
-    "prove_work_conserving_distributed",
-    "run_campaign_distributed",
     "WIRE_VERSION",
     "WireMessage",
     "WireProtocolError",

@@ -90,15 +90,10 @@ from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.errors import VerificationError
 from repro.obs.trace import TRACER
-from repro.topology.numa import NumaTopology
-from repro.verify.campaign import CampaignConfig, CampaignReport
 from repro.verify.encoding import PackedState, StateCodec, decode_graph
-from repro.verify.enumeration import StateScope
-from repro.verify.hierarchical import HierarchySpec
 from repro.verify.model_checker import (
     PackedGraph,
     TransitionGraph,
-    WorkConservationAnalysis,
     closure_start,
 )
 from repro.verify.symmetry import SymmetryGroup, resolve_symmetry
@@ -112,7 +107,6 @@ from repro.verify.tasks import (
     WorkerRuntime,
     partition_of,
 )
-from repro.verify.transition import DEFAULT_MAX_ORDERS
 from repro.verify.wire import (
     ERROR,
     FORMAT_JSON,
@@ -133,13 +127,7 @@ from repro.verify.wire import (
     recv_message,
     send_message,
 )
-from repro.verify.work_conservation import (
-    TaskMap,
-    WorkConservationCertificate,
-    analyze,
-    campaign,
-    prove,
-)
+from repro.verify.work_conservation import TaskMap
 
 #: Default seconds between worker heartbeat frames during a task.
 DEFAULT_HEARTBEAT_S = 1.0
@@ -1453,78 +1441,3 @@ def coordinator_tasks(
 
     return TaskMap(coordinator.n_workers, coordinator.map, explore_async)
 
-
-def prove_work_conserving_distributed(
-    policy, scope: StateScope, coordinator: Coordinator,
-    choice_mode: str = "all", max_orders: int = DEFAULT_MAX_ORDERS,
-    symmetric: bool = False,
-    symmetry: SymmetryGroup | None = None,
-    topology: NumaTopology | None = None,
-    mode: str = "level-sync",
-    partitions: int | None = None,
-    on_level: Callable[[int, int, int], None] | None = None,
-    on_expand: Callable[[int], None] | None = None,
-    on_partition_split:
-        "Callable[[int, str, str, int], None] | None" = None,
-) -> WorkConservationCertificate:
-    """The full §4 pipeline with one shard per remote worker.
-
-    Identical verdicts, counterexamples, and state counts to
-    :func:`~repro.verify.parallel.prove_work_conserving_parallel` at
-    ``jobs = n_workers`` and to the serial path — same driver, same
-    tasks, same reducers; only the task map differs (see
-    :func:`coordinator_tasks` for ``mode`` and the hooks).
-    """
-    return prove(
-        policy, scope,
-        coordinator_tasks(coordinator, mode, partitions, on_partition_split),
-        choice_mode=choice_mode, max_orders=max_orders,
-        symmetric=symmetric, symmetry=symmetry, topology=topology,
-        on_level=on_level, on_expand=on_expand,
-    )
-
-
-def analyze_distributed(policy, scope: StateScope,
-                        coordinator: Coordinator, choice_mode: str = "all",
-                        max_orders: int = DEFAULT_MAX_ORDERS,
-                        symmetric: bool = False, sequential: bool = False,
-                        symmetry: SymmetryGroup | None = None,
-                        topology: NumaTopology | None = None,
-                        hierarchy: HierarchySpec | None = None,
-                        mode: str = "level-sync",
-                        partitions: int | None = None,
-                        on_level: Callable[[int, int, int], None] | None = None,
-                        on_expand: Callable[[int], None] | None = None,
-                        on_partition_split:
-                            "Callable[[int, str, str, int], None] | None" = None,
-                        ) -> WorkConservationAnalysis:
-    """Distributed counterpart of :func:`~repro.verify.parallel.
-    analyze_parallel`: workers expand, the coordinator runs the cheap
-    deterministic graph algorithms once. A
-    :class:`~repro.verify.hierarchical.HierarchySpec` switches workers
-    and coordinator alike to the hierarchical round checker; see
-    :func:`coordinator_tasks` for ``mode``."""
-    return analyze(
-        policy, scope,
-        coordinator_tasks(coordinator, mode, partitions, on_partition_split),
-        choice_mode=choice_mode, max_orders=max_orders,
-        symmetric=symmetric, sequential=sequential, symmetry=symmetry,
-        topology=topology, hierarchy=hierarchy,
-        on_level=on_level, on_expand=on_expand,
-    )
-
-
-def run_campaign_distributed(policy_factory,
-                             config: CampaignConfig | None = None,
-                             coordinator: Coordinator | None = None,
-                             ) -> CampaignReport:
-    """Fan a randomised campaign across remote workers.
-
-    The merged report is identical to the pool engine's at ``jobs =
-    n_workers`` (coverage is a function of ``(seed, worker count)``, not
-    of engine or transport).
-    """
-    if coordinator is None:
-        raise WorkerLost("no live workers to dispatch campaign slices to")
-    return campaign(policy_factory, config or CampaignConfig(),
-                    coordinator_tasks(coordinator))

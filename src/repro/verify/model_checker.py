@@ -199,7 +199,7 @@ class ModelChecker:
         self._branch_cache: dict[tuple[LoadState, bool],
                                  BranchEnumeration] = {}
         self._kernel_cache: dict[
-            tuple[StateCodec, tuple[int, ...] | None],
+            tuple[StateCodec, tuple[int, ...] | None, str],
             TransitionKernel | None,
         ] = {}
         # Keyed per (codec, sequential) with a plain packed-state inner
@@ -319,23 +319,26 @@ class ModelChecker:
     # ------------------------------------------------------------------
 
     def _kernel_for(self, codec: StateCodec,
-                    node_free: bool = False) -> TransitionKernel | None:
+                    sweeps: bool = False) -> TransitionKernel | None:
         """The (possibly ineligible) kernel for ``codec``, memoized.
 
-        ``node_free`` probes the tables with every core at node 0 instead
-        of at the checker's node ids; without a topology both are the
-        same kernel.
+        ``sweeps`` asks for the state sweeps' kernel (:meth:`sweep_kernel`):
+        its tables are probed with every core at node 0 instead of at the
+        checker's node ids, and it is built for ``choice_mode='all'``
+        whatever the checker's mode. Without a topology under
+        ``choice_mode='all'`` both are the same kernel.
         """
-        nodes = None if node_free else self._nodes
-        kernel = self._kernel_cache.get((codec, nodes), _KERNEL_UNSET)
+        key = (codec, None if sweeps else self._nodes,
+               "all" if sweeps else self.choice_mode)
+        kernel = self._kernel_cache.get(key, _KERNEL_UNSET)
         if kernel is _KERNEL_UNSET:
             kernel = build_kernel(
                 self.policy, codec,
-                choice_mode=self.choice_mode,
+                choice_mode=key[2],
                 max_orders=self.max_orders,
-                nodes=nodes,
+                nodes=key[1],
             )
-            self._kernel_cache[(codec, nodes)] = kernel
+            self._kernel_cache[key] = kernel
         return kernel  # type: ignore[return-value]
 
     def sweep_kernel(self, scope: StateScope) -> TransitionKernel | None:
@@ -346,12 +349,14 @@ class ModelChecker:
         core at node 0 — at every off-diagonal pair, so the tables must
         answer for exactly those: under a topology the sweeps get a
         kernel probed without node ids, and ``"scoped-loads"`` policies
-        get none (their tables leave the off-mask pairs unprobed).
-        Otherwise the gates are :meth:`explore`'s.
+        get none (their tables leave the off-mask pairs unprobed). The
+        sweeps never consult ``choose``, so the kernel is built for
+        ``choice_mode='all'`` whatever the checker's mode; the other
+        gates are :meth:`explore`'s.
         """
         if getattr(self.policy, "filter_invariance", "none") != "loads":
             return None
-        return self._kernel_for(StateCodec.for_scope(scope), node_free=True)
+        return self._kernel_for(StateCodec.for_scope(scope), sweeps=True)
 
     def _packed_memo(self, codec: StateCodec, sequential: bool,
                      ) -> dict[PackedState, tuple[frozenset[PackedState], bool]]:

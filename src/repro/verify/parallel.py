@@ -71,10 +71,14 @@ Usage
 -----
 
 ``python -m repro verify <policy> --jobs 4`` (also ``hunt``, ``zoo``,
-``campaign``) or programmatically::
+``campaign``), :class:`repro.api.PoolEngine`, or the driver over this
+module's task map::
 
-    from repro.verify.parallel import prove_work_conserving_parallel
-    cert = prove_work_conserving_parallel(policy, scope, jobs=4)
+    from repro.verify.parallel import pool_tasks
+    from repro.verify.work_conservation import prove
+
+    with pool_tasks(4) as tasks:
+        cert = prove(policy, scope, tasks)
 
 ``jobs <= 0`` means "one worker per available CPU"; ``jobs=1`` (the
 default everywhere) bypasses the pool entirely and runs the one shard
@@ -87,33 +91,15 @@ import multiprocessing
 import multiprocessing.context
 import os
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
-from repro.core.policy import Policy
-from repro.topology.numa import NumaTopology
-from repro.verify.campaign import CampaignConfig, CampaignReport
-from repro.verify.enumeration import StateScope
-from repro.verify.hierarchical import HierarchySpec
-from repro.verify.model_checker import WorkConservationAnalysis, bfs_closure
-from repro.verify.symmetry import SymmetryGroup
+from repro.verify.model_checker import bfs_closure
 from repro.verify.tasks import WorkerRuntime, partition_of
-from repro.verify.transition import DEFAULT_MAX_ORDERS
-from repro.verify.work_conservation import (
-    TaskMap,
-    WorkConservationCertificate,
-    analyze,
-    campaign,
-    local_tasks,
-    prove,
-)
+from repro.verify.work_conservation import TaskMap, local_tasks
 
 #: The public names, two of them re-exported from their homes: the
 #: shared closure loop and the async engine's partition hash.
-__all__ = [
-    "analyze_parallel", "bfs_closure", "partition_of", "pool_tasks",
-    "prove_work_conserving_parallel", "resolve_jobs",
-    "run_campaign_parallel",
-]
+__all__ = ["bfs_closure", "partition_of", "pool_tasks", "resolve_jobs"]
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -169,70 +155,3 @@ def pool_tasks(jobs: int | None) -> Iterator[TaskMap]:
     with _pool_context().Pool(processes=jobs) as pool:
         yield TaskMap(jobs, lambda tasks: pool.map(_run_pooled, tasks))
 
-
-# ---------------------------------------------------------------------------
-# drivers
-# ---------------------------------------------------------------------------
-
-
-def prove_work_conserving_parallel(
-    policy: Policy, scope: StateScope, jobs: int | None = None,
-    choice_mode: str = "all", max_orders: int = DEFAULT_MAX_ORDERS,
-    symmetric: bool = False,
-    symmetry: SymmetryGroup | None = None,
-    topology: NumaTopology | None = None,
-    on_level: Callable[[int, int, int], None] | None = None,
-) -> WorkConservationCertificate:
-    """The full §4 pipeline of
-    :func:`~repro.verify.work_conservation.prove_work_conserving`, sharded.
-
-    With ``jobs`` workers the scope is split into ``jobs`` round-robin
-    shards; every sweep runs chunk-local in the pool and the per-shard
-    results are merged as described in the module docstring. Verdicts —
-    per-obligation statuses, the model checker's lasso / exact ``N``, the
-    potential bound, and ``proved`` — are identical to the serial path.
-    """
-    with pool_tasks(jobs) as tasks:
-        return prove(policy, scope, tasks, choice_mode=choice_mode,
-                     max_orders=max_orders, symmetric=symmetric,
-                     symmetry=symmetry, topology=topology,
-                     on_level=on_level)
-
-
-def analyze_parallel(policy: Policy | None, scope: StateScope,
-                     jobs: int | None = None, choice_mode: str = "all",
-                     max_orders: int = DEFAULT_MAX_ORDERS,
-                     symmetric: bool = False, sequential: bool = False,
-                     symmetry: SymmetryGroup | None = None,
-                     topology: NumaTopology | None = None,
-                     hierarchy: HierarchySpec | None = None,
-                     on_level: Callable[[int, int, int], None] | None = None,
-                     ) -> WorkConservationAnalysis:
-    """Sharded :meth:`~repro.verify.model_checker.ModelChecker.analyze`.
-
-    Workers expand the levels of the closure; the parent runs the
-    (cheap, deterministic) lasso/worst-case algorithms once — the
-    ``hunt`` CLI path. Passing a
-    :class:`~repro.verify.hierarchical.HierarchySpec` model-checks the
-    two-level hierarchical round instead of the flat one (``policy`` is
-    then ignored).
-    """
-    with pool_tasks(jobs) as tasks:
-        return analyze(policy, scope, tasks, choice_mode=choice_mode,
-                       max_orders=max_orders, symmetric=symmetric,
-                       sequential=sequential, symmetry=symmetry,
-                       topology=topology, hierarchy=hierarchy,
-                       on_level=on_level)
-
-
-def run_campaign_parallel(policy_factory, config: CampaignConfig | None = None,
-                          jobs: int | None = None) -> CampaignReport:
-    """Fan a randomised campaign across workers, one derived seed each.
-
-    Coverage depends on ``jobs`` (see
-    :func:`~repro.verify.work_conservation.make_campaign_tasks`), but
-    any fixed ``(seed, jobs)`` pair reproduces exactly, and merged
-    totals count every machine/round/steal once.
-    """
-    with pool_tasks(jobs) as tasks:
-        return campaign(policy_factory, config or CampaignConfig(), tasks)

@@ -16,9 +16,9 @@ from typing import Sequence
 from repro.core.policy import Policy
 from repro.metrics.stats import render_table
 from repro.verify.enumeration import StateScope
-from repro.verify.parallel import prove_work_conserving_parallel
 from repro.verify.work_conservation import (
     WorkConservationCertificate,
+    prove_work_conserving,
 )
 
 #: Obligation columns of the matrix, in pipeline order.
@@ -90,58 +90,39 @@ class ZooReport:
 def verify_zoo(policies: Sequence[Policy], scope: StateScope,
                choice_mode: str = "all",
                max_orders: int = 720,
-               jobs: int | None = None,
-               coordinator=None,
                symmetry=None,
                topology=None) -> ZooReport:
-    """Run the full pipeline for every policy and assemble the matrix.
+    """Run the full pipeline for every policy, serially, and assemble
+    the matrix.
+
+    Zoo runs on the pool or distributed engine are
+    :class:`repro.api.Session` zoo requests with an engine spec; the
+    matrix is byte-identical on every engine.
 
     Args:
         policies: the policies to verify (order is preserved).
         scope: common verification scope.
         choice_mode: see :func:`~repro.verify.prove_work_conserving`.
         max_orders: see :func:`~repro.verify.prove_work_conserving`.
-        jobs: worker processes per policy; ``None``/``1`` runs serially,
-            and any value yields a byte-identical matrix (see
-            :mod:`repro.verify.parallel`).
-        coordinator: a :class:`~repro.verify.distributed.Coordinator`;
-            when given, every proof is sharded across its workers instead
-            of a local pool — again with a byte-identical matrix.
         symmetry: a :class:`~repro.verify.symmetry.SymmetryGroup`
             quotienting every proof's liveness sweeps and closure.
         topology: machine layout for node-aware snapshot views.
     """
-    if coordinator is not None:
-        from repro.verify.distributed import (
-            prove_work_conserving_distributed,
-        )
-
-        certificates = [
-            prove_work_conserving_distributed(
-                policy, scope, coordinator, choice_mode=choice_mode,
-                max_orders=max_orders, symmetry=symmetry,
-                topology=topology,
-            )
-            for policy in policies
-        ]
-    else:
-        certificates = [
-            prove_work_conserving_parallel(
-                policy, scope, jobs=jobs, choice_mode=choice_mode,
-                max_orders=max_orders, symmetry=symmetry,
-                topology=topology,
-            )
-            for policy in policies
-        ]
+    certificates = [
+        prove_work_conserving(policy, scope, choice_mode=choice_mode,
+                              max_orders=max_orders, symmetry=symmetry,
+                              topology=topology)
+        for policy in policies
+    ]
     return ZooReport(scope=scope.describe(), certificates=certificates)
 
 
 def zoo_lineup(topology=None) -> list[Policy]:
     """The policy lineup a zoo run covers at a given layout.
 
-    The single chooser behind ``zoo`` everywhere — the legacy CLI path
-    and :class:`repro.api.Session` both call it, so "which policies does
-    the zoo mean" cannot drift between entry points.
+    The single chooser behind ``zoo``: :class:`repro.api.Session` calls
+    it on every engine, so "which policies does the zoo mean" cannot
+    drift between entry points.
     """
     return default_zoo() if topology is None else topology_zoo(topology)
 

@@ -24,14 +24,13 @@ from repro.verify import (
     ModelChecker,
     StateScope,
     WorkerLost,
-    analyze_distributed,
     prove_work_conserving,
-    prove_work_conserving_distributed,
 )
 from repro.verify.distributed import (
     DEFAULT_PARTITIONS_PER_WORKER,
     AsyncPartitionExplorer,
     async_closure,
+    coordinator_tasks,
     resolve_mode,
 )
 from repro.verify.encoding import StateCodec
@@ -44,6 +43,7 @@ from repro.verify.tasks import (
     PartitionExpandResult,
     PartitionExpandTask,
 )
+from repro.verify.work_conservation import analyze, prove
 
 from tests.verify.test_distributed import (
     SCOPE,
@@ -209,26 +209,29 @@ class TestPipelineEquivalence:
     ])
     def test_async_prove_matches_serial(self, policy_cls):
         serial = prove_work_conserving(policy_cls(), SCOPE)
-        cert = prove_work_conserving_distributed(
-            policy_cls(), SCOPE, in_process_coordinator(2), mode="async"
+        cert = prove(
+            policy_cls(), SCOPE,
+            coordinator_tasks(in_process_coordinator(2), mode="async"),
         )
         assert_certificates_equal(cert, serial)
 
     def test_async_prove_matches_level_sync(self):
-        sync = prove_work_conserving_distributed(
-            BalanceCountPolicy(), SCOPE, in_process_coordinator(2)
+        sync = prove(
+            BalanceCountPolicy(), SCOPE,
+            coordinator_tasks(in_process_coordinator(2)),
         )
-        async_cert = prove_work_conserving_distributed(
-            BalanceCountPolicy(), SCOPE, in_process_coordinator(2),
-            mode="async", partitions=5,
+        async_cert = prove(
+            BalanceCountPolicy(), SCOPE,
+            coordinator_tasks(in_process_coordinator(2), mode="async",
+                              partitions=5),
         )
         assert_certificates_equal(async_cert, sync)
 
     def test_async_analyze_matches_serial(self):
         serial = ModelChecker(BalanceCountPolicy()).analyze(SCOPE)
-        analysis = analyze_distributed(
-            BalanceCountPolicy(), SCOPE, in_process_coordinator(2),
-            mode="async",
+        analysis = analyze(
+            BalanceCountPolicy(), SCOPE,
+            coordinator_tasks(in_process_coordinator(2), mode="async"),
         )
         assert analysis.states_explored == serial.states_explored
         assert analysis.bad_states == serial.bad_states
@@ -238,8 +241,9 @@ class TestPipelineEquivalence:
     def test_async_over_sockets_matches_serial(self):
         serial = prove_work_conserving(BalanceCountPolicy(), SCOPE)
         with socket_coordinator(2) as coordinator:
-            cert = prove_work_conserving_distributed(
-                BalanceCountPolicy(), SCOPE, coordinator, mode="async"
+            cert = prove(
+                BalanceCountPolicy(), SCOPE,
+                coordinator_tasks(coordinator, mode="async"),
             )
         assert_certificates_equal(cert, serial)
 
@@ -248,9 +252,9 @@ class TestPipelineEquivalence:
 
         with pytest.raises(VerificationError,
                            match="unknown exploration mode 'bfs'"):
-            prove_work_conserving_distributed(
-                BalanceCountPolicy(), SCOPE, in_process_coordinator(1),
-                mode="bfs",
+            prove(
+                BalanceCountPolicy(), SCOPE,
+                coordinator_tasks(in_process_coordinator(1), mode="bfs"),
             )
         assert resolve_mode("async") == "async"
         assert resolve_mode("level-sync") == "level-sync"
@@ -284,8 +288,9 @@ class TestAsyncFaultTolerance:
         reassigned = []
         coordinator.on_reassign = lambda index, worker: \
             reassigned.append(worker)
-        cert = prove_work_conserving_distributed(
-            BalanceCountPolicy(), SCOPE, coordinator, mode="async"
+        cert = prove(
+            BalanceCountPolicy(), SCOPE,
+            coordinator_tasks(coordinator, mode="async"),
         )
         assert_certificates_equal(cert, serial)
         assert coordinator.lost_workers == ["flaky"]
@@ -297,8 +302,9 @@ class TestAsyncFaultTolerance:
             _FlakyTransport("flaky-b", fail_first=99),
         ])
         with pytest.raises(WorkerLost):
-            prove_work_conserving_distributed(
-                BalanceCountPolicy(), SCOPE, coordinator, mode="async"
+            prove(
+                BalanceCountPolicy(), SCOPE,
+                coordinator_tasks(coordinator, mode="async"),
             )
 
 
@@ -317,10 +323,13 @@ class TestDynamicMembership:
                 joined.set()
                 coordinator.add_worker(InProcessTransport("late"))
 
-        cert = prove_work_conserving_distributed(
-            BalanceCountPolicy(), SCOPE, coordinator, mode="async",
-            partitions=8, on_expand=add_late_worker,
-            on_partition_split=lambda *event: splits.append(event),
+        cert = prove(
+            BalanceCountPolicy(), SCOPE,
+            coordinator_tasks(
+                coordinator, mode="async", partitions=8,
+                on_partition_split=lambda *event: splits.append(event),
+            ),
+            on_expand=add_late_worker,
         )
         assert_certificates_equal(cert, serial)
         assert joined.is_set()
@@ -352,9 +361,9 @@ class TestDynamicMembership:
                 super().start()
 
         monkeypatch.setattr(threading, "Thread", JoinOnFirstStart)
-        cert = prove_work_conserving_distributed(
-            BalanceCountPolicy(), SCOPE, coordinator, mode="async",
-            partitions=8,
+        cert = prove(
+            BalanceCountPolicy(), SCOPE,
+            coordinator_tasks(coordinator, mode="async", partitions=8),
         )
         monkeypatch.undo()
         assert joined

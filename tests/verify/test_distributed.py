@@ -28,13 +28,9 @@ from repro.verify import (
     WorkerLost,
     WorkerRuntime,
     WorkerServer,
-    analyze_distributed,
     prove_work_conserving,
-    prove_work_conserving_distributed,
-    run_campaign_distributed,
-    run_campaign_parallel,
 )
-from repro.verify.distributed import connect_workers
+from repro.verify.distributed import connect_workers, coordinator_tasks
 from repro.verify.encoding import StateCodec
 from repro.verify.tasks import (
     CheckerConfig,
@@ -43,7 +39,13 @@ from repro.verify.tasks import (
     SweepTask,
 )
 from repro.verify.wire import TASK, WireMessage, decode_message, encode_message
-from repro.verify.work_conservation import make_shard_specs
+from repro.verify.parallel import pool_tasks
+from repro.verify.work_conservation import (
+    analyze,
+    campaign,
+    make_shard_specs,
+    prove,
+)
 
 SCOPE = StateScope(n_cores=3, max_load=2)
 
@@ -120,32 +122,33 @@ class TestInProcessEquivalence:
     ])
     def test_distributed_matches_serial(self, policy_cls):
         serial = prove_work_conserving(policy_cls(), SCOPE)
-        distributed = prove_work_conserving_distributed(
-            policy_cls(), SCOPE, in_process_coordinator(2)
-        )
+        distributed = prove(policy_cls(), SCOPE,
+                            coordinator_tasks(in_process_coordinator(2)))
         assert_certificates_equal(distributed, serial)
 
     def test_symmetric_mode_matches(self):
         serial = prove_work_conserving(BalanceCountPolicy(), SCOPE,
                                        symmetric=True)
-        distributed = prove_work_conserving_distributed(
-            BalanceCountPolicy(), SCOPE, in_process_coordinator(3),
-            symmetric=True,
+        distributed = prove(
+            BalanceCountPolicy(), SCOPE,
+            coordinator_tasks(in_process_coordinator(3)), symmetric=True,
         )
         assert_certificates_equal(distributed, serial)
 
     def test_more_workers_than_states(self):
         tiny = StateScope(n_cores=2, max_load=1)
         serial = prove_work_conserving(BalanceCountPolicy(), tiny)
-        distributed = prove_work_conserving_distributed(
-            BalanceCountPolicy(), tiny, in_process_coordinator(8)
+        distributed = prove(
+            BalanceCountPolicy(), tiny,
+            coordinator_tasks(in_process_coordinator(8)),
         )
         assert_certificates_equal(distributed, serial)
 
     def test_analyze_matches_serial_lasso(self):
         serial = ModelChecker(NaiveOverloadedPolicy()).analyze(SCOPE)
-        distributed = analyze_distributed(
-            NaiveOverloadedPolicy(), SCOPE, in_process_coordinator(2)
+        distributed = analyze(
+            NaiveOverloadedPolicy(), SCOPE,
+            coordinator_tasks(in_process_coordinator(2)),
         )
         assert distributed.violated and serial.violated
         assert distributed.lasso.cycle == serial.lasso.cycle
@@ -156,27 +159,26 @@ class TestSocketEquivalence:
     def test_proof_over_tcp_matches_serial(self):
         serial = prove_work_conserving(BalanceCountPolicy(), SCOPE)
         with socket_coordinator(2) as coordinator:
-            distributed = prove_work_conserving_distributed(
-                BalanceCountPolicy(), SCOPE, coordinator
+            distributed = prove(
+                BalanceCountPolicy(), SCOPE, coordinator_tasks(coordinator),
             )
         assert_certificates_equal(distributed, serial)
 
     def test_refuted_proof_over_tcp_matches_serial(self):
         serial = prove_work_conserving(NaiveOverloadedPolicy(), SCOPE)
         with socket_coordinator(2) as coordinator:
-            distributed = prove_work_conserving_distributed(
-                NaiveOverloadedPolicy(), SCOPE, coordinator
-            )
+            distributed = prove(NaiveOverloadedPolicy(), SCOPE,
+                                coordinator_tasks(coordinator))
         assert_certificates_equal(distributed, serial)
 
     def test_campaign_over_tcp_matches_pool_engine(self):
         config = CampaignConfig(n_machines=6, max_cores=5, max_load=4,
                                 rounds_per_machine=8, seed=11)
-        pooled = run_campaign_parallel(BalanceCountPolicy, config, jobs=2)
+        with pool_tasks(2) as tasks:
+            pooled = campaign(BalanceCountPolicy, config, tasks)
         with socket_coordinator(2) as coordinator:
-            distributed = run_campaign_distributed(
-                BalanceCountPolicy, config, coordinator
-            )
+            distributed = campaign(BalanceCountPolicy, config,
+                                   coordinator_tasks(coordinator))
         assert distributed.describe() == pooled.describe()
         assert distributed.machines == config.n_machines
 
@@ -198,8 +200,9 @@ class TestSocketEquivalence:
                     [f"127.0.0.1:{server.bound_port}"]
                 )
                 try:
-                    cert = prove_work_conserving_distributed(
-                        BalanceCountPolicy(), SCOPE, coordinator
+                    cert = prove(
+                        BalanceCountPolicy(), SCOPE,
+                        coordinator_tasks(coordinator),
                     )
                 finally:
                     coordinator.close()
@@ -277,8 +280,8 @@ class TestReassignment:
             _FlakyTransport("flaky", fail_first=1),
             InProcessTransport("steady"),
         ])
-        cert = prove_work_conserving_distributed(
-            BalanceCountPolicy(), SCOPE, coordinator
+        cert = prove(
+            BalanceCountPolicy(), SCOPE, coordinator_tasks(coordinator),
         )
         assert_certificates_equal(cert, serial)
         assert coordinator.lost_workers == ["flaky"]
@@ -290,9 +293,7 @@ class TestReassignment:
             _FlakyTransport("flaky-b", fail_first=99),
         ])
         with pytest.raises(WorkerLost):
-            prove_work_conserving_distributed(
-                BalanceCountPolicy(), SCOPE, coordinator
-            )
+            prove(BalanceCountPolicy(), SCOPE, coordinator_tasks(coordinator))
 
     def test_reassignment_budget_exhaustion_raises(self):
         clients = [_FlakyTransport(f"flaky-{i}", fail_first=99)
@@ -326,8 +327,8 @@ class TestSubprocessPool:
     def test_pool_proof_matches_serial(self):
         serial = prove_work_conserving(BalanceCountPolicy(), SCOPE)
         with LocalWorkerPool(2) as coordinator:
-            cert = prove_work_conserving_distributed(
-                BalanceCountPolicy(), SCOPE, coordinator
+            cert = prove(
+                BalanceCountPolicy(), SCOPE, coordinator_tasks(coordinator),
             )
         assert_certificates_equal(cert, serial)
 
@@ -337,8 +338,9 @@ class TestSubprocessPool:
         try:
             pool.processes[0].kill()
             pool.processes[0].wait()
-            cert = prove_work_conserving_distributed(
-                BalanceCountPolicy(), SCOPE, pool.coordinator
+            cert = prove(
+                BalanceCountPolicy(), SCOPE,
+                coordinator_tasks(pool.coordinator),
             )
             assert_certificates_equal(cert, serial)
             assert len(pool.coordinator.lost_workers) == 1
@@ -515,24 +517,25 @@ class TestTopologySymmetryDistributed:
             NumaAwareChoicePolicy(topo), scope, symmetry=group,
             topology=topo,
         )
-        distributed = prove_work_conserving_distributed(
-            NumaAwareChoicePolicy(topo), scope, in_process_coordinator(2),
-            symmetry=group, topology=topo,
+        distributed = prove(
+            NumaAwareChoicePolicy(topo), scope,
+            coordinator_tasks(in_process_coordinator(2)), symmetry=group,
+            topology=topo,
         )
         assert_certificates_equal(distributed, serial)
 
     def test_hierarchical_hunt_matches_pool_engine(self):
         from repro.topology.numa import symmetric_numa
         from repro.verify.hierarchical import HierarchySpec
-        from repro.verify.parallel import analyze_parallel
 
         spec = HierarchySpec(topology=symmetric_numa(2, 2))
         scope = StateScope(n_cores=4, max_load=3)
-        pooled = analyze_parallel(None, scope, jobs=2, hierarchy=spec,
-                                  symmetry=spec.symmetry_group())
-        distributed = analyze_distributed(
-            None, scope, in_process_coordinator(2), hierarchy=spec,
-            symmetry=spec.symmetry_group(),
+        with pool_tasks(2) as tasks:
+            pooled = analyze(None, scope, tasks, hierarchy=spec,
+                             symmetry=spec.symmetry_group())
+        distributed = analyze(
+            None, scope, coordinator_tasks(in_process_coordinator(2)),
+            hierarchy=spec, symmetry=spec.symmetry_group(),
         )
         assert not distributed.violated
         assert distributed.worst_case_rounds == pooled.worst_case_rounds

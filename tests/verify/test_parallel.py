@@ -16,18 +16,17 @@ from repro.verify import (
     ModelChecker,
     PolicyReplicator,
     StateScope,
-    analyze_parallel,
     derive_campaign_seed,
     merge_campaign_reports,
     merge_graphs,
     merge_proof_results,
     prove_work_conserving,
-    prove_work_conserving_parallel,
     resolve_jobs,
     run_campaign,
-    run_campaign_parallel,
 )
 from repro.verify.campaign import CampaignReport
+from repro.verify.parallel import pool_tasks
+from repro.verify.work_conservation import analyze, campaign, prove
 from repro.verify.obligations import (
     LEMMA1,
     PROGRESS,
@@ -160,9 +159,8 @@ class TestCertificateEquivalence:
     ])
     def test_parallel_matches_serial(self, policy_cls):
         serial = prove_work_conserving(policy_cls(), SCOPE)
-        parallel = prove_work_conserving_parallel(
-            policy_cls(), SCOPE, jobs=2
-        )
+        with pool_tasks(2) as tasks:
+            parallel = prove(policy_cls(), SCOPE, tasks)
         assert parallel.proved == serial.proved
         assert parallel.exact_worst_rounds == serial.exact_worst_rounds
         assert parallel.potential_bound == serial.potential_bound
@@ -178,16 +176,16 @@ class TestCertificateEquivalence:
                 assert ours.counterexample.detail == theirs.counterexample.detail
 
     def test_jobs_one_is_the_serial_path(self):
-        cert = prove_work_conserving_parallel(BalanceCountPolicy(), SCOPE,
-                                              jobs=1)
+        with pool_tasks(1) as tasks:
+            assert tasks.n_shards == 1
+            cert = prove(BalanceCountPolicy(), SCOPE, tasks)
         assert cert.proved
 
     def test_more_shards_than_states(self):
         tiny = StateScope(n_cores=2, max_load=1)
         serial = prove_work_conserving(BalanceCountPolicy(), tiny)
-        parallel = prove_work_conserving_parallel(
-            BalanceCountPolicy(), tiny, jobs=8
-        )
+        with pool_tasks(8) as tasks:
+            parallel = prove(BalanceCountPolicy(), tiny, tasks)
         assert parallel.proved == serial.proved
         assert (parallel.report.result_for("lemma1").states_checked
                 == serial.report.result_for("lemma1").states_checked)
@@ -195,9 +193,9 @@ class TestCertificateEquivalence:
     def test_symmetric_mode_matches(self):
         serial = prove_work_conserving(BalanceCountPolicy(), SCOPE,
                                        symmetric=True)
-        parallel = prove_work_conserving_parallel(
-            BalanceCountPolicy(), SCOPE, jobs=3, symmetric=True
-        )
+        with pool_tasks(3) as tasks:
+            parallel = prove(BalanceCountPolicy(), SCOPE, tasks,
+                             symmetric=True)
         assert parallel.proved == serial.proved
         assert parallel.exact_worst_rounds == serial.exact_worst_rounds
         assert (parallel.analysis.states_explored
@@ -207,14 +205,16 @@ class TestCertificateEquivalence:
 class TestAnalyzeParallel:
     def test_violation_matches_serial(self):
         serial = ModelChecker(NaiveOverloadedPolicy()).analyze(SCOPE)
-        parallel = analyze_parallel(NaiveOverloadedPolicy(), SCOPE, jobs=2)
+        with pool_tasks(2) as tasks:
+            parallel = analyze(NaiveOverloadedPolicy(), SCOPE, tasks)
         assert parallel.violated and serial.violated
         assert parallel.lasso.cycle == serial.lasso.cycle
         assert parallel.states_explored == serial.states_explored
 
     def test_clean_policy_matches_serial(self):
         serial = ModelChecker(BalanceCountPolicy()).analyze(SCOPE)
-        parallel = analyze_parallel(BalanceCountPolicy(), SCOPE, jobs=2)
+        with pool_tasks(2) as tasks:
+            parallel = analyze(BalanceCountPolicy(), SCOPE, tasks)
         assert not parallel.violated
         assert parallel.worst_case_rounds == serial.worst_case_rounds
         assert parallel.states_explored == serial.states_explored
@@ -224,9 +224,13 @@ class TestCampaignParallel:
     CONFIG = CampaignConfig(n_machines=6, max_cores=5, max_load=4,
                             rounds_per_machine=8, seed=11)
 
+    def _campaign(self, factory, jobs):
+        with pool_tasks(jobs) as tasks:
+            return campaign(factory, self.CONFIG, tasks)
+
     def test_budget_is_conserved_and_reproducible(self):
-        first = run_campaign_parallel(BalanceCountPolicy, self.CONFIG, jobs=2)
-        second = run_campaign_parallel(BalanceCountPolicy, self.CONFIG, jobs=2)
+        first = self._campaign(BalanceCountPolicy, jobs=2)
+        second = self._campaign(BalanceCountPolicy, jobs=2)
         assert first.machines == self.CONFIG.n_machines
         assert first.rounds == (self.CONFIG.n_machines
                                 * self.CONFIG.rounds_per_machine)
@@ -234,21 +238,18 @@ class TestCampaignParallel:
         assert first.clean
 
     def test_jobs_exceeding_machines_is_clamped(self):
-        report = run_campaign_parallel(BalanceCountPolicy, self.CONFIG,
-                                       jobs=32)
+        report = self._campaign(BalanceCountPolicy, jobs=32)
         assert report.machines == self.CONFIG.n_machines
 
     def test_jobs_one_matches_plain_run_campaign(self):
         direct = run_campaign(BalanceCountPolicy, self.CONFIG)
-        routed = run_campaign_parallel(BalanceCountPolicy, self.CONFIG,
-                                       jobs=1)
+        routed = self._campaign(BalanceCountPolicy, jobs=1)
         assert routed.describe() == direct.describe()
 
     def test_unpicklable_factory_is_supported(self):
         # The CLI hands a closure; PolicyReplicator must carry it through.
-        report = run_campaign_parallel(
-            lambda: BalanceCountPolicy(margin=2), self.CONFIG, jobs=2
-        )
+        report = self._campaign(lambda: BalanceCountPolicy(margin=2),
+                                jobs=2)
         assert report.machines == self.CONFIG.n_machines
 
 
@@ -268,9 +269,9 @@ class TestTopologySymmetryParallel:
         scope = StateScope(n_cores=4, max_load=3)
         serial = prove_work_conserving(policy, scope, symmetry=group,
                                        topology=topo)
-        parallel = prove_work_conserving_parallel(
-            policy, scope, jobs=2, symmetry=group, topology=topo
-        )
+        with pool_tasks(2) as tasks:
+            parallel = prove(policy, scope, tasks, symmetry=group,
+                             topology=topo)
         assert parallel.render() == serial.render()
         assert parallel.proved
 
@@ -280,10 +281,12 @@ class TestTopologySymmetryParallel:
 
         spec = HierarchySpec(topology=symmetric_numa(2, 2))
         scope = StateScope(n_cores=4, max_load=3)
-        serial = analyze_parallel(None, scope, jobs=1, hierarchy=spec,
-                                  symmetry=spec.symmetry_group())
-        parallel = analyze_parallel(None, scope, jobs=2, hierarchy=spec,
-                                    symmetry=spec.symmetry_group())
+        analyses = {}
+        for jobs in (1, 2):
+            with pool_tasks(jobs) as tasks:
+                analyses[jobs] = analyze(None, scope, tasks, hierarchy=spec,
+                                         symmetry=spec.symmetry_group())
+        serial, parallel = analyses[1], analyses[2]
         assert not serial.violated and not parallel.violated
         assert parallel.worst_case_rounds == serial.worst_case_rounds
         assert parallel.states_explored == serial.states_explored

@@ -304,3 +304,35 @@ class TestKernelChoice:
                     policy, scope
                 ).render())
         assert reports["numpy"] == reports["off"]
+
+    @pytest.mark.parametrize("policy, proved", [
+        (BalanceCountPolicy(), True),
+        (NaiveOverloadedPolicy(), False),
+    ], ids=["balance_count", "naive"])
+    def test_policy_choice_mode_sweeps_on_the_kernel(self, policy, proved):
+        """The sweeps never consult ``choose``: under
+        ``choice_mode='policy'`` they still run on the kernel, while
+        exploration keeps the tuple executor."""
+        scope = StateScope(n_cores=3, max_load=3)
+        reports, tiers = {}, {}
+        for mode in ("numpy", "off"):
+            with kernel_env(mode):
+                TRACER.enable()
+                try:
+                    cert = prove_work_conserving(policy, scope,
+                                                 choice_mode="policy")
+                    spans = TRACER.drain()
+                finally:
+                    TRACER.disable()
+                    TRACER.drain()
+            reports[mode] = cert.render()
+            tiers[mode] = [s.args["tier"] for s in spans
+                           if s.name == "checker.sweep"]
+            assert cert.proved is proved
+        assert reports["numpy"] == reports["off"]
+        assert tiers == {"numpy": ["numpy"], "off": ["tuple"]}
+        with kernel_env("numpy"):
+            checker = CheckerConfig(policy=policy,
+                                    choice_mode="policy").build()
+            assert checker._kernel_for(StateCodec.for_scope(scope)) is None
+            assert checker.sweep_kernel(scope) is not None
