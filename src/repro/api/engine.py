@@ -20,7 +20,7 @@ every entry point — CLI, spec files, programmatic callers — picks it up
 through :func:`create_engine` without a new flag plumb-through.
 
 Engines are context managers: ``__enter__`` acquires whatever the
-backend needs (nothing, a pool per call, a worker fleet), ``__exit__``
+backend needs (nothing, a process pool, a worker fleet), ``__exit__``
 releases it. The :class:`DistributedEngine` wraps every
 :class:`~repro.core.errors.VerificationError` in an
 :class:`EngineError` prefixed ``"distributed run failed: "`` — the
@@ -29,7 +29,7 @@ exact failure surface the CLI has always presented.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager, nullcontext
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -213,25 +213,38 @@ class SerialEngine(TaskEngine):
 class PoolEngine(TaskEngine):
     """The ``--jobs N`` multiprocessing engine.
 
-    Each call owns its pool (:func:`repro.verify.parallel.pool_tasks`
-    creates and tears one down per request), so enter/exit hold no
-    state.
+    ``__enter__`` opens one process pool
+    (:func:`repro.verify.parallel.pool_tasks`), every call inside the
+    ``with`` block maps its tasks over it, and ``__exit__`` closes it:
+    a zoo forks one pool, not one per row. A call outside the block
+    gets a pool of its own.
     """
 
     def __init__(self, jobs: int) -> None:
         self.jobs = jobs
+        self._pool: ExitStack | None = None
+        self._tasks: TaskMap | None = None
 
     def describe(self) -> str:
         return f"pool[jobs={self.jobs}]"
 
     def __enter__(self) -> "PoolEngine":
+        from repro.verify.parallel import pool_tasks
+
+        with ExitStack() as stack:
+            self._tasks = stack.enter_context(pool_tasks(self.jobs))
+            self._pool = stack.pop_all()
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        return None
+        pool, self._pool, self._tasks = self._pool, None, None
+        if pool is not None:
+            pool.close()
 
     def tasks(self, on_machine: MachineCallback | None = None,
               ) -> ContextManager[TaskMap]:
+        if self._tasks is not None:
+            return nullcontext(self._tasks)
         from repro.verify.parallel import pool_tasks
 
         return pool_tasks(self.jobs)

@@ -15,7 +15,7 @@ representation the model checker enumerates.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.core.cpu import Core, CoreSnapshot
 from repro.core.errors import ConfigurationError, SchedulingInvariantError
@@ -139,11 +139,6 @@ class Machine:
         """Enqueue ``task`` on core ``cid``'s runqueue."""
         task.state = TaskState.READY
         self.cores[cid].runqueue.push(task)
-
-    def place_tasks(self, tasks: Iterable[Task], cid: int) -> None:
-        """Enqueue several tasks on core ``cid``'s runqueue."""
-        for task in tasks:
-            self.place_task(task, cid)
 
     def dispatch_all(self) -> None:
         """Have every core pick a current task from its runqueue if idle."""

@@ -208,24 +208,6 @@ class ResultStore(Protocol):
 # never persists a document it would refuse to read back.
 
 
-class TextStore(Protocol):
-    """The raw-entry-document face of a backend (what the store server
-    fronts)."""
-
-    def load_text(self, key: str) -> str | None:
-        """The raw entry document for ``key``, or ``None``."""
-        ...
-
-    def save_text(self, key: str, text: str) -> None:
-        """Validate and store one raw entry document.
-
-        Raises:
-            StoreError: ``text`` does not decode to an entry addressed
-                by ``key``.
-        """
-        ...
-
-
 # ---------------------------------------------------------------------------
 # backends
 # ---------------------------------------------------------------------------

@@ -15,20 +15,32 @@ A :class:`TransitionKernel` expands a whole frontier at once: intent
 masks for every state via one table probe, zero- and
 single-thief states handled directly, and every state with ``k >= 2``
 racing thieves expanded through lanes over its victim combinations (a
-per-state mixed-radix decomposition) with each permutation of the ``k``
+per-state mixed-radix decomposition) with each steal order of the ``k``
 thieves executed as ``k`` sequential table-indexed array steals. No
 state falls back to per-state Python; the array form
 (:meth:`TransitionKernel.expand_batch_arrays`) feeds the engines' array
-pipeline without materialising per-state lists. It replays the exact
-victim-combination x steal-order enumeration of
+pipeline without materialising per-state lists.
+
+It reaches exactly the successors of the victim-combination x
+steal-order enumeration of
 :func:`~repro.verify.transition.enumerate_round_branches`, including its
-per-combination permutation cap and truncation flag.
+per-combination permutation cap and truncation flag, but runs the steal
+orders *up to commutation* (partial-order reduction): the tables read
+only the thief's and the victim's cores, so two steals whose ``{thief,
+victim}`` core sets are disjoint commute. Two orders of a lane are
+equivalent when every interfering pair of steals runs in the same
+relative order; equivalent orders reach the same state and move the same
+amounts, and the kernel runs only the lexicographically least order of
+each class (:func:`_class_leaders`). The permutation cap keeps a
+lexicographic prefix, so the least member of every class that meets it
+lies inside it. The tuple executor stays the unreduced oracle.
 
 The kernel serves closure exploration and, on the same gates, the
 progress and good-state-closure obligations of
 :class:`~repro.verify.model_checker.ModelChecker`: ``expand_batch_arrays``
-row counts are the tuple executor's branch counts, its optional stall
-flags mark states with a branch that committed no steal, and
+optionally counts the tuple executor's branches per state (arithmetic:
+victim combinations times capped orders) and flags states with a branch
+that committed no steal, and
 :meth:`TransitionKernel.bad_mask` tests successor badness on packed
 values. A refuted obligation's witness is rebuilt by the tuple
 executor, which also still runs both obligations wherever the kernel
@@ -65,6 +77,7 @@ compare against) or the default ``numpy``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -97,43 +110,196 @@ def kernel_mode() -> str:
     return mode
 
 
-#: Prefix trees of capped thief permutations, keyed ``(k, n_orders)``.
-_PERM_TREES: dict[tuple[int, int], tuple[list[list[int]], list[list[int]]]] \
-    = {}
+def _pairs(k: int) -> list[tuple[int, int]]:
+    """The steal pairs ``(i, j)``, ``i < j``, of ``k`` thieves; pair
+    ``b`` is bit ``b`` of a lane's interference pattern."""
+    return list(itertools.combinations(range(k), 2))
 
 
-def _perm_tree(k: int,
-               n_orders: int) -> tuple[list[list[int]], list[list[int]]]:
-    """Shared-prefix tree of the first ``n_orders`` thief permutations.
+@functools.lru_cache(maxsize=None)
+def _pair_bits(k: int) -> tuple[Any, Any, Any]:
+    """:func:`_pairs` as two column arrays, plus each pair's pattern
+    bit — Python ints from 12 thieves on, whose 66 pairs outgrow
+    ``int64``."""
+    pairs = np.asarray(_pairs(k), dtype=np.int64).reshape(-1, 2)
+    bits = (np.int64(1) << np.arange(len(pairs), dtype=np.int64)
+            if len(pairs) < 63
+            else np.asarray([1 << b for b in range(len(pairs))],
+                            dtype=object))
+    return pairs[:, 0], pairs[:, 1], bits
+
+
+def _extends_least(order: list[int], a: int, neighbours: int) -> bool:
+    """Whether appending steal ``a`` keeps a least order least: every
+    steal after the last one interfering with ``a`` (bit set in
+    ``neighbours``) has a smaller column than ``a``."""
+    for b in reversed(order):
+        if neighbours >> b & 1:
+            return True
+        if b > a:
+            return False
+    return True
+
+
+def _class_leaders(k: int, n_orders: int,
+                   pattern: int) -> list[tuple[int, ...]]:
+    """The least order of every commutation class meeting the cap.
+
+    ``pattern`` sets bit ``b`` when the two steals of :func:`_pairs`
+    entry ``b`` interfere (their ``{thief, victim}`` core sets meet).
+    Two orders are equivalent when every interfering pair runs in the
+    same relative order; the least member of a class is its
+    lexicographically least order. Orders are the thief-column
+    permutations ``itertools.permutations(range(k))`` yields, capped at
+    the first ``n_orders`` — a lexicographic prefix, so the least member
+    of any class that meets the cap lies inside it.
+
+    The walk is depth-first in lexicographic order and checks the least
+    form incrementally: appending steal ``a`` keeps a least prefix least
+    iff every steal placed after the last one interfering with ``a``
+    has a smaller column than ``a``. Prefixes failing the check, or
+    whose least completion ranks past the cap, are cut where they fail.
+    """
+    neighbours = [0] * k
+    for bit, (i, j) in enumerate(_pairs(k)):
+        if pattern >> bit & 1:
+            neighbours[i] |= 1 << j
+            neighbours[j] |= 1 << i
+    place = [math.factorial(k - 1 - depth) for depth in range(k)]
+    leaders: list[tuple[int, ...]] = []
+    order: list[int] = []
+
+    def walk(rank: int, unused: list[int]) -> None:
+        depth = len(order)
+        if depth == k:
+            leaders.append(tuple(order))
+            return
+        for below, a in enumerate(unused):
+            # Lexicographic rank of the least completion of order + a.
+            child = rank + below * place[depth]
+            if child >= n_orders:
+                return
+            if not _extends_least(order, a, neighbours[a]):
+                continue
+            order.append(a)
+            walk(child, unused[:below] + unused[below + 1:])
+            order.pop()
+
+    walk(0, list(range(k)))
+    return leaders
+
+
+def _index_patterns(patterns: Any, n_pairs: int) -> tuple[Any, Any]:
+    """The distinct patterns, ascending, and each lane's index among
+    them: ``np.unique(patterns, return_inverse=True)``, through a table
+    over every pattern while one stays small (up to six thieves)."""
+    if n_pairs > 15:
+        return np.unique(patterns, return_inverse=True)
+    present = np.zeros(1 << n_pairs, dtype=bool)
+    present[patterns] = True
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[patterns]
+
+
+class _OrderTree:
+    """Shared-prefix tree of one interference pattern's class leaders.
 
     Two steal orders that agree on their first ``d`` steals produce the
     same intermediate state, so the k-thief executor walks the orders
-    as a tree instead of replaying each full permutation: depth ``d``
-    holds one node per distinct length-``d+1`` prefix. Returns
-    ``(parents, cols)`` — per depth, ``cols[d][j]`` is the thief column
-    node ``j`` steals with and ``parents[d][j]`` the index of its
-    prefix's node at depth ``d - 1`` (zeros at depth 0, where the
-    parent is the shared root state). Leaves at depth ``k - 1``
-    enumerate ``itertools.permutations(range(k))`` order, truncated to
-    ``n_orders`` — exactly the tuple executor's universe.
+    as a tree instead of replaying each full order: depth ``d`` holds
+    one node per distinct length-``d+1`` prefix of a leader. Per depth,
+    ``cols[d][j]`` is the thief column node ``j`` steals with and
+    ``parents[d][j]`` the index of its prefix's node at depth ``d - 1``
+    (zeros at depth 0, where the parent is the shared root state). Every
+    node lies on a leader, so no depth holds more nodes than ``leaves``;
+    ``size`` counts the nodes of all depths.
     """
-    cached = _PERM_TREES.get((k, n_orders))
-    if cached is not None:
-        return cached
-    perms = itertools.islice(itertools.permutations(range(k)), n_orders)
-    index: dict[tuple[int, ...], int] = {(): 0}
-    parents: list[list[int]] = [[] for _ in range(k)]
-    cols: list[list[int]] = [[] for _ in range(k)]
-    for perm in perms:
-        for depth in range(k):
-            prefix = perm[:depth + 1]
-            if prefix in index:
-                continue
-            index[prefix] = len(cols[depth])
-            parents[depth].append(index[prefix[:-1]])
-            cols[depth].append(perm[depth])
-    _PERM_TREES[(k, n_orders)] = (parents, cols)
-    return parents, cols
+
+    __slots__ = ("parents", "cols", "leaves", "size", "ranks")
+
+    def __init__(self, leaders: list[tuple[int, ...]], k: int) -> None:
+        index: dict[tuple[int, ...], int] = {(): 0}
+        parents: list[list[int]] = [[] for _ in range(k)]
+        cols: list[list[int]] = [[] for _ in range(k)]
+        for order in leaders:
+            for depth in range(k):
+                prefix = order[:depth + 1]
+                if prefix in index:
+                    continue
+                index[prefix] = len(cols[depth])
+                parents[depth].append(index[prefix[:-1]])
+                cols[depth].append(order[depth])
+        self.parents = [np.asarray(p, dtype=np.int64) for p in parents]
+        self.cols = [np.asarray(c, dtype=np.int64) for c in cols]
+        self.leaves = len(leaders)
+        self.size = len(index) - 1
+        #: Each leader's lexicographic rank among all ``k!`` orders.
+        self.ranks = np.asarray([_rank(order) for order in leaders],
+                                dtype=np.int64)
+
+
+def _rank(order: tuple[int, ...]) -> int:
+    """The lexicographic rank of a permutation of ``range(len(order))``."""
+    unused = sorted(order)
+    rank = 0
+    for depth, col in enumerate(order):
+        below = unused.index(col)
+        rank += below * math.factorial(len(order) - 1 - depth)
+        unused.pop(below)
+    return rank
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _perm_tree(k: int, n_orders: int, pattern: int) -> _OrderTree:
+    """The order tree of ``k`` thieves under one interference pattern.
+
+    Its leaves are :func:`_class_leaders` ``(k, n_orders, pattern)``, in
+    lexicographic order. A pattern where every pair interferes keeps
+    every order: the leaves are then the first ``n_orders`` of
+    ``itertools.permutations(range(k))``, the tuple executor's universe.
+    A 6x4 or 7x3 hunt meets a few hundred patterns at most; the bound
+    keeps a long-lived process from holding every pattern it ever met.
+    """
+    return _OrderTree(_class_leaders(k, n_orders, pattern), k)
+
+
+class _Forest:
+    """The order trees of the patterns one lane slice meets, flattened.
+
+    Node arrays run depth-major, then pattern, then node:
+    ``parents[base[g, d] + j]`` and ``cols[base[g, d] + j]`` describe
+    node ``j`` at depth ``d`` of pattern ``g``'s tree, which holds
+    ``counts[g, d]`` nodes at that depth and ``sizes[g]`` in all.
+    ``leaders[g, r]`` marks the capped order of rank ``r`` that leads
+    its class under pattern ``g``.
+    """
+
+    __slots__ = ("counts", "sizes", "base", "parents", "cols", "leaders")
+
+    def __init__(self, trees: list[_OrderTree], k: int,
+                 n_orders: int) -> None:
+        self.counts = np.asarray(
+            [[len(tree.cols[depth]) for depth in range(k)] for tree in trees],
+            dtype=np.int64,
+        ).reshape(len(trees), k)
+        self.sizes = self.counts.sum(axis=1)
+        flat = self.counts.T.reshape(-1)
+        self.base = (np.cumsum(flat) - flat).reshape(k, len(trees)).T
+        self.parents = np.concatenate(
+            [tree.parents[depth] for depth in range(k) for tree in trees]
+        )
+        self.cols = np.concatenate(
+            [tree.cols[depth] for depth in range(k) for tree in trees]
+        )
+        self.leaders = np.zeros((len(trees), n_orders), dtype=bool)
+        for g, tree in enumerate(trees):
+            self.leaders[g, tree.ranks] = True
+
+
+@functools.lru_cache(maxsize=1 << 10)
+def _forest(k: int, n_orders: int, codes: tuple[int, ...]) -> _Forest:
+    """The flattened order trees of the patterns ``codes``, in order."""
+    return _Forest([_perm_tree(k, n_orders, code) for code in codes], k,
+                   n_orders)
 
 
 def pair_mask_for(policy: Policy, n_cores: int) -> list[list[bool]] | None:
@@ -379,15 +545,17 @@ class TransitionKernel:
         dedup), and ``truncated[i]`` flags a capped permutation
         enumeration. Zero-thief states self-loop, single-thief states
         execute one clamped steal, and every ``k >= 2`` group runs the
-        general mixed-radix lane expansion — no per-state Python.
+        general mixed-radix lane expansion — no per-state Python — with
+        one steal order per commutation class (:meth:`_expand_multi`),
+        so ``counts[i]`` is at most the tuple executor's branch count.
 
-        ``counts[i]`` is also the number of branches the tuple executor
-        enumerates for state ``i``: one row per victim combination and
-        capped steal order, or the one no-attempt branch of a
-        zero-thief state. The progress obligation alone passes
-        ``stalls=True`` and gets a fourth array, ``stalled[i]``: some
-        branch of state ``i`` committed no steal (it has no thief, or
-        every steal of one of its rows moved nothing).
+        The progress obligation alone passes ``stalls=True`` and gets
+        two more arrays: ``stalled[i]``, some branch of state ``i``
+        committed no steal (it has no thief, or every steal of one of
+        its orders moved nothing), and ``branches[i]``, the number of
+        branches the tuple executor enumerates for state ``i`` — one
+        per victim combination and capped steal order, or the one
+        no-attempt branch of a zero-thief state.
         """
         n_states = len(packed)
         if n_states == 0:
@@ -396,7 +564,10 @@ class TransitionKernel:
                 np.empty(0, dtype=np.int64),
                 np.empty(0, dtype=bool),
             )
-            return empty + (np.empty(0, dtype=bool),) if stalls else empty
+            if stalls:
+                return empty + (np.empty(0, dtype=bool),
+                                np.empty(0, dtype=np.int64))
+            return empty
         # Decode the whole chunk: loads[s, cid].
         loads = (packed[:, None] >> self._shifts) & self._digit_mask
         running = (loads > 0).astype(np.int64)
@@ -453,43 +624,56 @@ class TransitionKernel:
         order = np.argsort(all_idx, kind="stable")
         counts = np.bincount(all_idx, minlength=n_states)
         if stalled is not None:
-            return all_vals[order], counts, truncated, stalled
+            return (all_vals[order], counts, truncated, stalled,
+                    self._branch_counts(intents, thief_counts))
         return all_vals[order], counts, truncated
 
+    def _branch_counts(self, intents: Any, thief_counts: Any) -> Any:
+        """The tuple executor's branch count per state: the product of
+        the thieves' victim counts times the capped order count (one
+        for a zero-thief state, whose product is empty)."""
+        victims = intents.sum(axis=2)
+        lanes = np.where(victims > 0, victims, 1).prod(axis=1)
+        orders = np.minimum(
+            [math.factorial(k) for k in range(victims.shape[1] + 1)],
+            self.max_orders,
+        )
+        return lanes * orders[thief_counts]
+
     def _expand_multi(self, k: int, group: Any, intents: Any,
-                            running: Any, ready: Any,
-                            stalls: bool = False,
-                            ) -> tuple[Any, Any, bool, Any]:
+                      running: Any, ready: Any,
+                      stalls: bool = False,
+                      ) -> tuple[Any, Any, bool, Any]:
         """Vectorised expansion of states with exactly ``k >= 2`` thieves.
 
         Lanes run over state x victim combination: each thief's victim
         set forms one digit of a per-state mixed-radix number (last
         thief varies fastest, matching ``itertools.product``), so a
         combination index decodes to one victim per thief with two
-        integer ops per digit. The permutations of the ``k`` thieves —
-        ascending per state, exactly the tuple executor's permutation
-        universe, capped at ``max_orders`` with the same truncation
-        flag — execute as a shared-prefix tree (:func:`_perm_tree`):
-        orders agreeing on their first ``d`` steals share one array row
-        until depth ``d``, so the work is ``sum_d k!/(k-d)!`` steals
-        per lane instead of ``k! * k``. Steals use flattened 1-D table
-        gathers, and loads are never materialised in the loop — steals
-        move only ready tasks, so ``loads = ready + running`` is
-        reconstructed at the leaves. Commuting orders produce duplicate
-        packed values, which callers dedup. State
-        slices cap the leaf rows materialised at once at
-        :data:`_ROW_CAP`.
+        integer ops per digit. The steal orders of a lane are the
+        permutations of its ``k`` thieves — ascending per state, the
+        tuple executor's permutation universe, capped at ``max_orders``
+        with the same truncation flag — *up to commutation*: the step
+        table reads only the thief's and the victim's cores, so two
+        steals whose ``{thief, victim}`` core sets are disjoint give the
+        same state, and move the same amounts, in either order. Each
+        lane runs one order per commutation class (:func:`_perm_tree`
+        of the lane's interference pattern), which reaches exactly the
+        capped list's successors and stall flags.
 
-        With ``stalls`` the walk also carries, per row, whether any
-        steal on its prefix moved a task; a leaf where none did is a
-        branch that committed no steal.
+        Each slice of lanes takes one of two walks, whichever
+        :meth:`_prunes` expects to be cheaper: every lane down its own
+        pattern's pruned tree (:meth:`_walk_orders`), or every lane down
+        the shared full tree, keeping the leaders' leaves
+        (:meth:`_walk_shared`). Both emit exactly the leaders. State
+        slices cap the lanes, and lane slices the tree rows,
+        materialised at once at :data:`_ROW_CAP`.
 
         Returns ``(state_indices, packed_values, truncated, stalled)``
         where the index array maps each produced value back to its
         source state, and ``stalled`` (``None`` unless ``stalls``)
         holds the global indices of states with a no-steal leaf.
         """
-        n = self.codec.n_cores
         m = len(group)
         sub = intents[group]
         # Exactly k thief rows per state, ascending within each row.
@@ -515,21 +699,18 @@ class TransitionKernel:
         n_orders = math.factorial(k)
         truncated = n_orders > self.max_orders
         n_orders = min(n_orders, self.max_orders)
-        tree_parents, tree_cols = _perm_tree(k, n_orders)
-        rows_per = lanes_per * n_orders
-        cum = np.cumsum(rows_per)
-        # Flat strides of the 4-D step table for 1-D gathers below.
-        dim_b, dim_c, dim_d = self._step.shape[1:]
-        step_flat = self._step.reshape(-1)
+        lane_cum = np.cumsum(lanes_per)
+        left, right, bits = _pair_bits(k)
+        full = _perm_tree(k, n_orders, (1 << len(left)) - 1)
 
         piece_idx: list[Any] = []
         piece_vals: list[Any] = []
         piece_stalled: list[Any] = []
         start = 0
         while start < m:
-            before = 0 if start == 0 else int(cum[start - 1])
+            before = 0 if start == 0 else int(lane_cum[start - 1])
             stop = int(np.searchsorted(
-                cum, before + self._ROW_CAP, side="right"
+                lane_cum, before + self._ROW_CAP, side="right"
             ))
             stop = min(max(stop, start + 1), m)
             lp = lanes_per[start:stop]
@@ -543,54 +724,39 @@ class TransitionKernel:
                     % counts[lane_state, j]
                 victims[:, j] = vic_vals[j][offs[j][lane_state] + digit]
             th = thieves[lane_state]
-            glob_l = group[lane_state]
-            run_l = running[glob_l]
-            run_f = run_l.reshape(-1)
-            lane_off = np.arange(n_lanes) * n
-            # Walk the prefix tree: at depth d, ``rdy`` holds one row
-            # per (node, lane) in node-major blocks; expanding to
-            # depth d+1 gathers each node's parent block and applies
-            # that node's single steal over all lanes at once.
-            rdy = ready[glob_l][None]
-            # committed[node, lane]: some steal on the prefix moved.
-            committed = np.zeros((1, n_lanes), dtype=bool) if stalls else None
-            for parents, node_cols in zip(tree_parents, tree_cols):
-                rdy = rdy[parents]
-                n_nodes = len(parents)
-                total = n_nodes * n_lanes
-                # Thief/victim core ids per row (node-major layout).
-                t = th[:, node_cols].T.reshape(-1)
-                v = victims[:, node_cols].T.reshape(-1)
-                rdy_f = rdy.reshape(-1)
-                base = np.arange(total) * n
-                lane_n = np.tile(lane_off, n_nodes)
-                tf = base + t
-                vf = base + v
-                qv = rdy_f[vf]
-                # Merged re-check + clamp, exactly like the tuple
-                # executor: filtered pairs and non-positive amounts
-                # both move nothing. Running counts never change —
-                # steals move ready tasks — so the run gathers index
-                # the lane-level snapshot.
-                idx = (run_f[lane_n + t] * dim_b
-                       + run_f[lane_n + v]) * dim_c
-                idx += rdy_f[tf]
-                idx *= dim_d
-                idx += qv
-                moved = np.minimum(step_flat[idx], qv)
-                np.clip(moved, 0, None, out=moved)
-                rdy_f[vf] = qv - moved
-                rdy_f[tf] += moved
-                if committed is not None:
-                    committed = committed[parents] \
-                        | (moved > 0).reshape(n_nodes, n_lanes)
-            # Leaves enumerate the capped orders; loads = ready+running.
-            piece_idx.append(np.tile(glob_l, n_orders))
-            piece_vals.append(
-                ((rdy + run_l).reshape(-1, n)) @ self._weights
-            )
-            if committed is not None:
-                piece_stalled.append(glob_l[~committed.all(axis=0)])
+            # Two steals interfere when their core sets meet.
+            cores = (np.int64(1) << th) | (np.int64(1) << victims)
+            meet = (cores[:, left] & cores[:, right]) != 0
+            codes, kinds = _index_patterns(meet @ bits, len(bits))
+            forest = _forest(k, n_orders, tuple(codes.tolist()))
+            glob = group[lane_state]
+            # Walk each lane's own tree when pruning saves more than the
+            # per-row indexing costs; else walk the shared full tree and
+            # keep the leaders' leaves.
+            pruned = forest.sizes[kinds]
+            prune = self._prunes(k, int(pruned.sum()), n_lanes * full.size)
+            # The per-pattern walk indexes the rows of every depth at
+            # once; counting each row twice keeps its peak memory near
+            # the shared walk's, which holds one depth at a time.
+            row_cum = np.cumsum(pruned * 2) if prune \
+                else np.arange(1, n_lanes + 1) * full.leaves
+            lo = 0
+            while lo < n_lanes:
+                before = 0 if lo == 0 else int(row_cum[lo - 1])
+                hi = int(np.searchsorted(
+                    row_cum, before + self._ROW_CAP, side="right"
+                ))
+                hi = min(max(hi, lo + 1), n_lanes)
+                walk = self._walk_orders if prune else self._walk_shared
+                idx, vals, stalled = walk(
+                    forest, full, kinds[lo:hi], glob[lo:hi], th[lo:hi],
+                    victims[lo:hi], running, ready, stalls,
+                )
+                piece_idx.append(idx)
+                piece_vals.append(vals)
+                if stalled is not None:
+                    piece_stalled.append(stalled)
+                lo = hi
             start = stop
         return (
             np.concatenate(piece_idx),
@@ -598,3 +764,152 @@ class TransitionKernel:
             truncated,
             np.concatenate(piece_stalled) if stalls else None,
         )
+
+    @staticmethod
+    def _prunes(k: int, pruned_rows: int, shared_rows: int) -> bool:
+        """Whether :meth:`_walk_orders` over ``pruned_rows`` beats
+        :meth:`_walk_shared` over ``shared_rows``.
+
+        The per-pattern walk indexes every row up front, so a row of it
+        costs more than a shared-tree row: measured on 4x3 to 7x3
+        scopes, about ``1 + 2/k`` times as much (twice at two thieves,
+        1.3-1.45 times at four or five).
+        """
+        return pruned_rows * (k + 2) < shared_rows * k
+
+    def _walk_shared(self, forest: _Forest, full: _OrderTree, kinds: Any,
+                     glob: Any, th: Any, victims: Any, running: Any,
+                     ready: Any, stalls: bool) -> tuple[Any, Any, Any]:
+        """Run every capped order down the full tree; keep the leaders.
+
+        At depth ``d`` ``rdy`` holds one row per (node, lane) in
+        node-major blocks: a node's rows gather its parent's block and
+        apply the node's single steal over all lanes at once. The
+        full tree's leaves are the capped orders in rank order, of which
+        each lane keeps those that lead their class under its pattern
+        (``forest.leaders[kinds]``). Returns what :meth:`_walk_orders`
+        returns.
+        """
+        n = self.codec.n_cores
+        n_lanes = len(glob)
+        run_l = running[glob]
+        run_f = run_l.reshape(-1)
+        lane_off = np.arange(n_lanes) * n
+        dim_b, dim_c, dim_d = self._step.shape[1:]
+        step_flat = self._step.reshape(-1)
+        rdy = ready[glob][None]
+        committed = np.zeros((1, n_lanes), dtype=bool) if stalls else None
+        for parents, node_cols in zip(full.parents, full.cols):
+            rdy = rdy[parents]
+            n_nodes = len(parents)
+            total = n_nodes * n_lanes
+            t = th[:, node_cols].T.reshape(-1)
+            v = victims[:, node_cols].T.reshape(-1)
+            rdy_f = rdy.reshape(-1)
+            base = np.arange(0, total * n, n)
+            lane_n = np.tile(lane_off, n_nodes)
+            tf = base + t
+            vf = base + v
+            qt = rdy_f[tf]
+            qv = rdy_f[vf]
+            idx = (run_f[lane_n + t] * dim_b + run_f[lane_n + v]) * dim_c
+            idx += qt
+            idx *= dim_d
+            idx += qv
+            moved = np.minimum(step_flat[idx], qv)
+            np.maximum(moved, 0, out=moved)
+            rdy_f[vf] = qv - moved
+            rdy_f[tf] = qt + moved
+            if committed is not None:
+                committed = committed[parents] \
+                    | (moved > 0).reshape(n_nodes, n_lanes)
+        keep = forest.leaders[kinds].T
+        leaf_glob = np.broadcast_to(glob, keep.shape)
+        values = ((rdy + run_l) @ self._weights)[keep]
+        stalled = (None if committed is None
+                   else leaf_glob[keep & ~committed])
+        return leaf_glob[keep], values, stalled
+
+    def _walk_orders(self, forest: _Forest, full: _OrderTree, kinds: Any,
+                     glob: Any, th: Any, victims: Any, running: Any,
+                     ready: Any, stalls: bool) -> tuple[Any, Any, Any]:
+        """Run every lane's steal orders down its pattern's order tree.
+
+        ``kinds[l]`` picks lane ``l``'s tree in ``forest`` (``full`` is
+        unused here). Rows run depth-major, and lane by lane inside a
+        depth: block ``(d, l)`` holds one row per node of lane ``l``'s
+        tree at depth ``d``, after a leading block of one root row per
+        lane. Every row's node, parent row, thief, victim and running
+        bits are indexed once up front, so each depth is one gather of
+        its parents' rows and one table-indexed steal over all of its
+        rows. Steals use flattened 1-D table gathers, and loads are
+        never materialised in the loop — steals move only ready tasks,
+        so ``loads = ready + running`` is reconstructed at the leaves.
+
+        With ``stalls`` the walk also carries, per row, whether any
+        steal on its prefix moved a task; a leaf where none did is a
+        branch that committed no steal.
+
+        Returns the leaves' state indices, their packed values, and
+        (``None`` unless ``stalls``) the state indices of no-steal
+        leaves.
+        """
+        n = self.codec.n_cores
+        n_lanes, k = th.shape
+        rows = np.concatenate((
+            np.ones(n_lanes, dtype=np.int64),
+            forest.counts[kinds].T.reshape(-1),
+        ))
+        first = np.cumsum(rows) - rows
+        # Per-row block attributes, (d, l) -> d*L + l among non-root
+        # blocks: that number is also the index of its parent block.
+        per_block = rows[n_lanes:]
+        ramp = np.arange(n_lanes, n_lanes + int(per_block.sum()))
+        node = np.repeat(forest.base[kinds].T.reshape(-1)
+                         - first[n_lanes:], per_block) + ramp
+        parent = np.repeat(first[:-n_lanes], per_block) \
+            + forest.parents[node]
+        cell = np.repeat(np.arange(k * n_lanes) % n_lanes * k, per_block) \
+            + forest.cols[node]
+        # Running counts never change — steals move ready tasks — so the
+        # table's running coordinates are fixed per (lane, thief).
+        dim_b, dim_c, dim_d = self._step.shape[1:]
+        run_l = running[glob]
+        run_f = run_l.reshape(-1)
+        lane_n = np.arange(0, n_lanes * n, n)[:, None]
+        pre = (run_f[lane_n + th] * dim_b + run_f[lane_n + victims]) \
+            * dim_c
+        t_all = th.reshape(-1)[cell]
+        v_all = victims.reshape(-1)[cell]
+        pre_all = pre.reshape(-1)[cell]
+        step_flat = self._step.reshape(-1)
+        # Row range of each depth, in the numbering that counts roots.
+        bounds = first[n_lanes::n_lanes].tolist() + [int(ramp[-1]) + 1]
+        rdy = ready[glob]
+        committed = np.zeros(n_lanes, dtype=bool) if stalls else None
+        above = 0
+        for depth in range(k):
+            lo, hi = bounds[depth] - n_lanes, bounds[depth + 1] - n_lanes
+            up = parent[lo:hi] - above
+            above = bounds[depth]
+            rdy = rdy.take(up, axis=0)
+            rdy_f = rdy.reshape(-1)
+            base = np.arange(0, (hi - lo) * n, n)
+            tf = base + t_all[lo:hi]
+            vf = base + v_all[lo:hi]
+            qt = rdy_f[tf]
+            qv = rdy_f[vf]
+            # Merged re-check + clamp, exactly like the tuple executor:
+            # filtered pairs and non-positive amounts both move nothing.
+            moved = np.minimum(
+                step_flat[(pre_all[lo:hi] + qt) * dim_d + qv], qv
+            )
+            np.maximum(moved, 0, out=moved)
+            rdy_f[vf] = qv - moved
+            rdy_f[tf] = qt + moved
+            if committed is not None:
+                committed = committed.take(up) | (moved > 0)
+        leaf = cell[lo:hi] // k
+        values = (rdy + run_l[leaf]) @ self._weights
+        stalled = None if committed is None else glob[leaf[~committed]]
+        return glob[leaf], values, stalled

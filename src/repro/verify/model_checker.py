@@ -420,10 +420,11 @@ class ModelChecker:
             )
             kernel_span.set(values=int(values.size))
         owner = np.repeat(np.arange(len(packed_states)), counts)
-        # Dedup raw values first: commuting steal orders produce many
-        # duplicate packed states, and canonicalising them before
-        # collapsing would pay the (comparatively pricey) per-element
-        # canonicalisation for each copy.
+        # Dedup raw values first: the kernel runs one steal order per
+        # commutation class, but distinct classes and victim
+        # combinations still reach the same packed state, and
+        # canonicalising before collapsing would pay the (comparatively
+        # pricey) per-element canonicalisation for each copy.
         with TRACER.span("checker.dedup", "checker",
                          values=int(values.size)):
             values, owner = dedup(values, owner)
@@ -747,8 +748,8 @@ class ModelChecker:
         has intents, and the first steal to execute re-checks against
         unmutated state and must succeed. ``states`` optionally restricts
         the sweep to one shard's chunk. Where :meth:`explore` runs on
-        the numpy kernel, so does this sweep: the kernel's per-state row
-        counts are the branch counts, and its stall flags mark states
+        the numpy kernel, so does this sweep: the kernel counts each
+        state's branches arithmetically, and its stall flags mark states
         with a branch that committed no steal. The first flagged state
         is replayed on the tuple executor for the counterexample and the
         index of the failing branch.
@@ -795,9 +796,10 @@ class ModelChecker:
         if not bad.size:
             return 0, None
         unique, inverse = np.unique(bad, return_inverse=True)
-        _, counts, _, stalled = kernel.expand_batch_arrays(unique,
-                                                           stalls=True)
-        branches = counts[inverse]
+        *_, stalled, branch_counts = kernel.expand_batch_arrays(
+            unique, stalls=True
+        )
+        branches = branch_counts[inverse]
         hits = np.nonzero(stalled[inverse])[0]
         if not hits.size:
             return int(branches.sum()), None

@@ -12,7 +12,8 @@ Architecture
 ------------
 
 The engine is a :class:`~repro.verify.work_conservation.TaskMap` —
-``jobs`` shards, mapped over a per-call process pool — and everything
+``jobs`` shards, mapped over a process pool that lives for a ``with``
+block (one per :class:`repro.api.PoolEngine` lifetime) — and everything
 else is shared with the other engines:
 
 1. **Chunked iteration** (:func:`repro.verify.enumeration.iter_states_chunk`)

@@ -85,8 +85,3 @@ class MixedWorkload(Workload):
     def describe(self) -> str:
         inner = " + ".join(c.describe() for c in self.components)
         return f"mixed({inner})"
-
-    def owner_name(self, task: Task) -> str | None:
-        """Which component owns ``task`` (metrics attribution)."""
-        owner = self._owner_of_task.get(task.tid)
-        return owner.name if owner is not None else None

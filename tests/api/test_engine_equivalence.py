@@ -116,3 +116,48 @@ class TestEngineEquivalence:
         )
         rendered = Session().run(request).render()
         assert rendered.startswith("no violation; exact worst-case N = 1")
+
+
+class TestPoolLifetime:
+    """A pool engine forks one process pool per ``with`` block."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Count the ``Pool(...)`` calls of the pool engine."""
+        from repro.verify import parallel
+
+        made = []
+        real_context = parallel._pool_context
+
+        class CountingContext:
+            def Pool(self, *args, **kwargs):
+                made.append(kwargs)
+                return real_context().Pool(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "_pool_context", CountingContext)
+        return made
+
+    def test_zoo_rows_share_one_pool(self, pools):
+        request = (VerificationRequest.builder("zoo")
+                   .scope(cores=2, max_load=1).build())
+        pooled = Session().run(with_engine(request, ENGINES["pool"]))
+        assert len(pools) == 1
+        serial = Session().run(request)
+        assert pooled.render() == serial.render()
+
+    def test_every_call_in_the_block_maps_over_the_entered_pool(self, pools):
+        from repro.api import PoolEngine
+        from repro.policies import BalanceCountPolicy, NaiveOverloadedPolicy
+        from repro.verify import StateScope
+
+        scope = StateScope(n_cores=3, max_load=2)
+        with PoolEngine(2) as engine:
+            proved = engine.analyze(BalanceCountPolicy(), scope)
+            refuted = engine.analyze(NaiveOverloadedPolicy(), scope)
+        assert len(pools) == 1
+        assert proved.worst_case_rounds is not None
+        assert refuted.lasso is not None
+        # Outside the block a call gets, and closes, a pool of its own.
+        again = engine.analyze(NaiveOverloadedPolicy(), scope)
+        assert len(pools) == 2
+        assert again.lasso == refuted.lasso

@@ -10,13 +10,19 @@ executor it replaces, so every test here is a differential one:
   its tuple-path ``successors()``, state by state;
 * the ``REPRO_KERNEL`` eligibility gates (mode parsing, opt-in
   declarations, bytes-form codecs);
-* the progress obligation's row counts and stall flags versus the
-  tuple executor's branches, and ``bad_mask`` versus ``is_bad_state``.
+* the progress obligation's branch counts and stall flags versus the
+  tuple executor's branches, and ``bad_mask`` versus ``is_bad_state``;
+* the steal orders the kernel keeps per commutation class versus a
+  brute-force closure under swaps of non-interfering steals, and the
+  reduced kernel versus ``REPRO_KERNEL=off`` on drawn states, tables,
+  pair masks and hierarchical intra phases.
 """
 
 import contextlib
 import io
 import itertools
+import math
+from unittest import mock
 
 import numpy
 import pytest
@@ -45,15 +51,26 @@ from repro.verify import (
     build_kernel,
     prove_work_conserving,
 )
-from repro.verify.hierarchical import HierarchicalModelChecker, HierarchySpec
+from repro.verify.hierarchical import (
+    HierarchicalModelChecker,
+    HierarchySpec,
+    IntraGroupPolicy,
+)
 from repro.verify.enumeration import is_bad_state
-from repro.verify.kernel import kernel_mode
+from repro.verify.kernel import (
+    _class_leaders,
+    _pairs,
+    _perm_tree,
+    kernel_mode,
+    pair_mask_for,
+)
 from repro.verify.obligations import ProofStatus
 from repro.verify.symmetry import TrivialGroup
 from repro.verify.transition import (
     DEFAULT_MAX_ORDERS,
     enumerate_round_branches,
 )
+from test_sweep_kernel import TablePolicy, kernel_env
 
 POLICIES = [
     BalanceCountPolicy(),
@@ -421,6 +438,17 @@ class TestManyThiefExpansion:
                             max_orders=24)
         assert_batch_matches_tuples(kernel, codec, states, 24)
 
+    @pytest.mark.parametrize("max_orders", [1, 2, 7])
+    def test_twelve_thieves_outgrow_an_int64_pattern(self, max_orders):
+        """12 thieves have 66 steal pairs: interference patterns take
+        Python ints, and the successors still match the tuples."""
+        states = [(0,) * 12 + (13,), (0,) * 11 + (1, 13)]
+        codec = StateCodec(n_cores=13, max_value=13)
+        kernel = kernel_for(BalanceCountPolicy(margin=1), codec,
+                            max_orders=max_orders)
+        assert self.thief_count(kernel, codec.encode(states[0])) == 12
+        assert_batch_matches_tuples(kernel, codec, states, max_orders)
+
     def test_expand_batch_arrays_layout(self):
         """The flat (values, counts, truncated) contract: state ``i``
         owns the run ``values[sum(counts[:i]):][:counts[i]]``, matching
@@ -444,22 +472,21 @@ class TestManyThiefExpansion:
 
 
 class TestBranchCountsAndStalls:
-    """The progress obligation's view of the kernel: per-state row
-    counts are the tuple executor's branch counts, and the stall flag
-    marks a branch that committed no steal."""
+    """The progress obligation's view of the kernel: its per-state
+    branch counts are the tuple executor's, and the stall flag marks a
+    branch that committed no steal."""
 
     @staticmethod
     def assert_rows_match_branches(kernel, codec, states, max_orders):
         packed = numpy.asarray(codec.encode_batch(states), dtype=numpy.int64)
         plain = kernel.expand_batch_arrays(packed)
-        values, counts, truncated, stalled = kernel.expand_batch_arrays(
-            packed, stalls=True
-        )
+        values, counts, truncated, stalled, branches = \
+            kernel.expand_batch_arrays(packed, stalls=True)
         assert len(plain) == 3
         assert values.tolist() == plain[0].tolist()
         assert counts.tolist() == plain[1].tolist()
         assert truncated.tolist() == plain[2].tolist()
-        for state, count, flag in zip(states, counts.tolist(),
+        for state, count, flag in zip(states, branches.tolist(),
                                       stalled.tolist()):
             enumeration = enumerate_round_branches(
                 kernel.policy, state, max_orders=max_orders
@@ -499,7 +526,7 @@ class TestBranchCountsAndStalls:
         result = kernel.expand_batch_arrays(
             numpy.empty(0, dtype=numpy.int64), stalls=True
         )
-        assert [len(part) for part in result] == [0, 0, 0, 0]
+        assert [len(part) for part in result] == [0, 0, 0, 0, 0]
 
     def test_bad_mask_matches_is_bad_state(self):
         states = list(itertools.product(range(4), repeat=4))
@@ -509,3 +536,192 @@ class TestBranchCountsAndStalls:
             numpy.asarray(codec.encode_batch(states), dtype=numpy.int64)
         )
         assert mask.tolist() == [is_bad_state(s) for s in states]
+
+
+def brute_force_leaders(k, cap, pattern):
+    """The least order of every commutation class that meets the first
+    ``cap`` permutations, with classes closed under swaps of adjacent
+    non-interfering steals."""
+    interfering = set()
+    for bit, (i, j) in enumerate(_pairs(k)):
+        if pattern >> bit & 1:
+            interfering |= {(i, j), (j, i)}
+    perms = list(itertools.permutations(range(k)))
+    rank = {perm: index for index, perm in enumerate(perms)}
+    placed = set()
+    leaders = set()
+    for perm in perms:
+        if perm in placed:
+            continue
+        members = {perm}
+        stack = [perm]
+        while stack:
+            order = stack.pop()
+            for x in range(k - 1):
+                if (order[x], order[x + 1]) in interfering:
+                    continue
+                swapped = (order[:x] + (order[x + 1], order[x])
+                           + order[x + 2:])
+                if swapped not in members:
+                    members.add(swapped)
+                    stack.append(swapped)
+        placed |= members
+        if min(rank[order] for order in members) < cap:
+            leaders.add(min(members))
+    return leaders
+
+
+def tree_orders(tree):
+    """The full steal orders at the leaves of an order tree."""
+    prefixes = [()]
+    for parents, cols in zip(tree.parents, tree.cols):
+        prefixes = [prefixes[p] + (c,)
+                    for p, c in zip(parents.tolist(), cols.tolist())]
+    return prefixes
+
+
+class TestCommutationReduction:
+    """The kernel runs one steal order per commutation class: the
+    lexicographically least member of every class that meets the capped
+    permutation prefix, and nothing else."""
+
+    @staticmethod
+    def assert_leaders(k, cap, pattern):
+        expected = brute_force_leaders(k, cap, pattern)
+        leaders = _class_leaders(k, cap, pattern)
+        assert leaders == sorted(expected), (k, cap, pattern)
+        tree = _perm_tree(k, cap, pattern)
+        assert tree_orders(tree) == leaders
+        assert tree.leaves == len(leaders)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_every_interference_graph_up_to_four_thieves(self, k):
+        for pattern in range(1 << len(_pairs(k))):
+            for cap in sorted({1, 2, 6, math.factorial(k)}):
+                self.assert_leaders(k, cap, pattern)
+
+    @given(pattern=st.integers(0, (1 << len(_pairs(5))) - 1),
+           cap=st.sampled_from([1, 2, 6, 120]))
+    @settings(max_examples=40, deadline=None)
+    def test_sampled_five_thief_graphs(self, pattern, cap):
+        self.assert_leaders(5, cap, pattern)
+
+    def test_extreme_graphs(self):
+        """All pairs interfering keeps the capped prefix itself; no pair
+        interfering leaves one order, the ascending one."""
+        for k in range(1, 7):
+            clique = (1 << len(_pairs(k))) - 1
+            for cap in (1, 7, math.factorial(k)):
+                prefix = list(itertools.islice(
+                    itertools.permutations(range(k)), cap
+                ))
+                assert _class_leaders(k, cap, clique) == prefix
+                assert _class_leaders(k, cap, 0) == [tuple(range(k))]
+
+
+@st.composite
+def reduction_cases(draw):
+    """A kernel-eligible policy, a core count, states and a cap."""
+    kind = draw(st.sampled_from(["library", "table", "scoped"]),
+                label="kind")
+    n_cores = draw(st.integers(2, 5), label="cores")
+    top_load = 3 if n_cores <= 4 else 2
+    if kind == "library":
+        policy = draw(st.sampled_from(POLICIES), label="policy")
+    elif kind == "table":
+        top = n_cores * top_load
+        cells = [(t, v) for t in range(top + 1) for v in range(top + 1)]
+        admit = draw(st.sets(st.sampled_from(cells)), label="admit")
+        amounts = draw(
+            st.dictionaries(st.sampled_from(cells), st.integers(-1, 4)),
+            label="amounts",
+        )
+        policy = TablePolicy(admit, amounts)
+    else:
+        groups = draw(st.lists(st.integers(0, 1), min_size=n_cores,
+                               max_size=n_cores), label="groups")
+        policy = IntraGroupPolicy(draw(st.sampled_from(POLICIES)), groups)
+    states = draw(st.lists(
+        st.lists(st.integers(0, top_load), min_size=n_cores,
+                 max_size=n_cores).map(tuple),
+        min_size=1, max_size=6,
+    ), label="states")
+    max_orders = draw(st.sampled_from([1, 2, 6]), label="max_orders")
+    return policy, n_cores, top_load, states, max_orders
+
+
+class TestReducedKernelMatchesKernelOff:
+    """Per state, the reduced kernel equals the tuple executor that
+    ``REPRO_KERNEL=off`` runs: successors, branch counts, stall and
+    truncation flags — whether a slice walks each lane's own order tree
+    or the shared full tree, keeping the leaders."""
+
+    @pytest.mark.parametrize("prunes", [True, False],
+                             ids=["own-trees", "shared-tree"])
+    @given(case=reduction_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_flat_rounds(self, prunes, case):
+        policy, n_cores, top_load, states, max_orders = case
+        codec = StateCodec(n_cores=n_cores, max_value=n_cores * top_load)
+        kernel = TransitionKernel(
+            policy, codec, max_orders=max_orders,
+            pair_mask=pair_mask_for(policy, n_cores),
+        )
+        assert kernel.uniform
+        packed = numpy.asarray(codec.encode_batch(states),
+                               dtype=numpy.int64)
+        with mock.patch.object(TransitionKernel, "_prunes",
+                               staticmethod(lambda *rows: prunes)):
+            values, counts, truncated, stalled, branches = \
+                kernel.expand_batch_arrays(packed, stalls=True)
+        assert len(values) == int(counts.sum())
+        cursor = 0
+        for index, state in enumerate(states):
+            reference = enumerate_round_branches(policy, state,
+                                                 max_orders=max_orders)
+            run = values[cursor:cursor + int(counts[index])].tolist()
+            cursor += int(counts[index])
+            assert {codec.decode(p) for p in run} \
+                == reference.successor_states(), state
+            assert int(counts[index]) <= len(reference.branches)
+            assert int(branches[index]) == len(reference.branches), state
+            assert bool(stalled[index]) == any(
+                not b.attempts or b.successes == 0
+                for b in reference.branches
+            ), state
+            assert bool(truncated[index]) == reference.truncated, state
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_hierarchical_intra_phase(self, data):
+        """``expand_level`` of the hierarchical checker, whose mid states
+        run the reduced kernel under an intra-group pair mask, versus its
+        successors with ``REPRO_KERNEL=off``."""
+        nodes, cores = data.draw(st.sampled_from([(2, 2), (3, 2), (2, 3)]),
+                                 label="layout")
+        max_orders = data.draw(st.sampled_from([1, 2, 6]),
+                               label="max_orders")
+        states = data.draw(st.lists(
+            st.lists(st.integers(0, 3), min_size=nodes * cores,
+                     max_size=nodes * cores).map(tuple),
+            min_size=1, max_size=4,
+        ), label="states")
+        spec = HierarchySpec(topology=symmetric_numa(nodes, cores))
+        scope = StateScope(n_cores=nodes * cores, max_load=3)
+        codec = StateCodec.for_scope(scope)
+        with kernel_env("off"):
+            oracle = HierarchicalModelChecker(spec, symmetry=TrivialGroup(),
+                                              max_orders=max_orders)
+            reference = [oracle.successors(s) for s in states]
+        with kernel_env("numpy"):
+            checker = HierarchicalModelChecker(
+                spec, symmetry=TrivialGroup(), max_orders=max_orders
+            )
+            assert checker._kernel_for(codec) is not None
+            for state, (succ, truncated) in zip(states, reference):
+                packed = codec.encode(state)
+                edges, kernel_truncated, _ = checker.expand_level(
+                    [packed], codec
+                )
+                assert {codec.decode(s) for s in edges[packed]} == succ
+                assert kernel_truncated == truncated, state
