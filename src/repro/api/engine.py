@@ -216,12 +216,15 @@ class PoolEngine(TaskEngine):
     ``__enter__`` opens one process pool
     (:func:`repro.verify.parallel.pool_tasks`), every call inside the
     ``with`` block maps its tasks over it, and ``__exit__`` closes it:
-    a zoo forks one pool, not one per row. A call outside the block
-    gets a pool of its own.
+    a zoo forks one pool, not one per row. Re-entering the engine (a
+    :class:`~repro.api.session.Session` given an entered engine enters
+    it again) reuses the open pool, which the outermost ``__exit__``
+    closes. A call outside the block gets a pool of its own.
     """
 
     def __init__(self, jobs: int) -> None:
         self.jobs = jobs
+        self._depth = 0
         self._pool: ExitStack | None = None
         self._tasks: TaskMap | None = None
 
@@ -229,14 +232,19 @@ class PoolEngine(TaskEngine):
         return f"pool[jobs={self.jobs}]"
 
     def __enter__(self) -> "PoolEngine":
-        from repro.verify.parallel import pool_tasks
+        if self._depth == 0:
+            from repro.verify.parallel import pool_tasks
 
-        with ExitStack() as stack:
-            self._tasks = stack.enter_context(pool_tasks(self.jobs))
-            self._pool = stack.pop_all()
+            with ExitStack() as stack:
+                self._tasks = stack.enter_context(pool_tasks(self.jobs))
+                self._pool = stack.pop_all()
+        self._depth += 1
         return self
 
     def __exit__(self, *exc_info: object) -> None:
+        self._depth -= 1
+        if self._depth:
+            return
         pool, self._pool, self._tasks = self._pool, None, None
         if pool is not None:
             pool.close()

@@ -189,17 +189,6 @@ def _class_leaders(k: int, n_orders: int,
     return leaders
 
 
-def _index_patterns(patterns: Any, n_pairs: int) -> tuple[Any, Any]:
-    """The distinct patterns, ascending, and each lane's index among
-    them: ``np.unique(patterns, return_inverse=True)``, through a table
-    over every pattern while one stays small (up to six thieves)."""
-    if n_pairs > 15:
-        return np.unique(patterns, return_inverse=True)
-    present = np.zeros(1 << n_pairs, dtype=bool)
-    present[patterns] = True
-    return np.flatnonzero(present), (np.cumsum(present) - 1)[patterns]
-
-
 class _OrderTree:
     """Shared-prefix tree of one interference pattern's class leaders.
 
@@ -210,11 +199,11 @@ class _OrderTree:
     ``cols[d][j]`` is the thief column node ``j`` steals with and
     ``parents[d][j]`` the index of its prefix's node at depth ``d - 1``
     (zeros at depth 0, where the parent is the shared root state). Every
-    node lies on a leader, so no depth holds more nodes than ``leaves``;
-    ``size`` counts the nodes of all depths.
+    node lies on a leader, so no depth holds more nodes than the last,
+    whose nodes are the leaders themselves.
     """
 
-    __slots__ = ("parents", "cols", "leaves", "size", "ranks")
+    __slots__ = ("parents", "cols")
 
     def __init__(self, leaders: list[tuple[int, ...]], k: int) -> None:
         index: dict[tuple[int, ...], int] = {(): 0}
@@ -230,22 +219,6 @@ class _OrderTree:
                 cols[depth].append(order[depth])
         self.parents = [np.asarray(p, dtype=np.int64) for p in parents]
         self.cols = [np.asarray(c, dtype=np.int64) for c in cols]
-        self.leaves = len(leaders)
-        self.size = len(index) - 1
-        #: Each leader's lexicographic rank among all ``k!`` orders.
-        self.ranks = np.asarray([_rank(order) for order in leaders],
-                                dtype=np.int64)
-
-
-def _rank(order: tuple[int, ...]) -> int:
-    """The lexicographic rank of a permutation of ``range(len(order))``."""
-    unused = sorted(order)
-    rank = 0
-    for depth, col in enumerate(order):
-        below = unused.index(col)
-        rank += below * math.factorial(len(order) - 1 - depth)
-        unused.pop(below)
-    return rank
 
 
 @functools.lru_cache(maxsize=1 << 12)
@@ -256,8 +229,10 @@ def _perm_tree(k: int, n_orders: int, pattern: int) -> _OrderTree:
     lexicographic order. A pattern where every pair interferes keeps
     every order: the leaves are then the first ``n_orders`` of
     ``itertools.permutations(range(k))``, the tuple executor's universe.
-    A 6x4 or 7x3 hunt meets a few hundred patterns at most; the bound
-    keeps a long-lived process from holding every pattern it ever met.
+    The five ``hunt-serial`` benchmark requests (6x4, 7x3, two numa:3x2
+    and 4x3) together build 241 trees, about 0.3 MB of node arrays; the
+    bound keeps a long-lived process from holding every pattern it ever
+    met.
     """
     return _OrderTree(_class_leaders(k, n_orders, pattern), k)
 
@@ -269,14 +244,11 @@ class _Forest:
     ``parents[base[g, d] + j]`` and ``cols[base[g, d] + j]`` describe
     node ``j`` at depth ``d`` of pattern ``g``'s tree, which holds
     ``counts[g, d]`` nodes at that depth and ``sizes[g]`` in all.
-    ``leaders[g, r]`` marks the capped order of rank ``r`` that leads
-    its class under pattern ``g``.
     """
 
-    __slots__ = ("counts", "sizes", "base", "parents", "cols", "leaders")
+    __slots__ = ("counts", "sizes", "base", "parents", "cols")
 
-    def __init__(self, trees: list[_OrderTree], k: int,
-                 n_orders: int) -> None:
+    def __init__(self, trees: list[_OrderTree], k: int) -> None:
         self.counts = np.asarray(
             [[len(tree.cols[depth]) for depth in range(k)] for tree in trees],
             dtype=np.int64,
@@ -290,16 +262,6 @@ class _Forest:
         self.cols = np.concatenate(
             [tree.cols[depth] for depth in range(k) for tree in trees]
         )
-        self.leaders = np.zeros((len(trees), n_orders), dtype=bool)
-        for g, tree in enumerate(trees):
-            self.leaders[g, tree.ranks] = True
-
-
-@functools.lru_cache(maxsize=1 << 10)
-def _forest(k: int, n_orders: int, codes: tuple[int, ...]) -> _Forest:
-    """The flattened order trees of the patterns ``codes``, in order."""
-    return _Forest([_perm_tree(k, n_orders, code) for code in codes], k,
-                   n_orders)
 
 
 def pair_mask_for(policy: Policy, n_cores: int) -> list[list[bool]] | None:
@@ -661,12 +623,8 @@ class TransitionKernel:
         of the lane's interference pattern), which reaches exactly the
         capped list's successors and stall flags.
 
-        Each slice of lanes takes one of two walks, whichever
-        :meth:`_prunes` expects to be cheaper: every lane down its own
-        pattern's pruned tree (:meth:`_walk_orders`), or every lane down
-        the shared full tree, keeping the leaders' leaves
-        (:meth:`_walk_shared`). Both emit exactly the leaders. State
-        slices cap the lanes, and lane slices the tree rows,
+        Every lane walks its own pattern's tree (:meth:`_walk_orders`).
+        State slices cap the lanes, and lane slices the tree rows,
         materialised at once at :data:`_ROW_CAP`.
 
         Returns ``(state_indices, packed_values, truncated, stalled)``
@@ -701,7 +659,6 @@ class TransitionKernel:
         n_orders = min(n_orders, self.max_orders)
         lane_cum = np.cumsum(lanes_per)
         left, right, bits = _pair_bits(k)
-        full = _perm_tree(k, n_orders, (1 << len(left)) - 1)
 
         piece_idx: list[Any] = []
         piece_vals: list[Any] = []
@@ -727,19 +684,14 @@ class TransitionKernel:
             # Two steals interfere when their core sets meet.
             cores = (np.int64(1) << th) | (np.int64(1) << victims)
             meet = (cores[:, left] & cores[:, right]) != 0
-            codes, kinds = _index_patterns(meet @ bits, len(bits))
-            forest = _forest(k, n_orders, tuple(codes.tolist()))
+            codes, kinds = np.unique(meet @ bits, return_inverse=True)
+            forest = _Forest(
+                [_perm_tree(k, n_orders, code) for code in codes.tolist()], k
+            )
             glob = group[lane_state]
-            # Walk each lane's own tree when pruning saves more than the
-            # per-row indexing costs; else walk the shared full tree and
-            # keep the leaders' leaves.
-            pruned = forest.sizes[kinds]
-            prune = self._prunes(k, int(pruned.sum()), n_lanes * full.size)
-            # The per-pattern walk indexes the rows of every depth at
-            # once; counting each row twice keeps its peak memory near
-            # the shared walk's, which holds one depth at a time.
-            row_cum = np.cumsum(pruned * 2) if prune \
-                else np.arange(1, n_lanes + 1) * full.leaves
+            # The walk indexes the rows of every depth up front, so each
+            # row counts twice against the cap.
+            row_cum = np.cumsum(forest.sizes[kinds] * 2)
             lo = 0
             while lo < n_lanes:
                 before = 0 if lo == 0 else int(row_cum[lo - 1])
@@ -747,9 +699,8 @@ class TransitionKernel:
                     row_cum, before + self._ROW_CAP, side="right"
                 ))
                 hi = min(max(hi, lo + 1), n_lanes)
-                walk = self._walk_orders if prune else self._walk_shared
-                idx, vals, stalled = walk(
-                    forest, full, kinds[lo:hi], glob[lo:hi], th[lo:hi],
+                idx, vals, stalled = self._walk_orders(
+                    forest, kinds[lo:hi], glob[lo:hi], th[lo:hi],
                     victims[lo:hi], running, ready, stalls,
                 )
                 piece_idx.append(idx)
@@ -765,86 +716,21 @@ class TransitionKernel:
             np.concatenate(piece_stalled) if stalls else None,
         )
 
-    @staticmethod
-    def _prunes(k: int, pruned_rows: int, shared_rows: int) -> bool:
-        """Whether :meth:`_walk_orders` over ``pruned_rows`` beats
-        :meth:`_walk_shared` over ``shared_rows``.
-
-        The per-pattern walk indexes every row up front, so a row of it
-        costs more than a shared-tree row: measured on 4x3 to 7x3
-        scopes, about ``1 + 2/k`` times as much (twice at two thieves,
-        1.3-1.45 times at four or five).
-        """
-        return pruned_rows * (k + 2) < shared_rows * k
-
-    def _walk_shared(self, forest: _Forest, full: _OrderTree, kinds: Any,
-                     glob: Any, th: Any, victims: Any, running: Any,
-                     ready: Any, stalls: bool) -> tuple[Any, Any, Any]:
-        """Run every capped order down the full tree; keep the leaders.
-
-        At depth ``d`` ``rdy`` holds one row per (node, lane) in
-        node-major blocks: a node's rows gather its parent's block and
-        apply the node's single steal over all lanes at once. The
-        full tree's leaves are the capped orders in rank order, of which
-        each lane keeps those that lead their class under its pattern
-        (``forest.leaders[kinds]``). Returns what :meth:`_walk_orders`
-        returns.
-        """
-        n = self.codec.n_cores
-        n_lanes = len(glob)
-        run_l = running[glob]
-        run_f = run_l.reshape(-1)
-        lane_off = np.arange(n_lanes) * n
-        dim_b, dim_c, dim_d = self._step.shape[1:]
-        step_flat = self._step.reshape(-1)
-        rdy = ready[glob][None]
-        committed = np.zeros((1, n_lanes), dtype=bool) if stalls else None
-        for parents, node_cols in zip(full.parents, full.cols):
-            rdy = rdy[parents]
-            n_nodes = len(parents)
-            total = n_nodes * n_lanes
-            t = th[:, node_cols].T.reshape(-1)
-            v = victims[:, node_cols].T.reshape(-1)
-            rdy_f = rdy.reshape(-1)
-            base = np.arange(0, total * n, n)
-            lane_n = np.tile(lane_off, n_nodes)
-            tf = base + t
-            vf = base + v
-            qt = rdy_f[tf]
-            qv = rdy_f[vf]
-            idx = (run_f[lane_n + t] * dim_b + run_f[lane_n + v]) * dim_c
-            idx += qt
-            idx *= dim_d
-            idx += qv
-            moved = np.minimum(step_flat[idx], qv)
-            np.maximum(moved, 0, out=moved)
-            rdy_f[vf] = qv - moved
-            rdy_f[tf] = qt + moved
-            if committed is not None:
-                committed = committed[parents] \
-                    | (moved > 0).reshape(n_nodes, n_lanes)
-        keep = forest.leaders[kinds].T
-        leaf_glob = np.broadcast_to(glob, keep.shape)
-        values = ((rdy + run_l) @ self._weights)[keep]
-        stalled = (None if committed is None
-                   else leaf_glob[keep & ~committed])
-        return leaf_glob[keep], values, stalled
-
-    def _walk_orders(self, forest: _Forest, full: _OrderTree, kinds: Any,
-                     glob: Any, th: Any, victims: Any, running: Any,
-                     ready: Any, stalls: bool) -> tuple[Any, Any, Any]:
+    def _walk_orders(self, forest: _Forest, kinds: Any, glob: Any,
+                     th: Any, victims: Any, running: Any, ready: Any,
+                     stalls: bool) -> tuple[Any, Any, Any]:
         """Run every lane's steal orders down its pattern's order tree.
 
-        ``kinds[l]`` picks lane ``l``'s tree in ``forest`` (``full`` is
-        unused here). Rows run depth-major, and lane by lane inside a
-        depth: block ``(d, l)`` holds one row per node of lane ``l``'s
-        tree at depth ``d``, after a leading block of one root row per
-        lane. Every row's node, parent row, thief, victim and running
-        bits are indexed once up front, so each depth is one gather of
-        its parents' rows and one table-indexed steal over all of its
-        rows. Steals use flattened 1-D table gathers, and loads are
-        never materialised in the loop — steals move only ready tasks,
-        so ``loads = ready + running`` is reconstructed at the leaves.
+        ``kinds[l]`` picks lane ``l``'s tree in ``forest``. Rows run
+        depth-major, and lane by lane inside a depth: block ``(d, l)``
+        holds one row per node of lane ``l``'s tree at depth ``d``, after
+        a leading block of one root row per lane. Every row's node,
+        parent row, thief, victim and running bits are indexed once up
+        front, so each depth is one gather of its parents' rows and one
+        table-indexed steal over all of its rows. Steals use flattened
+        1-D table gathers, and loads are never materialised in the loop
+        — steals move only ready tasks, so ``loads = ready + running``
+        is reconstructed at the leaves.
 
         With ``stalls`` the walk also carries, per row, whether any
         steal on its prefix moved a task; a leaf where none did is a

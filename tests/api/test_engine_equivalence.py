@@ -123,7 +123,7 @@ class TestPoolLifetime:
 
     @pytest.fixture
     def pools(self, monkeypatch):
-        """Count the ``Pool(...)`` calls of the pool engine."""
+        """The pools the pool engine's ``Pool(...)`` calls made."""
         from repro.verify import parallel
 
         made = []
@@ -131,8 +131,8 @@ class TestPoolLifetime:
 
         class CountingContext:
             def Pool(self, *args, **kwargs):
-                made.append(kwargs)
-                return real_context().Pool(*args, **kwargs)
+                made.append(real_context().Pool(*args, **kwargs))
+                return made[-1]
 
         monkeypatch.setattr(parallel, "_pool_context", CountingContext)
         return made
@@ -161,3 +161,23 @@ class TestPoolLifetime:
         again = engine.analyze(NaiveOverloadedPolicy(), scope)
         assert len(pools) == 2
         assert again.lasso == refuted.lasso
+
+    def test_a_session_reenters_the_open_pool(self, pools):
+        """``Session(engine=e).run`` enters ``e`` again inside the
+        caller's block: both runs map over the one pool, which closes
+        when the caller's block ends."""
+        from multiprocessing.pool import RUN
+
+        from repro.api import PoolEngine
+
+        request = (VerificationRequest.builder("hunt")
+                   .policy("naive").scope(cores=3, max_load=2).build())
+        with PoolEngine(2) as engine:
+            first = Session(engine=engine).run(request)
+            second = Session(engine=engine).run(request)
+            assert len(pools) == 1
+            assert pools[0]._state == RUN
+        assert len(pools) == 1
+        assert pools[0]._state != RUN
+        assert first.render() == second.render() \
+            == Session().run(request).render()
