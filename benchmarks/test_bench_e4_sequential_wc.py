@@ -21,8 +21,8 @@ SCOPE = StateScope(n_cores=3, max_load=3)
 
 def test_bench_e4_sequential_model_check(benchmark):
     """Time the sequential-regime analysis for Listing 1."""
-    checker = ModelChecker(BalanceCountPolicy())
-    analysis = benchmark(checker.analyze, SCOPE, True)
+    checker = ModelChecker(BalanceCountPolicy(), sequential=True)
+    analysis = benchmark(checker.analyze, SCOPE)
     assert not analysis.violated
     assert analysis.worst_case_rounds == 1
 
@@ -34,9 +34,8 @@ def test_bench_e4_sequential_verdicts(benchmark):
     def sweep():
         rows = []
         for policy_factory in (BalanceCountPolicy, NaiveOverloadedPolicy):
-            seq = ModelChecker(policy_factory()).analyze(
-                SCOPE, sequential=True
-            )
+            seq = ModelChecker(policy_factory(),
+                               sequential=True).analyze(SCOPE)
             conc = ModelChecker(policy_factory()).analyze(SCOPE)
             rows.append((policy_factory().name, seq, conc))
         return rows

@@ -21,6 +21,7 @@ from repro.metrics import render_table
 from repro.policies import BalanceCountPolicy
 from repro.sim.interleave import SeededInterleaving
 from repro.verify import ModelChecker, StateScope, potential
+from repro.verify.symmetry import FlatSymmetryGroup
 
 from conftest import record_result
 
@@ -28,9 +29,9 @@ from conftest import record_result
 def test_bench_e9_exact_worst_case(benchmark):
     """Time the 4-core exhaustive worst-case-N computation."""
     analysis = benchmark(
-        lambda: ModelChecker(BalanceCountPolicy(), symmetric=True).analyze(
-            StateScope(n_cores=4, max_load=3)
-        )
+        lambda: ModelChecker(
+            BalanceCountPolicy(), symmetry=FlatSymmetryGroup(),
+        ).analyze(StateScope(n_cores=4, max_load=3))
     )
     assert not analysis.violated
     assert analysis.worst_case_rounds == 2
@@ -54,7 +55,8 @@ def test_bench_e9_exact_series(benchmark):
         rows = []
         for n_cores, scope in SCOPES:
             analysis = ModelChecker(
-                BalanceCountPolicy(), symmetric=True, max_orders=5040,
+                BalanceCountPolicy(), symmetry=FlatSymmetryGroup(),
+                max_orders=5040,
             ).analyze(scope)
             assert not analysis.truncated
             rows.append([n_cores, analysis.worst_case_rounds,

@@ -52,7 +52,7 @@ from repro.verify.campaign import CampaignConfig, CampaignReport
 from repro.verify.enumeration import StateScope
 from repro.verify.hierarchical import HierarchySpec
 from repro.verify.model_checker import WorkConservationAnalysis
-from repro.verify.symmetry import SymmetryGroup
+from repro.verify.symmetry import SymmetryGroup, TrivialGroup
 from repro.verify.transition import DEFAULT_MAX_ORDERS
 from repro.verify.work_conservation import (
     TaskMap,
@@ -111,8 +111,7 @@ class Engine(Protocol):
     def prove(self, policy: Policy, scope: StateScope, *,
               choice_mode: str = "all",
               max_orders: int = DEFAULT_MAX_ORDERS,
-              symmetric: bool = False,
-              symmetry: SymmetryGroup | None = None,
+              symmetry: SymmetryGroup = TrivialGroup(),
               topology: NumaTopology | None = None,
               on_level: LevelCallback | None = None,
               ) -> WorkConservationCertificate:
@@ -122,9 +121,7 @@ class Engine(Protocol):
     def analyze(self, policy: Policy | None, scope: StateScope, *,
                 choice_mode: str = "all",
                 max_orders: int = DEFAULT_MAX_ORDERS,
-                symmetric: bool = False,
-                sequential: bool = False,
-                symmetry: SymmetryGroup | None = None,
+                symmetry: SymmetryGroup = TrivialGroup(),
                 topology: NumaTopology | None = None,
                 hierarchy: HierarchySpec | None = None,
                 on_level: LevelCallback | None = None,
@@ -274,6 +271,11 @@ class DistributedEngine(TaskEngine):
     connect failures, worker loss, unsound parameter combinations
     detected mid-dispatch — surfaces as :class:`EngineError` with the
     ``"distributed run failed: "`` prefix.
+
+    Like :class:`PoolEngine`, re-entering the engine (a
+    :class:`~repro.api.session.Session` given an entered engine enters
+    it again) reuses the open fleet, which the outermost ``__exit__``
+    releases.
     """
 
     def __init__(self, workers: int | None = None,
@@ -288,6 +290,7 @@ class DistributedEngine(TaskEngine):
         self._coordinator: Coordinator | None = coordinator
         self._owned_pool: LocalWorkerPool | None = None
         self._owns_coordinator = coordinator is None
+        self._depth = 0
         #: ``"level-sync"`` (barriered BFS) or ``"async"`` (barrier-free
         #: hash-partitioned exploration); see repro.verify.distributed.
         self.mode = mode
@@ -308,9 +311,18 @@ class DistributedEngine(TaskEngine):
         return f"distributed[injected coordinator{suffix}]"
 
     def __enter__(self) -> "DistributedEngine":
-        if self._coordinator is not None:  # injected, or re-entered
-            self._coordinator.on_reassign = self.on_reassign
-            return self
+        if self._depth == 0 and self._owns_coordinator:
+            self._acquire()
+        self._depth += 1
+        self.coordinator.on_reassign = self.on_reassign
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._depth -= 1
+        if not self._depth:
+            self._close()
+
+    def _acquire(self) -> None:
         from repro.verify.distributed import (
             Coordinator,
             InProcessTransport,
@@ -334,11 +346,6 @@ class DistributedEngine(TaskEngine):
         except VerificationError as exc:
             self._close()
             raise EngineError(f"distributed run failed: {exc}") from exc
-        self._coordinator.on_reassign = self.on_reassign
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._close()
 
     def _close(self) -> None:
         if not self._owns_coordinator:

@@ -38,7 +38,12 @@ from repro.core.policy import Policy
 from repro.topology.numa import NumaTopology
 from repro.verify.enumeration import StateScope
 from repro.verify.hierarchical import HierarchySpec
-from repro.verify.symmetry import SymmetryGroup
+from repro.verify.symmetry import (
+    FlatSymmetryGroup,
+    NumaSymmetryGroup,
+    SymmetryGroup,
+    TrivialGroup,
+)
 from repro.verify.transition import DEFAULT_MAX_ORDERS
 
 
@@ -345,15 +350,15 @@ class ResolvedRequest:
             and hierarchical hunts).
         scope: the finite state universe to sweep.
         topology: the parsed machine layout, when one was requested.
-        symmetry: the symmetry group quotienting exploration, when one
-            applies.
+        symmetry: the symmetry group quotienting exploration (the
+            trivial group when none applies).
         hierarchy: the hierarchical checker spec (hierarchical hunts).
     """
 
     policy: Policy | None
     scope: StateScope
     topology: NumaTopology | None
-    symmetry: SymmetryGroup | None
+    symmetry: SymmetryGroup
     hierarchy: HierarchySpec | None
 
 
@@ -377,7 +382,8 @@ class VerificationRequest:
             :data:`~repro.verify.transition.DEFAULT_MAX_ORDERS` else).
         choice_mode: ``"all"`` quantifies over every candidate choice;
             ``"policy"`` fixes the policy's own choice.
-        symmetric: legacy flat full-renaming group flag.
+        symmetric: quotient by the flat full-renaming group
+            (:meth:`resolve` turns the flag into the group).
         no_symmetry: explore the full state space even when a topology
             would quotient it.
         topology: machine layout spec string (``"numa:NxM"``,
@@ -539,13 +545,15 @@ class VerificationRequest:
         The request's symmetry group mirrors the CLI rules: a topology
         selects its automorphism group (or the hierarchy spec's domain
         group on hierarchical hunts); ``no_symmetry`` disables the
-        quotient; ``symmetric`` alone is carried separately as the
-        legacy flat-group flag.
+        quotient; ``symmetric`` (``--symmetric``) selects the flat
+        group. This is the one place the flag becomes a group: the
+        engines and the layers below them take only the group.
         """
         topology = self._parsed_topology()
         hierarchy: HierarchySpec | None = None
         policy: Policy | None = None
-        symmetry: SymmetryGroup | None = None
+        symmetry: SymmetryGroup = (FlatSymmetryGroup() if self.symmetric
+                                   else TrivialGroup())
         if self.policy is not None and self.policy.name == HIERARCHICAL:
             layout = _require_layout(topology, HIERARCHICAL)
             hierarchy = HierarchySpec(topology=layout,
@@ -555,8 +563,6 @@ class VerificationRequest:
                 symmetry = hierarchy.symmetry_group()
         else:
             if topology is not None and not self.no_symmetry:
-                from repro.verify.symmetry import NumaSymmetryGroup
-
                 symmetry = NumaSymmetryGroup(topology)
             if self.policy is not None:
                 policy = build_policy(self.policy, topology)

@@ -523,7 +523,6 @@ class Session:
                 resolved.policy, resolved.scope,
                 choice_mode=request.choice_mode,
                 max_orders=request.effective_max_orders,
-                symmetric=request.symmetric,
                 symmetry=resolved.symmetry,
                 topology=resolved.topology,
                 **self._progress_hooks(engine),
@@ -548,7 +547,6 @@ class Session:
                 resolved.policy, resolved.scope,
                 choice_mode=request.choice_mode,
                 max_orders=request.effective_max_orders,
-                symmetric=request.symmetric,
                 symmetry=resolved.symmetry,
                 topology=resolved.topology,
                 hierarchy=resolved.hierarchy,
@@ -608,7 +606,6 @@ class Session:
                     policy, resolved.scope,
                     choice_mode=request.choice_mode,
                     max_orders=request.effective_max_orders,
-                    symmetric=request.symmetric,
                     symmetry=resolved.symmetry,
                     topology=resolved.topology,
                     **self._progress_hooks(engine),

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Any, Iterator, Sequence
+from typing import Iterator, Sequence
 
 #: Default histogram buckets (seconds): tuned for request latencies
 #: from sub-millisecond warm hits to minute-long cold closures.
@@ -250,13 +250,3 @@ class MetricsRegistry:
             lines.extend(metric._render())
         return "\n".join(lines) + "\n" if lines else ""
 
-
-def collect_values(registry: MetricsRegistry) -> dict[str, Any]:
-    """A flat debugging snapshot: ``name{labels}`` -> value/sum."""
-    snapshot: dict[str, Any] = {}
-    for line in registry.render().splitlines():
-        if line.startswith("#") or not line:
-            continue
-        name, _, value = line.rpartition(" ")
-        snapshot[name] = float(value) if value != "+Inf" else value
-    return snapshot

@@ -76,7 +76,6 @@ from repro.verify.symmetry import (
     NumaSymmetryGroup,
     SymmetryGroup,
     TrivialGroup,
-    resolve_symmetry,
     symmetry_from_domains,
 )
 from repro.verify.obligations import (
@@ -256,7 +255,6 @@ __all__ = [
     "NumaSymmetryGroup",
     "SymmetryGroup",
     "TrivialGroup",
-    "resolve_symmetry",
     "symmetry_from_domains",
     "ALL_OBLIGATIONS",
     "CHOICE_IRRELEVANCE",

@@ -96,7 +96,6 @@ from repro.verify.model_checker import (
     TransitionGraph,
     closure_start,
 )
-from repro.verify.symmetry import SymmetryGroup, resolve_symmetry
 from repro.verify.tasks import (
     CheckerConfig,
     ForwardBatch,
@@ -1001,7 +1000,6 @@ class AsyncPartitionExplorer:
 
     def __init__(self, coordinator: Coordinator, config: CheckerConfig,
                  codec: StateCodec, n_partitions: int,
-                 sequential: bool = False,
                  on_expand: Callable[[int], None] | None = None,
                  on_partition_split:
                      "Callable[[int, str, str, int], None] | None" = None,
@@ -1014,7 +1012,6 @@ class AsyncPartitionExplorer:
         self.config = config
         self.codec = codec
         self.n_partitions = n_partitions
-        self.sequential = sequential
         self.on_expand = on_expand
         self.on_partition_split = on_partition_split
         self.run_id = f"async-{os.getpid()}-{next(_RUN_IDS)}"
@@ -1188,7 +1185,6 @@ class AsyncPartitionExplorer:
                                 run_id=self.run_id, partition=partition,
                                 n_partitions=self.n_partitions,
                                 batch=batch,
-                                sequential=self.sequential,
                                 trace=TRACER.enabled,
                             ),
                         ),
@@ -1353,10 +1349,8 @@ class AsyncPartitionExplorer:
 
 
 def async_closure(coordinator: Coordinator, config: CheckerConfig,
-                  initial_states, symmetric: bool,
+                  initial_states,
                   n_partitions: int | None = None,
-                  sequential: bool = False,
-                  symmetry: SymmetryGroup | None = None,
                   on_expand: Callable[[int], None] | None = None,
                   on_partition_split:
                       "Callable[[int, str, str, int], None] | None" = None,
@@ -1365,13 +1359,13 @@ def async_closure(coordinator: Coordinator, config: CheckerConfig,
 
     Same contract — canonical initial states in, decoded tuple graph
     out — with the level loop replaced by an
-    :class:`AsyncPartitionExplorer` run. The canonicalisation and codec
+    :class:`AsyncPartitionExplorer` run, quotiented by
+    ``config.symmetry``. The canonicalisation and codec
     derivation (:func:`~repro.verify.model_checker.closure_start`) and
     the final decode are the ones ``bfs_closure`` runs, so both modes
     feed byte-identical graphs to every downstream consumer.
     """
-    start = closure_start(initial_states,
-                          resolve_symmetry(symmetric, symmetry))
+    start = closure_start(initial_states, config.symmetry)
     if start is None:
         return {}, False
     codec, frontier = start
@@ -1380,7 +1374,7 @@ def async_closure(coordinator: Coordinator, config: CheckerConfig,
             1, DEFAULT_PARTITIONS_PER_WORKER * coordinator.n_workers
         )
     explorer = AsyncPartitionExplorer(
-        coordinator, config, codec, n_partitions, sequential=sequential,
+        coordinator, config, codec, n_partitions,
         on_expand=on_expand, on_partition_split=on_partition_split,
     )
     edges, truncated = explorer.run(frontier.tolist())
@@ -1431,12 +1425,10 @@ def coordinator_tasks(
     if mode == "level-sync":
         return TaskMap(coordinator.n_workers, coordinator.map)
 
-    def explore_async(config, initial_states, sequential, on_expand):
+    def explore_async(config, initial_states, on_expand):
         return async_closure(
-            coordinator, config, initial_states, config.symmetric,
-            n_partitions=partitions, sequential=sequential,
-            symmetry=config.symmetry, on_expand=on_expand,
-            on_partition_split=on_partition_split,
+            coordinator, config, initial_states, n_partitions=partitions,
+            on_expand=on_expand, on_partition_split=on_partition_split,
         )
 
     return TaskMap(coordinator.n_workers, coordinator.map, explore_async)

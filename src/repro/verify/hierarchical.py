@@ -67,6 +67,7 @@ from repro.verify.obligations import (
 from repro.verify.symmetry import (
     BlockSymmetryGroup,
     SymmetryGroup,
+    TrivialGroup,
     symmetry_from_domains,
 )
 from repro.verify.transition import (
@@ -468,7 +469,7 @@ def enumerate_hierarchical_round(
         if intra is None:
             intra = enumerate_round_branches(
                 intra_policy, mid_state, choice_mode=choice_mode,
-                sequential=False, max_orders=max_orders, nodes=nodes,
+                max_orders=max_orders, nodes=nodes,
             )
             intra_memo[mid_state] = intra
         truncated = truncated or intra.truncated
@@ -506,9 +507,8 @@ class HierarchicalModelChecker(ModelChecker):
     flat_round = False
 
     def __init__(self, spec: HierarchySpec, choice_mode: str = "all",
-                 max_orders: int = DEFAULT_MAX_ORDERS,
-                 symmetric: bool = False,
-                 symmetry: SymmetryGroup | None = None) -> None:
+                 max_orders: int = DEFAULT_MAX_ORDERS, *,
+                 symmetry: SymmetryGroup = TrivialGroup()) -> None:
         self.spec = spec
         self.group_policy: Policy = BalanceCountPolicy(
             margin=spec.group_margin
@@ -522,8 +522,7 @@ class HierarchicalModelChecker(ModelChecker):
         scoped = IntraGroupPolicy(intra_base, core_to_group)
         super().__init__(
             scoped, choice_mode=choice_mode, max_orders=max_orders,
-            symmetric=symmetric, symmetry=symmetry,
-            topology=spec.topology,
+            symmetry=symmetry, topology=spec.topology,
         )
         self._check_group_preservation(core_to_group)
         self.policy.name = (
@@ -543,7 +542,7 @@ class HierarchicalModelChecker(ModelChecker):
         ] = {}
 
     def _expand_fresh(self, packed_states: Sequence[PackedState],
-                      codec: StateCodec, sequential: bool,
+                      codec: StateCodec,
                       ) -> tuple[list[tuple[frozenset[PackedState], bool]], Any]:
         """Packed hierarchical expansion: shared inter, kernel intra.
 
@@ -557,8 +556,8 @@ class HierarchicalModelChecker(ModelChecker):
         is ``None``: the closure loop collects successors from the
         frozensets.
         """
-        if sequential or self._kernel_for(codec) is None:
-            return super()._expand_fresh(packed_states, codec, sequential)
+        if self._kernel_for(codec) is None:
+            return super()._expand_fresh(packed_states, codec)
         memo = self._intra_packed_memo.setdefault(codec, {})
         rounds: list[tuple[set[LoadState], bool]] = []
         missing: set[LoadState] = set()
@@ -572,9 +571,7 @@ class HierarchicalModelChecker(ModelChecker):
             missing |= mids - memo.keys()
         if missing:
             batch = list(missing)
-            fresh, _ = super()._expand_fresh(
-                codec.encode_batch(batch), codec, sequential
-            )
+            fresh, _ = super()._expand_fresh(codec.encode_batch(batch), codec)
             memo.update(zip(batch, fresh))
         out: list[tuple[frozenset[PackedState], bool]] = []
         for mids, truncated in rounds:
@@ -592,7 +589,8 @@ class HierarchicalModelChecker(ModelChecker):
         belongs to (the scoped intra filter, the inter-group phase), so
         a sound quotient may only swap cores *within* one balancing
         group, or swap *entire* balancing groups — the flat ``S_n``
-        group (the legacy ``symmetric=True`` flag) merges states across
+        group (:class:`~repro.verify.symmetry.FlatSymmetryGroup`) merges
+        states across
         groups and silently changes verdicts.
 
         Raises:
@@ -625,18 +623,8 @@ class HierarchicalModelChecker(ModelChecker):
                     " unsound"
                 )
 
-    def _enumerate_round(self, state: LoadState,
-                         sequential: bool) -> BranchEnumeration:
-        """Every resolution of one hierarchical round from ``state``.
-
-        Raises:
-            VerificationError: ``sequential=True`` — hierarchical rounds
-                have no §4.2 fresh-snapshot regime.
-        """
-        if sequential:
-            raise VerificationError(
-                "hierarchical rounds have no sequential (§4.2) regime"
-            )
+    def _enumerate_round(self, state: LoadState) -> BranchEnumeration:
+        """Every resolution of one hierarchical round from ``state``."""
         return enumerate_hierarchical_round(
             self.group_policy, self.policy, self.groups,
             self._group_nodes, state,
@@ -648,8 +636,7 @@ class HierarchicalModelChecker(ModelChecker):
 
 def build_checker(policy: Policy | None, choice_mode: str = "all",
                   max_orders: int = DEFAULT_MAX_ORDERS,
-                  symmetric: bool = False,
-                  symmetry: SymmetryGroup | None = None,
+                  symmetry: SymmetryGroup = TrivialGroup(),
                   topology: NumaTopology | None = None,
                   hierarchy: HierarchySpec | None = None) -> ModelChecker:
     """The one checker factory every engine builds through.
@@ -663,7 +650,7 @@ def build_checker(policy: Policy | None, choice_mode: str = "all",
     if hierarchy is not None:
         return HierarchicalModelChecker(
             hierarchy, choice_mode=choice_mode, max_orders=max_orders,
-            symmetric=symmetric, symmetry=symmetry,
+            symmetry=symmetry,
         )
     if policy is None:
         raise VerificationError(
@@ -671,5 +658,5 @@ def build_checker(policy: Policy | None, choice_mode: str = "all",
         )
     return ModelChecker(
         policy, choice_mode=choice_mode, max_orders=max_orders,
-        symmetric=symmetric, symmetry=symmetry, topology=topology,
+        symmetry=symmetry, topology=topology,
     )

@@ -89,7 +89,7 @@ from repro.core.cpu import CoreSnapshot
 from repro.core.errors import VerificationError
 from repro.core.policy import Policy
 from repro.core.task import NICE_0_WEIGHT
-from repro.verify.encoding import PackedState, StateCodec
+from repro.verify.encoding import StateCodec
 from repro.verify.transition import DEFAULT_MAX_ORDERS
 
 #: Environment toggle for the kernel tier.
@@ -473,28 +473,6 @@ class TransitionKernel:
     #: Peak rows (state x victim-combination x permutation) materialised
     #: at once by the k-thief expansion; larger groups run in slices.
     _ROW_CAP = 1 << 17
-
-    def expand_batch(
-        self, packed_states: Sequence[PackedState],
-    ) -> list[tuple[list[PackedState], bool]]:
-        """Raw packed successors of every state in a frontier chunk.
-
-        Returns one ``(successors, truncated)`` pair per input state, in
-        input order; successor lists may contain duplicates (callers
-        canonicalise and dedup). Rides :meth:`expand_batch_arrays` and
-        slices its flat result.
-        """
-        values, counts, truncated = self.expand_batch_arrays(
-            np.asarray(packed_states, dtype=np.int64)
-        )
-        flat = values.tolist()
-        flags = truncated.tolist()
-        out: list[tuple[list[PackedState], bool]] = []
-        cursor = 0
-        for index, count in enumerate(counts.tolist()):
-            out.append((flat[cursor:cursor + count], flags[index]))
-            cursor += count
-        return out
 
     def expand_batch_arrays(self, packed: Any,
                             stalls: bool = False) -> tuple[Any, ...]:

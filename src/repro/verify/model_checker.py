@@ -39,7 +39,7 @@ from repro.verify.enumeration import (
     is_bad_state,
 )
 from repro.verify.kernel import TransitionKernel, build_kernel
-from repro.verify.symmetry import SymmetryGroup, resolve_symmetry
+from repro.verify.symmetry import SymmetryGroup, TrivialGroup
 from repro.verify.obligations import (
     GOOD_STATE_CLOSURE,
     PROGRESS,
@@ -153,6 +153,10 @@ class ModelChecker:
             (default — matches the ∀ in the definition); ``'policy'``
             fixes the policy's own deterministic choice.
         max_orders: cap on steal-order permutations per round.
+        sequential: check the §4.2 regime (each steal sees fresh loads)
+            instead of the §4.3 stale-snapshot round. The transition
+            kernel models only the latter, so a sequential checker runs
+            every round on the tuple executor.
         symmetry: the :class:`~repro.verify.symmetry.SymmetryGroup`
             whose orbits the checker quotients by. Any group whose
             elements the transition relation cannot observe is sound:
@@ -162,8 +166,6 @@ class ModelChecker:
             disables reduction. Under ``choice_mode='policy'`` the
             choice's tie-breaks must be equivariant too — enforced via
             :attr:`~repro.core.policy.Policy.choice_invariance`.
-        symmetric: legacy boolean; ``True`` selects the flat group when
-            no explicit ``symmetry`` is given.
         topology: optional machine layout; when given, snapshot views
             carry real node ids so topology-aware policies see the
             machine they were written for (defaults to the symmetry
@@ -176,16 +178,15 @@ class ModelChecker:
     flat_round = True
 
     def __init__(self, policy: Policy, choice_mode: str = "all",
-                 max_orders: int = DEFAULT_MAX_ORDERS,
-                 symmetric: bool = False,
-                 symmetry: SymmetryGroup | None = None,
+                 max_orders: int = DEFAULT_MAX_ORDERS, *,
+                 sequential: bool = False,
+                 symmetry: SymmetryGroup = TrivialGroup(),
                  topology: NumaTopology | None = None) -> None:
         self.policy = policy
         self.choice_mode = choice_mode
         self.max_orders = max_orders
-        self.symmetry = resolve_symmetry(symmetric=symmetric,
-                                         symmetry=symmetry)
-        self.symmetric = not self.symmetry.is_trivial
+        self.sequential = sequential
+        self.symmetry = symmetry
         self.topology = topology
         if choice_mode == "policy" and not self.symmetry.is_trivial:
             self._check_choice_equivariance(policy)
@@ -194,20 +195,19 @@ class ModelChecker:
             else self.symmetry.core_nodes
         )
         self._successor_cache: dict[
-            tuple[LoadState, bool], tuple[frozenset[LoadState], bool]
+            LoadState, tuple[frozenset[LoadState], bool]
         ] = {}
-        self._branch_cache: dict[tuple[LoadState, bool],
-                                 BranchEnumeration] = {}
+        self._branch_cache: dict[LoadState, BranchEnumeration] = {}
         self._kernel_cache: dict[
             tuple[StateCodec, tuple[int, ...] | None, str],
             TransitionKernel | None,
         ] = {}
-        # Keyed per (codec, sequential) with a plain packed-state inner
-        # dict: frontier states hash one machine int each instead of a
-        # three-element tuple, and a fresh run skips per-state lookups
-        # entirely (the empty inner dict short-circuits).
+        # Keyed per codec with a plain packed-state inner dict: frontier
+        # states hash one machine int each instead of a tuple, and a
+        # fresh run skips per-state lookups entirely (the empty inner
+        # dict short-circuits).
         self._packed_successor_cache: dict[
-            tuple[StateCodec, bool],
+            StateCodec,
             dict[PackedState, tuple[frozenset[PackedState], bool]],
         ] = {}
 
@@ -256,17 +256,17 @@ class ModelChecker:
             return state
         return self.symmetry.canonicalize(state)
 
-    def branches(self, state: LoadState,
-                 sequential: bool = False) -> BranchEnumeration:
+    def branches(self, state: LoadState) -> BranchEnumeration:
         """Round-branch enumeration of ``state``, memoized per checker.
 
-        The memo is keyed on the state as given — under ``symmetric=True``
-        every caller canonicalises first, so the key *is* the canonical
-        state and permutation-equivalent states share one entry. Within a
-        parallel shard (each worker owns one checker) this is the
-        "memoize round-branch transitions" layer: ``analyze``,
-        ``check_progress`` and ``successors`` all hit the same cache
-        instead of re-enumerating the branching structure per obligation.
+        The memo is keyed on the state as given — under a non-trivial
+        symmetry group every caller canonicalises first, so the key *is*
+        the canonical state and permutation-equivalent states share one
+        entry. Within a parallel shard (each worker owns one checker)
+        this is the "memoize round-branch transitions" layer:
+        ``analyze``, ``check_progress`` and ``successors`` all hit the
+        same cache instead of re-enumerating the branching structure per
+        obligation.
 
         Only *bad* states are retained, so the memo stays bounded by the
         bad region instead of the whole reachable closure. On the tuple
@@ -275,16 +275,14 @@ class ModelChecker:
         the transition kernel serves the obligations, this method runs
         only to rebuild a refuted obligation's witness.
         """
-        key = (state, sequential)
-        cached = self._branch_cache.get(key)
+        cached = self._branch_cache.get(state)
         if cached is None:
-            cached = self._enumerate_round(state, sequential)
+            cached = self._enumerate_round(state)
             if is_bad_state(state):
-                self._branch_cache[key] = cached
+                self._branch_cache[state] = cached
         return cached
 
-    def _enumerate_round(self, state: LoadState,
-                         sequential: bool) -> BranchEnumeration:
+    def _enumerate_round(self, state: LoadState) -> BranchEnumeration:
         """Every resolution of one round from ``state``, unmemoised.
 
         The one hook a checker with a different round model overrides
@@ -294,24 +292,23 @@ class ModelChecker:
         return enumerate_round_branches(
             self.policy, state,
             choice_mode=self.choice_mode,
-            sequential=sequential,
+            sequential=self.sequential,
             max_orders=self.max_orders,
             nodes=self._nodes,
         )
 
     def successors(self, state: LoadState,
-                   sequential: bool = False) -> tuple[frozenset[LoadState], bool]:
+                   ) -> tuple[frozenset[LoadState], bool]:
         """Distinct (canonicalised) successor states and truncation flag."""
-        key = (state, sequential)
-        cached = self._successor_cache.get(key)
+        cached = self._successor_cache.get(state)
         if cached is not None:
             return cached
-        enumeration = self.branches(state, sequential=sequential)
+        enumeration = self.branches(state)
         result = (
             frozenset(self._canon(s) for s in enumeration.successor_states()),
             enumeration.truncated,
         )
-        self._successor_cache[key] = result
+        self._successor_cache[state] = result
         return result
 
     # ------------------------------------------------------------------
@@ -326,8 +323,12 @@ class ModelChecker:
         its tables are probed with every core at node 0 instead of at the
         checker's node ids, and it is built for ``choice_mode='all'``
         whatever the checker's mode. Without a topology under
-        ``choice_mode='all'`` both are the same kernel.
+        ``choice_mode='all'`` both are the same kernel. A sequential
+        checker's rounds have no kernel; its sweeps' kernel checks
+        single steals, which do not depend on the round model.
         """
+        if self.sequential and not sweeps:
+            return None
         key = (codec, None if sweeps else self._nodes,
                "all" if sweeps else self.choice_mode)
         kernel = self._kernel_cache.get(key, _KERNEL_UNSET)
@@ -358,17 +359,8 @@ class ModelChecker:
             return None
         return self._kernel_for(StateCodec.for_scope(scope), sweeps=True)
 
-    def _packed_memo(self, codec: StateCodec, sequential: bool,
-                     ) -> dict[PackedState, tuple[frozenset[PackedState], bool]]:
-        """The per-``(codec, sequential)`` successor memo sub-dict."""
-        key = (codec, sequential)
-        memo = self._packed_successor_cache.get(key)
-        if memo is None:
-            memo = self._packed_successor_cache[key] = {}
-        return memo
-
     def _expand_fresh(self, packed_states: Sequence[PackedState],
-                      codec: StateCodec, sequential: bool,
+                      codec: StateCodec,
                       ) -> tuple[list[tuple[frozenset[PackedState], bool]], Any]:
         """Uncached packed successors of a chunk, in input order.
 
@@ -385,16 +377,14 @@ class ModelChecker:
         the closure loop build the next frontier with array merges
         instead of per-state set unions.
         """
-        kernel = None if sequential else self._kernel_for(codec)
+        kernel = self._kernel_for(codec)
         group = self.symmetry
         if kernel is None:
             out: list[tuple[frozenset[PackedState], bool]] = []
             with TRACER.span("checker.expand", "checker", tier="tuple",
                              states=len(packed_states)):
                 for packed in packed_states:
-                    succ, truncated = self.successors(
-                        codec.decode(packed), sequential=sequential
-                    )
+                    succ, truncated = self.successors(codec.decode(packed))
                     out.append((
                         frozenset(codec.encode(s) for s in succ),
                         truncated,
@@ -448,7 +438,7 @@ class ModelChecker:
         return entries, values
 
     def expand_level(self, packed_states: Sequence[PackedState],
-                     codec: StateCodec, sequential: bool = False,
+                     codec: StateCodec,
                      ) -> tuple[PackedGraph, bool, Any]:
         """Packed successors of a frontier chunk, memoized per checker.
 
@@ -464,14 +454,14 @@ class ModelChecker:
         one ``np.unique`` + merge instead of per-state set unions; the
         edge dict is unchanged and remains the wire/store form.
         """
-        memo = self._packed_memo(codec, sequential)
+        memo = self._packed_successor_cache.setdefault(codec, {})
         if memo:
             misses = [p for p in packed_states if p not in memo]
         else:
             misses = list(packed_states)
         flat: Any = None
         if misses:
-            fresh, flat = self._expand_fresh(misses, codec, sequential)
+            fresh, flat = self._expand_fresh(misses, codec)
             memo.update(zip(misses, fresh))
         edges: PackedGraph = {}
         truncated = False
@@ -490,7 +480,6 @@ class ModelChecker:
     # ------------------------------------------------------------------
 
     def explore(self, initial_states: Iterable[LoadState],
-                sequential: bool = False,
                 on_expand: Callable[[int], None] | None = None,
                 ) -> tuple[TransitionGraph, bool]:
         """Reachable closure of ``initial_states`` as a transition graph.
@@ -518,19 +507,17 @@ class ModelChecker:
         events. Pure observer; it cannot influence exploration.
         """
         def map_expand(codec: StateCodec, chunks: list[list[PackedState]],
-                       seq: bool) -> list[tuple[PackedGraph, bool, Any]]:
-            return [self.expand_level(chunk, codec, sequential=seq)
-                    for chunk in chunks]
+                       ) -> list[tuple[PackedGraph, bool, Any]]:
+            return [self.expand_level(chunk, codec) for chunk in chunks]
 
         return bfs_closure(
-            map_expand, 1, initial_states, self.symmetric,
-            sequential=sequential, symmetry=self.symmetry,
+            map_expand, 1, initial_states, self.symmetry,
             on_level=None if on_expand is None
             else cumulative_levels(on_expand),
         )
 
     def analyze_graph(self, scope: StateScope, edges: TransitionGraph,
-                      truncated: bool, sequential: bool = False,
+                      truncated: bool,
                       elapsed_s: float = 0.0) -> WorkConservationAnalysis:
         """Run the graph algorithms over an explored transition graph.
 
@@ -549,7 +536,7 @@ class ModelChecker:
         return WorkConservationAnalysis(
             policy_name=self.policy.name,
             scope=scope.describe(),
-            sequential=sequential,
+            sequential=self.sequential,
             violated=lasso is not None,
             lasso=lasso,
             worst_case_rounds=worst,
@@ -560,7 +547,6 @@ class ModelChecker:
         )
 
     def analyze(self, scope: StateScope,
-                sequential: bool = False,
                 initial_states: Iterable[LoadState] | None = None,
                 on_expand: Callable[[int], None] | None = None,
                 ) -> WorkConservationAnalysis:
@@ -576,12 +562,9 @@ class ModelChecker:
         with timed_check() as timer:
             if initial_states is None:
                 initial_states = self.symmetry.iter_representatives(scope)
-            edges, truncated = self.explore(
-                initial_states, sequential=sequential, on_expand=on_expand
-            )
-            analysis = self.analyze_graph(
-                scope, edges, truncated, sequential=sequential
-            )
+            edges, truncated = self.explore(initial_states,
+                                            on_expand=on_expand)
+            analysis = self.analyze_graph(scope, edges, truncated)
         analysis.elapsed_s = timer.elapsed
         return analysis
 
@@ -846,9 +829,7 @@ def closure_start(initial_states: Iterable[LoadState],
 
 def bfs_closure(map_expand: Callable, n_shards: int,
                 initial_states: Iterable[LoadState],
-                symmetric: bool,
-                sequential: bool = False,
-                symmetry: SymmetryGroup | None = None,
+                symmetry: SymmetryGroup,
                 on_level: "Callable[[int, int, int], None] | None" = None,
                 ) -> tuple[TransitionGraph, bool]:
     """Level-synchronous BFS over the reachable closure, engine-agnostic.
@@ -862,7 +843,7 @@ def bfs_closure(map_expand: Callable, n_shards: int,
     *packed* states (:mod:`repro.verify.encoding`; ``int64``, or
     ``object`` for bytes-form codecs). Each level, the frontier is
     striped round-robin into ``n_shards`` chunks and handed to
-    ``map_expand(codec, chunks, sequential)``, which must return one
+    ``map_expand(codec, chunks)``, which must return one
     packed ``(edges, truncated)`` pair per chunk (a pool maps them onto
     worker processes; a coordinator ships them to remote workers as one
     batched frontier-exchange round per level). A result may carry a
@@ -882,8 +863,7 @@ def bfs_closure(map_expand: Callable, n_shards: int,
     progress events (:func:`cumulative_levels` adapts it to a running
     count). The callback cannot influence exploration.
     """
-    start = closure_start(initial_states,
-                          resolve_symmetry(symmetric, symmetry))
+    start = closure_start(initial_states, symmetry)
     if start is None:
         return {}, False
     codec, frontier = start
@@ -898,9 +878,8 @@ def bfs_closure(map_expand: Callable, n_shards: int,
         successors: list[Any] = []
         with TRACER.span("closure.level", "closure", level=level,
                          frontier=len(states), chunks=len(chunks)):
-            for shard_edges, shard_truncated, *flat in map_expand(
-                codec, chunks, sequential
-            ):
+            for shard_edges, shard_truncated, *flat in map_expand(codec,
+                                                                  chunks):
                 edges.update(shard_edges)
                 truncated = truncated or shard_truncated
                 successors.append(_packed_array(

@@ -16,6 +16,7 @@ from typing import Sequence
 from repro.core.policy import Policy
 from repro.metrics.stats import render_table
 from repro.verify.enumeration import StateScope
+from repro.verify.symmetry import SymmetryGroup, TrivialGroup
 from repro.verify.work_conservation import (
     WorkConservationCertificate,
     prove_work_conserving,
@@ -90,7 +91,7 @@ class ZooReport:
 def verify_zoo(policies: Sequence[Policy], scope: StateScope,
                choice_mode: str = "all",
                max_orders: int = 720,
-               symmetry=None,
+               symmetry: SymmetryGroup = TrivialGroup(),
                topology=None) -> ZooReport:
     """Run the full pipeline for every policy, serially, and assemble
     the matrix.

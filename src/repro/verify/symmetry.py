@@ -12,8 +12,8 @@ got no reduction at all.
 This module makes the group a first-class, pluggable object:
 
 * :class:`TrivialGroup` — no reduction; every state is its own orbit.
-* :class:`FlatSymmetryGroup` — full core renaming (``S_n``), the old
-  ``symmetric=True`` behaviour bit for bit.
+* :class:`FlatSymmetryGroup` — full core renaming (``S_n``), what the
+  ``--symmetric`` flag selects.
 * :class:`BlockSymmetryGroup` — the general *blocks × block classes*
   group: cores are partitioned into blocks (NUMA nodes, leaf sched
   domains); cores may be swapped freely **within** a block, and whole
@@ -259,10 +259,9 @@ class FlatSymmetryGroup(SymmetryGroup):
     """Arbitrary core renaming (the full symmetric group ``S_n``).
 
     The strongest group — sound for topology-free, load-only policies —
-    and bit-identical to the legacy ``symmetric=True`` flag: the
-    canonical form is the descending sort
-    (:func:`~repro.verify.enumeration.canonical`) and representative
-    enumeration is
+    and what the ``--symmetric`` flag selects: the canonical form is
+    the descending sort (:func:`~repro.verify.enumeration.canonical`)
+    and representative enumeration is
     :func:`~repro.verify.enumeration.iter_canonical_states`.
     """
 
@@ -730,16 +729,3 @@ def symmetry_from_domains(root: SchedDomain,
         n_cores, blocks, classes,
         name=name or f"domain-sym({root.name})",
     )
-
-
-def resolve_symmetry(symmetric: bool = False,
-                     symmetry: SymmetryGroup | None = None) -> SymmetryGroup:
-    """Resolve the legacy boolean flag and the group argument.
-
-    ``symmetry`` wins when given; otherwise ``symmetric=True`` selects
-    the flat group (the old hardcoded behaviour) and ``False`` the
-    trivial group.
-    """
-    if symmetry is not None:
-        return symmetry
-    return FlatSymmetryGroup() if symmetric else TrivialGroup()

@@ -61,7 +61,7 @@ from repro.verify.obligations import (
     timed_check,
 )
 from repro.verify.potential import check_potential_decrease, sweep_potential
-from repro.verify.symmetry import SymmetryGroup
+from repro.verify.symmetry import SymmetryGroup, TrivialGroup
 from repro.verify.transition import DEFAULT_MAX_ORDERS
 from repro.verify.wire import WireProtocolError
 
@@ -96,8 +96,7 @@ class CheckerConfig:
             checking, where ``hierarchy`` defines the round).
         choice_mode: forwarded to the model checker.
         max_orders: forwarded to the model checker.
-        symmetric: legacy flat-group flag, forwarded to the checker.
-        symmetry: explicit symmetry group (overrides ``symmetric``).
+        symmetry: the symmetry group the checker quotients by.
         topology: machine layout for node-aware snapshot views.
         hierarchy: when given, the checker is a
             :class:`~repro.verify.hierarchical.HierarchicalModelChecker`
@@ -107,8 +106,7 @@ class CheckerConfig:
     policy: Policy | None
     choice_mode: str = "all"
     max_orders: int = DEFAULT_MAX_ORDERS
-    symmetric: bool = False
-    symmetry: SymmetryGroup | None = None
+    symmetry: SymmetryGroup = TrivialGroup()
     topology: NumaTopology | None = None
     hierarchy: HierarchySpec | None = None
 
@@ -128,8 +126,8 @@ class CheckerConfig:
         """
         return build_checker(
             self.policy, choice_mode=self.choice_mode,
-            max_orders=self.max_orders, symmetric=self.symmetric,
-            symmetry=self.symmetry, topology=self.topology,
+            max_orders=self.max_orders, symmetry=self.symmetry,
+            topology=self.topology,
             hierarchy=self.hierarchy,
         )
 
@@ -219,14 +217,12 @@ class ExpandTask:
         codec: the closure's :class:`~repro.verify.encoding.StateCodec`.
         packed: the chunk of never-before-expanded frontier states,
             packed under ``codec``.
-        sequential: §4.2 regime flag.
         trace: ship worker spans back (see :class:`SweepTask`).
     """
 
     config: CheckerConfig
     codec: StateCodec
     packed: tuple[PackedState, ...] = ()
-    sequential: bool = False
     trace: bool = False
 
 
@@ -265,7 +261,6 @@ class PartitionExpandTask:
         n_partitions: the run's fixed partition count (the hash
             modulus; fixed at run start, never renegotiated).
         batch: never-before-routed states of ``partition``, packed.
-        sequential: §4.2 regime flag.
         trace: ship worker spans back (see :class:`SweepTask`).
     """
 
@@ -275,7 +270,6 @@ class PartitionExpandTask:
     partition: int
     n_partitions: int
     batch: tuple[PackedState, ...] = ()
-    sequential: bool = False
     trace: bool = False
 
 
@@ -658,7 +652,7 @@ class WorkerRuntime:
             return self._liveness(task.spec)
         if isinstance(task, ExpandTask):
             return self.checker_for(task.config).expand_level(
-                task.packed, task.codec, sequential=task.sequential
+                task.packed, task.codec
             )
         if isinstance(task, PartitionExpandTask):
             return self._expand_partition(task, emit)
@@ -719,7 +713,7 @@ class WorkerRuntime:
             chunk = tuple(sorted(pending))
             visited.update(chunk)
             chunk_edges, chunk_truncated, flat = checker.expand_level(
-                chunk, codec, sequential=task.sequential
+                chunk, codec
             )
             truncated = truncated or chunk_truncated
             edges.update(chunk_edges)

@@ -66,7 +66,11 @@ from repro.core.errors import VerificationError
 #: ``ShardSpec`` carries a ``CheckerConfig`` instead of repeating its
 #: fields, and ``ExpandTask`` lost its tuple-form ``states`` (its
 #: ``codec`` is required).
-WIRE_VERSION = 6
+#: v7: the round model is fixed per checker — ``ExpandTask`` and
+#: ``PartitionExpandTask`` lost their ``sequential`` flag, and
+#: ``CheckerConfig`` lost ``symmetric`` (its ``symmetry`` is always a
+#: group).
+WIRE_VERSION = 7
 
 #: Format byte for pickle-encoded envelopes (arbitrary Python payloads).
 FORMAT_PICKLE = b"P"

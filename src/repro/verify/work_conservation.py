@@ -65,7 +65,7 @@ from repro.verify.obligations import (
     ProofStatus,
     timed_check,
 )
-from repro.verify.symmetry import SymmetryGroup, resolve_symmetry
+from repro.verify.symmetry import SymmetryGroup, TrivialGroup
 from repro.verify.tasks import (
     CampaignTask,
     CheckerConfig,
@@ -89,9 +89,9 @@ SWEEP_OBLIGATION_KEYS = (
     "potential_decrease",
 )
 
-#: ``closure(config, initial_states, sequential, on_expand)`` — a
-#: map's own exploration of the reachable closure, decoded.
-Closure = Callable[[CheckerConfig, Iterable[LoadState], bool,
+#: ``closure(config, initial_states, on_expand)`` — a map's own
+#: exploration of the reachable closure, decoded.
+Closure = Callable[[CheckerConfig, Iterable[LoadState],
                     "Callable[[int], None] | None"],
                    tuple[TransitionGraph, bool]]
 
@@ -183,7 +183,7 @@ def local_tasks(emit: Callable[..., None] | None = None) -> TaskMap:
 
 def prove(policy: Policy, scope: StateScope, tasks: TaskMap, *,
           choice_mode: str = "all", max_orders: int = DEFAULT_MAX_ORDERS,
-          symmetric: bool = False, symmetry: SymmetryGroup | None = None,
+          symmetry: SymmetryGroup = TrivialGroup(),
           topology: NumaTopology | None = None,
           on_level: Callable[[int, int, int], None] | None = None,
           on_expand: Callable[[int], None] | None = None,
@@ -199,8 +199,8 @@ def prove(policy: Policy, scope: StateScope, tasks: TaskMap, *,
     async closure reports only that way).
     """
     config = CheckerConfig(policy=policy, choice_mode=choice_mode,
-                           max_orders=max_orders, symmetric=symmetric,
-                           symmetry=symmetry, topology=topology)
+                           max_orders=max_orders, symmetry=symmetry,
+                           topology=topology)
     # Built before any dispatch so an unsound parameter combination
     # fails with the checker's one-line error, not a worker traceback.
     checker = config.build()
@@ -210,16 +210,14 @@ def prove(policy: Policy, scope: StateScope, tasks: TaskMap, *,
                               for spec in specs])
     live_shards = tasks.map([LivenessTask(spec=spec, trace=trace)
                              for spec in specs])
-    analysis = _analyze(checker, config, scope, tasks, False,
-                        on_level, on_expand)
+    analysis = _analyze(checker, config, scope, tasks, on_level, on_expand)
     return assemble_certificate(policy, sweep_shards, live_shards, analysis,
-                                symmetric=symmetric, symmetry=symmetry)
+                                symmetry=symmetry)
 
 
 def analyze(policy: Policy | None, scope: StateScope, tasks: TaskMap, *,
             choice_mode: str = "all", max_orders: int = DEFAULT_MAX_ORDERS,
-            symmetric: bool = False, sequential: bool = False,
-            symmetry: SymmetryGroup | None = None,
+            symmetry: SymmetryGroup = TrivialGroup(),
             topology: NumaTopology | None = None,
             hierarchy: HierarchySpec | None = None,
             on_level: Callable[[int, int, int], None] | None = None,
@@ -233,43 +231,37 @@ def analyze(policy: Policy | None, scope: StateScope, tasks: TaskMap, *,
     two-level hierarchical round instead (``policy`` is then ignored).
     """
     config = CheckerConfig(policy=policy, choice_mode=choice_mode,
-                           max_orders=max_orders, symmetric=symmetric,
-                           symmetry=symmetry, topology=topology,
-                           hierarchy=hierarchy)
-    return _analyze(config.build(), config, scope, tasks, sequential,
-                    on_level, on_expand)
+                           max_orders=max_orders, symmetry=symmetry,
+                           topology=topology, hierarchy=hierarchy)
+    return _analyze(config.build(), config, scope, tasks, on_level,
+                    on_expand)
 
 
 def _analyze(checker: ModelChecker, config: CheckerConfig,
-             scope: StateScope, tasks: TaskMap, sequential: bool,
+             scope: StateScope, tasks: TaskMap,
              on_level: Callable[[int, int, int], None] | None,
              on_expand: Callable[[int], None] | None,
              ) -> WorkConservationAnalysis:
     """Explore the scope's closure on ``tasks`` and analyse the graph."""
     with timed_check() as timer:
-        initial = resolve_symmetry(config.symmetric, config.symmetry) \
-            .iter_representatives(scope)
+        initial = config.symmetry.iter_representatives(scope)
         if tasks.closure is not None:
-            edges, truncated = tasks.closure(config, initial, sequential,
-                                             on_expand)
+            edges, truncated = tasks.closure(config, initial, on_expand)
         else:
-            def map_expand(codec, chunks, seq):
+            def map_expand(codec, chunks):
                 return tasks.map([
                     ExpandTask(config=config, codec=codec,
-                               packed=tuple(chunk), sequential=seq,
-                               trace=TRACER.enabled)
+                               packed=tuple(chunk), trace=TRACER.enabled)
                     for chunk in chunks
                 ])
 
             if on_expand is not None:
                 on_level = cumulative_levels(on_expand)
             edges, truncated = bfs_closure(
-                map_expand, tasks.n_shards, initial, config.symmetric,
-                sequential=sequential, symmetry=config.symmetry,
+                map_expand, tasks.n_shards, initial, config.symmetry,
                 on_level=on_level,
             )
-        analysis = checker.analyze_graph(scope, edges, truncated,
-                                         sequential=sequential)
+        analysis = checker.analyze_graph(scope, edges, truncated)
     analysis.elapsed_s = timer.elapsed
     return analysis
 
@@ -290,8 +282,7 @@ def campaign(policy_factory: Callable[[], Policy], config: CampaignConfig,
 def prove_work_conserving(policy: Policy, scope: StateScope,
                           choice_mode: str = "all",
                           max_orders: int = 720,
-                          symmetric: bool = False,
-                          symmetry: SymmetryGroup | None = None,
+                          symmetry: SymmetryGroup = TrivialGroup(),
                           topology: NumaTopology | None = None,
                           ) -> WorkConservationCertificate:
     """Run the full §4 pipeline for ``policy`` at ``scope``, serially.
@@ -302,19 +293,18 @@ def prove_work_conserving(policy: Policy, scope: StateScope,
         choice_mode: ``'all'`` (default) quantifies over every candidate
             choice; ``'policy'`` fixes the policy's deterministic choice.
         max_orders: cap on racing-steal permutations per round.
-        symmetric: exploit full core-renaming symmetry (sound for
-            load-only policies) — legacy flag for the flat group.
-        symmetry: explicit :class:`~repro.verify.symmetry.SymmetryGroup`
-            to quotient the liveness sweeps and closure exploration by
-            (overrides ``symmetric``).
+        symmetry: the :class:`~repro.verify.symmetry.SymmetryGroup` to
+            quotient the liveness sweeps and closure exploration by
+            (:class:`~repro.verify.symmetry.FlatSymmetryGroup` is full
+            core renaming, sound for load-only policies).
         topology: machine layout for node-aware snapshot views.
 
     Returns:
         The assembled :class:`WorkConservationCertificate`.
     """
     return prove(policy, scope, local_tasks(), choice_mode=choice_mode,
-                 max_orders=max_orders, symmetric=symmetric,
-                 symmetry=symmetry, topology=topology)
+                 max_orders=max_orders, symmetry=symmetry,
+                 topology=topology)
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +443,7 @@ def assemble_certificate(
     sweep_shards: list[SweepShardResult],
     live_shards: list[LivenessShardResult],
     analysis: WorkConservationAnalysis,
-    symmetric: bool = False,
-    symmetry: SymmetryGroup | None = None,
+    symmetry: SymmetryGroup = TrivialGroup(),
 ) -> WorkConservationCertificate:
     """Merge per-shard results into the full §4 certificate.
 
@@ -465,7 +454,6 @@ def assemble_certificate(
     shard-local ``min_decrease``/``max_potential`` extrema — no second
     global sweep.
     """
-    group = resolve_symmetry(symmetric, symmetry)
     report = ProofReport(policy_name=policy.name)
     for key in SWEEP_OBLIGATION_KEYS:
         report.add(merge_proof_results(
@@ -473,11 +461,11 @@ def assemble_certificate(
         ))
     report.add(merge_proof_results(
         [shard.progress for shard in live_shards],
-        order_key=group.serial_order_key,
+        order_key=symmetry.serial_order_key,
     ))
     report.add(merge_proof_results(
         [shard.closure for shard in live_shards],
-        order_key=group.serial_order_key,
+        order_key=symmetry.serial_order_key,
     ))
     report.add(analysis.to_proof_result())
 

@@ -181,3 +181,33 @@ class TestPoolLifetime:
         assert pools[0]._state != RUN
         assert first.render() == second.render() \
             == Session().run(request).render()
+
+
+class TestDistributedLifetime:
+    """A distributed engine acquires one worker fleet per ``with``
+    block, however often sessions re-enter it."""
+
+    def test_a_session_reenters_the_open_fleet(self, monkeypatch):
+        from repro.api import DistributedEngine
+        from repro.verify.distributed import Coordinator
+
+        made = []
+        real_init = Coordinator.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Coordinator, "__init__", counting_init)
+        request = (VerificationRequest.builder("hunt")
+                   .policy("naive").scope(cores=3, max_load=2).build())
+        with DistributedEngine(workers=2, in_process=True) as engine:
+            first = Session(engine=engine).run(request)
+            second = Session(engine=engine).run(request)
+            assert len(made) == 1
+            assert engine.coordinator is made[0]
+        assert len(made) == 1
+        with pytest.raises(Exception, match="not open"):
+            engine.coordinator
+        assert first.render() == second.render() \
+            == Session().run(request).render()

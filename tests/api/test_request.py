@@ -217,13 +217,21 @@ class TestResolution:
         resolved = request.resolve()
         assert resolved.scope.n_cores == 6
         assert resolved.topology is not None
-        assert resolved.symmetry is not None  # the NUMA quotient
+        assert not resolved.symmetry.is_trivial  # the NUMA quotient
 
     def test_no_symmetry_disables_the_quotient(self):
         request = (VerificationRequest.builder("prove")
                    .policy("numa_choice").topology("numa:2x2")
                    .no_symmetry().build())
-        assert request.resolve().symmetry is None
+        assert request.resolve().symmetry.is_trivial
+
+    def test_symmetric_resolves_to_the_flat_group(self):
+        from repro.verify.symmetry import FlatSymmetryGroup
+
+        builder = VerificationRequest.builder("hunt").policy("naive")
+        assert builder.build().resolve().symmetry.is_trivial
+        flat = builder.symmetric().build().resolve().symmetry
+        assert flat == FlatSymmetryGroup()
 
     def test_hierarchical_hunt_resolves_a_hierarchy(self):
         request = (VerificationRequest.builder("hunt")
@@ -232,7 +240,7 @@ class TestResolution:
         resolved = request.resolve()
         assert resolved.hierarchy is not None
         assert resolved.policy is None
-        assert resolved.symmetry is not None
+        assert not resolved.symmetry.is_trivial
 
     def test_campaign_topology_caps_machine_size(self):
         request = (VerificationRequest.builder("campaign")

@@ -6,11 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    MetricsRegistry,
-    collect_values,
-)
+from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry
 
 
 class TestCounters:
@@ -135,8 +131,3 @@ class TestPrometheusExposition:
         ]
         assert counts == sorted(counts)
         assert counts[-1] == len(values)
-
-    def test_collect_values_snapshot(self):
-        registry = MetricsRegistry()
-        registry.counter("c_total", "help").inc(2)
-        assert collect_values(registry)["c_total"] == 2.0

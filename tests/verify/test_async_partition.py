@@ -136,18 +136,17 @@ def _closure_config(policy) -> CheckerConfig:
     return CheckerConfig(policy=policy)
 
 
-def _level_sync_graph(coordinator, config, initial, symmetric=False):
-    def map_expand(codec, chunks, sequential):
+def _level_sync_graph(coordinator, config, initial):
+    def map_expand(codec, chunks):
         from repro.verify.tasks import ExpandTask
 
         return coordinator.map([
-            ExpandTask(config=config, codec=codec, packed=tuple(chunk),
-                       sequential=sequential)
+            ExpandTask(config=config, codec=codec, packed=tuple(chunk))
             for chunk in chunks
         ])
 
     return bfs_closure(map_expand, coordinator.n_workers, initial,
-                       symmetric=symmetric)
+                       config.symmetry)
 
 
 class TestClosureEquivalence:
@@ -164,7 +163,7 @@ class TestClosureEquivalence:
         )
         graph_async, trunc_async = async_closure(
             in_process_coordinator(n_workers), config, initial,
-            symmetric=False, n_partitions=n_partitions,
+            n_partitions=n_partitions,
         )
         serial_graph, serial_trunc = checker.explore(initial)
         assert graph_async == graph_sync == serial_graph
@@ -175,7 +174,7 @@ class TestClosureEquivalence:
         policy = BalanceCountPolicy()
         graph, _ = async_closure(
             coordinator, _closure_config(policy),
-            list(iter_states(SCOPE)), symmetric=False,
+            list(iter_states(SCOPE)),
         )
         assert graph  # defaulted to 4 partitions/worker and completed
         assert DEFAULT_PARTITIONS_PER_WORKER * 3 == 12
@@ -183,7 +182,7 @@ class TestClosureEquivalence:
     def test_empty_initial_states_short_circuit(self):
         graph, truncated = async_closure(
             in_process_coordinator(1),
-            _closure_config(BalanceCountPolicy()), [], symmetric=False,
+            _closure_config(BalanceCountPolicy()), [],
         )
         assert graph == {} and truncated is False
 
@@ -194,8 +193,7 @@ class TestClosureEquivalence:
         counts = []
         async_closure(
             in_process_coordinator(2), _closure_config(policy),
-            list(iter_states(SCOPE)), symmetric=False,
-            on_expand=counts.append,
+            list(iter_states(SCOPE)), on_expand=counts.append,
         )
         assert counts == sorted(counts)
         assert counts[-1] == len(serial_graph)

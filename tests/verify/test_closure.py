@@ -54,10 +54,8 @@ def reference_closure(checker, initial):
 def pool_like(checker):
     """A ``map_expand`` that returns ``(edges, truncated)`` pairs only,
     like the pool and the level-sync distributed engine."""
-    def map_expand(codec, chunks, sequential):
-        return [checker.expand_level(chunk, codec,
-                                     sequential=sequential)[:2]
-                for chunk in chunks]
+    def map_expand(codec, chunks):
+        return [checker.expand_level(chunk, codec)[:2] for chunk in chunks]
     return map_expand
 
 
@@ -105,7 +103,7 @@ class TestMatchesReference:
         calls: list[tuple[int, int, int]] = []
         got = bfs_closure(
             pool_like(ModelChecker(policy, symmetry=group)), n_shards,
-            initial, False, symmetry=group,
+            initial, group,
             on_level=lambda *args: calls.append(args),
         )
         assert got == (edges, truncated)
@@ -133,13 +131,14 @@ class TestBytesForm:
     def test_matches_reference(self, n_shards):
         def checker():
             return ModelChecker(BalanceCountPolicy(), max_orders=2,
-                                symmetric=True)
+                                symmetry=FlatSymmetryGroup())
 
         edges, truncated, levels = reference_closure(checker(), self.INITIAL)
         assert len(levels) > 1
         calls: list[tuple[int, int, int]] = []
         got = bfs_closure(pool_like(checker()), n_shards, self.INITIAL,
-                          True, on_level=lambda *args: calls.append(args))
+                          FlatSymmetryGroup(),
+                          on_level=lambda *args: calls.append(args))
         assert got == (edges, truncated)
         assert calls == levels
         assert checker().explore(self.INITIAL) == (edges, truncated)

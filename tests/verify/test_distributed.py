@@ -32,6 +32,7 @@ from repro.verify import (
 )
 from repro.verify.distributed import connect_workers, coordinator_tasks
 from repro.verify.encoding import StateCodec
+from repro.verify.symmetry import FlatSymmetryGroup
 from repro.verify.tasks import (
     CheckerConfig,
     ExpandTask,
@@ -128,10 +129,11 @@ class TestInProcessEquivalence:
 
     def test_symmetric_mode_matches(self):
         serial = prove_work_conserving(BalanceCountPolicy(), SCOPE,
-                                       symmetric=True)
+                                       symmetry=FlatSymmetryGroup())
         distributed = prove(
             BalanceCountPolicy(), SCOPE,
-            coordinator_tasks(in_process_coordinator(3)), symmetric=True,
+            coordinator_tasks(in_process_coordinator(3)),
+            symmetry=FlatSymmetryGroup(),
         )
         assert_certificates_equal(distributed, serial)
 
@@ -395,7 +397,8 @@ class TestWorkerRuntime:
             CheckerConfig(policy=BalanceCountPolicy()), (0, 1, 2),
         ))
         runtime.execute(_expand_task(
-            CheckerConfig(policy=BalanceCountPolicy(), symmetric=True),
+            CheckerConfig(policy=BalanceCountPolicy(),
+                          symmetry=FlatSymmetryGroup()),
             (2, 1, 0),
         ))
         assert len(runtime._checkers) == 2

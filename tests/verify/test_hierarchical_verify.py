@@ -7,6 +7,7 @@ from repro.policies import BalanceCountPolicy
 from repro.policies.hierarchical import HierarchicalBalancer, ScopedPolicy
 from repro.verify import StateScope, analyze_hierarchical
 from repro.verify.hierarchical import HierarchicalAnalysis
+from repro.verify.symmetry import FlatSymmetryGroup
 
 
 class TestHierarchicalLiveness:
@@ -154,15 +155,6 @@ class TestAdversarialHierarchicalChecker:
         assert checker.check_progress(scope).ok
         assert checker.check_good_state_closure(scope).ok
 
-    def test_sequential_regime_rejected(self):
-        from repro.core.errors import VerificationError
-        from repro.verify.hierarchical import HierarchicalModelChecker
-
-        with pytest.raises(VerificationError):
-            HierarchicalModelChecker(self._spec()).branches(
-                (0, 1, 1, 2), sequential=True
-            )
-
     def test_build_checker_dispatch(self):
         from repro.core.errors import VerificationError
         from repro.policies import BalanceCountPolicy
@@ -191,14 +183,15 @@ class TestAdversarialHierarchicalChecker:
         assert not scoped.can_steal(idle, other_group)
 
     def test_flat_group_rejected_as_partition_breaking(self):
-        """symmetric=True (flat S_n) merges states across balancing
+        """The flat S_n group merges states across balancing
         groups the scoped filter distinguishes — it silently changed
         verdicts (e.g. intra_margin=3 at 2x2) and must be refused."""
         from repro.core.errors import VerificationError
         from repro.verify.hierarchical import HierarchicalModelChecker
 
         with pytest.raises(VerificationError, match="partition"):
-            HierarchicalModelChecker(self._spec(), symmetric=True)
+            HierarchicalModelChecker(self._spec(),
+                                     symmetry=FlatSymmetryGroup())
 
     def test_partial_group_block_swaps_rejected(self):
         from repro.core.errors import VerificationError

@@ -87,8 +87,19 @@ def kernel_for(policy, codec, max_orders=5040):
     return TransitionKernel(policy, codec, max_orders=max_orders)
 
 
+def expand_runs(kernel, packed):
+    """``expand_batch_arrays`` split by ``counts``: one
+    ``(successors, truncated)`` pair per input state, in input order."""
+    values, counts, truncated = kernel.expand_batch_arrays(
+        numpy.asarray(packed, dtype=numpy.int64)
+    )
+    runs = numpy.split(values, numpy.cumsum(counts)[:-1])
+    return [(run.tolist(), flag)
+            for run, flag in zip(runs, truncated.tolist())]
+
+
 def assert_batch_matches_tuples(kernel, codec, states, max_orders):
-    batch = kernel.expand_batch(codec.encode_batch(states))
+    batch = expand_runs(kernel, codec.encode_batch(states))
     for state, (succ, truncated) in zip(states, batch):
         reference = enumerate_round_branches(
             kernel.policy, state, max_orders=max_orders
@@ -340,7 +351,7 @@ class TestEligibilityGates:
         if kernel is None:
             return
         states = list(itertools.product(range(3), repeat=n_cores))
-        batch = kernel.expand_batch(codec.encode_batch(states))
+        batch = expand_runs(kernel, codec.encode_batch(states))
         for state, (succ, truncated) in zip(states, batch):
             reference = enumerate_round_branches(policy, state, nodes=nodes)
             assert {codec.decode(p) for p in succ} \
@@ -451,7 +462,7 @@ class TestManyThiefExpansion:
     def test_expand_batch_arrays_layout(self):
         """The flat (values, counts, truncated) contract: state ``i``
         owns the run ``values[sum(counts[:i]):][:counts[i]]``, matching
-        ``expand_batch`` exactly."""
+        the expansion of state ``i`` alone exactly."""
         codec = StateCodec(n_cores=6, max_value=20)
         kernel = kernel_for(BalanceCountPolicy(), codec)
         packed = codec.encode_batch(self.MANY_THIEF_STATES)
@@ -461,10 +472,9 @@ class TestManyThiefExpansion:
         assert len(values) == int(counts.sum())
         flat = values.tolist()
         cursor = 0
-        for (succ, trunc), count, tflag in zip(
-            kernel.expand_batch(packed), counts.tolist(),
-            truncated.tolist(),
-        ):
+        for state, count, tflag in zip(packed, counts.tolist(),
+                                       truncated.tolist()):
+            [(succ, trunc)] = expand_runs(kernel, [state])
             assert flat[cursor:cursor + count] == succ
             assert trunc == tflag
             cursor += count

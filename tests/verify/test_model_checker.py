@@ -8,6 +8,7 @@ from repro.policies import (
     NaiveOverloadedPolicy,
 )
 from repro.policies.naive import GreedyReadyPolicy
+from repro.verify.symmetry import FlatSymmetryGroup
 from repro.verify import (
     ModelChecker,
     StateScope,
@@ -96,7 +97,8 @@ class TestProvenPolicies:
         """The contention series continues: at 5 cores three idle cores
         can lose successive races, so N = 3 (symmetry-reduced sweep)."""
         analysis = ModelChecker(
-            BalanceCountPolicy(), symmetric=True, max_orders=5040,
+            BalanceCountPolicy(), symmetry=FlatSymmetryGroup(),
+            max_orders=5040,
         ).analyze(StateScope(n_cores=5, max_load=3))
         assert not analysis.violated
         assert not analysis.truncated
@@ -136,15 +138,17 @@ class TestRegimes:
     def test_sequential_analysis_converges_for_naive_policy(self):
         """§4.2 vs §4.3: the naive filter is fine without concurrency —
         sequential rounds always fix the imbalance."""
-        analysis = ModelChecker(NaiveOverloadedPolicy()).analyze(
-            StateScope(n_cores=3, max_load=2), sequential=True
+        analysis = ModelChecker(NaiveOverloadedPolicy(),
+                                sequential=True).analyze(
+            StateScope(n_cores=3, max_load=2)
         )
         assert not analysis.violated
         assert analysis.worst_case_rounds is not None
 
     def test_sequential_never_slower_than_needed(self):
-        analysis = ModelChecker(BalanceCountPolicy()).analyze(
-            StateScope(n_cores=3, max_load=3), sequential=True
+        analysis = ModelChecker(BalanceCountPolicy(),
+                                sequential=True).analyze(
+            StateScope(n_cores=3, max_load=3)
         )
         assert analysis.worst_case_rounds == 1
 
@@ -182,16 +186,15 @@ class TestSymmetryReduction:
     def test_symmetric_mode_agrees_with_full_mode(self):
         scope = StateScope(n_cores=3, max_load=3)
         full = ModelChecker(BalanceCountPolicy()).analyze(scope)
-        sym = ModelChecker(BalanceCountPolicy(), symmetric=True).analyze(
-            scope
-        )
+        sym = ModelChecker(BalanceCountPolicy(),
+                           symmetry=FlatSymmetryGroup()).analyze(scope)
         assert full.violated == sym.violated
         assert full.worst_case_rounds == sym.worst_case_rounds
         assert sym.states_explored < full.states_explored
 
     def test_symmetric_mode_finds_the_pingpong_too(self):
         analysis = ModelChecker(NaiveOverloadedPolicy(),
-                                symmetric=True).analyze(
+                                symmetry=FlatSymmetryGroup()).analyze(
             StateScope(n_cores=3, max_load=2)
         )
         assert analysis.violated

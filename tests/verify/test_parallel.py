@@ -25,6 +25,7 @@ from repro.verify import (
     run_campaign,
 )
 from repro.verify.campaign import CampaignReport
+from repro.verify.symmetry import FlatSymmetryGroup
 from repro.verify.parallel import pool_tasks
 from repro.verify.work_conservation import analyze, campaign, prove
 from repro.verify.obligations import (
@@ -75,8 +76,6 @@ class TestMergeProofResults:
         assert merged.counterexample.state == (0, 2, 2)
 
     def test_descending_order_for_canonical_sweeps(self):
-        from repro.verify.symmetry import FlatSymmetryGroup
-
         merged = merge_proof_results(
             [_result(state=(1, 0)), _result(state=(2, 0))],
             order_key=FlatSymmetryGroup().serial_order_key,
@@ -192,10 +191,10 @@ class TestCertificateEquivalence:
 
     def test_symmetric_mode_matches(self):
         serial = prove_work_conserving(BalanceCountPolicy(), SCOPE,
-                                       symmetric=True)
+                                       symmetry=FlatSymmetryGroup())
         with pool_tasks(3) as tasks:
             parallel = prove(BalanceCountPolicy(), SCOPE, tasks,
-                             symmetric=True)
+                             symmetry=FlatSymmetryGroup())
         assert parallel.proved == serial.proved
         assert parallel.exact_worst_rounds == serial.exact_worst_rounds
         assert (parallel.analysis.states_explored

@@ -32,7 +32,6 @@ from repro.verify.symmetry import (
     NumaSymmetryGroup,
     SymmetryGroup,
     TrivialGroup,
-    resolve_symmetry,
     symmetry_from_domains,
 )
 
@@ -185,12 +184,6 @@ class TestFlatGroupCompatibility:
         for state in iter_states(StateScope(n_cores=3, max_load=3)):
             assert group.canonicalize(state) == canonical(state)
 
-    def test_resolve_symmetry(self):
-        assert resolve_symmetry(False, None).is_trivial
-        assert isinstance(resolve_symmetry(True, None), FlatSymmetryGroup)
-        explicit = NumaSymmetryGroup(symmetric_numa(2, 2))
-        assert resolve_symmetry(True, explicit) is explicit
-
     def test_trivial_group_is_identity(self):
         group = TrivialGroup()
         scope = StateScope(n_cores=3, max_load=2)
@@ -280,7 +273,7 @@ class TestChoiceEquivarianceGuard:
 
         with pytest.raises(VerificationError, match="stateful"):
             ModelChecker(RandomStealPolicy(seed=0), choice_mode="policy",
-                         symmetric=True)
+                         symmetry=FlatSymmetryGroup())
 
     def test_distance_choice_rejects_flat_group(self):
         from repro.policies.numa_aware import NumaAwareChoicePolicy
@@ -289,7 +282,7 @@ class TestChoiceEquivarianceGuard:
         topo = symmetric_numa(2, 2)
         with pytest.raises(VerificationError, match="distance-based"):
             ModelChecker(NumaAwareChoicePolicy(topo),
-                         choice_mode="policy", symmetric=True)
+                         choice_mode="policy", symmetry=FlatSymmetryGroup())
 
     def test_distance_choice_rejects_even_its_own_group(self):
         """Cross-node cid tie-breaks are not equivariant: on numa:3x2
@@ -325,7 +318,7 @@ class TestChoiceEquivarianceGuard:
         # choice_mode='all' quantifies over candidates, so the quotient
         # is sound even for a stateful choice — must not be rejected.
         ModelChecker(RandomStealPolicy(seed=0), choice_mode="all",
-                     symmetric=True)
+                     symmetry=FlatSymmetryGroup())
 
 
 import numpy

@@ -9,6 +9,7 @@ import pytest
 from repro.policies import BalanceCountPolicy
 from repro.verify import StateScope
 from repro.verify.encoding import StateCodec
+from repro.verify.symmetry import FlatSymmetryGroup
 from repro.verify.tasks import (
     CampaignTask,
     CheckerConfig,
@@ -52,8 +53,8 @@ class TestEncodeDecode:
             LivenessTask(spec=SPEC),
             ExpandTask(config=CheckerConfig(policy=BalanceCountPolicy()),
                        codec=CODEC,
-                       packed=tuple(CODEC.encode_batch([(0, 1, 2), (1, 1, 1)])),
-                       sequential=True),
+                       packed=tuple(CODEC.encode_batch([(0, 1, 2),
+                                                        (1, 1, 1)]))),
             CampaignTask(replicator=PolicyReplicator(BalanceCountPolicy()),
                          config=CampaignConfig(n_machines=3)),
         ]
@@ -223,7 +224,7 @@ class TestCheckerConfig:
     def test_cache_key_distinguishes_parameters(self):
         base = CheckerConfig(policy=BalanceCountPolicy())
         assert base.cache_key() != CheckerConfig(
-            policy=BalanceCountPolicy(), symmetric=True
+            policy=BalanceCountPolicy(), symmetry=FlatSymmetryGroup()
         ).cache_key()
         assert base.cache_key() != CheckerConfig(
             policy=BalanceCountPolicy(margin=3)

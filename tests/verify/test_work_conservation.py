@@ -9,6 +9,7 @@ from repro.policies import (
     WeightedBalancePolicy,
 )
 from repro.verify import StateScope, prove_work_conserving
+from repro.verify.symmetry import FlatSymmetryGroup
 
 from tests.conftest import PROVEN_POLICIES
 
@@ -99,7 +100,7 @@ class TestScopeScaling:
     def test_symmetric_mode_matches_full(self, small_scope):
         full = prove_work_conserving(BalanceCountPolicy(), small_scope)
         sym = prove_work_conserving(BalanceCountPolicy(), small_scope,
-                                    symmetric=True)
+                                    symmetry=FlatSymmetryGroup())
         assert full.proved == sym.proved
         assert full.exact_worst_rounds == sym.exact_worst_rounds
 
