@@ -86,6 +86,22 @@ class TestEngineEquivalence:
         assert results["serial"].verdict.ok
         assert_all_equal(results)
 
+    def test_prove_with_the_flat_group(self):
+        request = (VerificationRequest.builder("prove")
+                   .policy("balance_count").scope(cores=4, max_load=2)
+                   .symmetric().build())
+        results = results_for(request)
+        assert results["serial"].ok
+        assert_all_equal(results)
+
+    def test_hunt_with_the_flat_group(self):
+        request = (VerificationRequest.builder("hunt")
+                   .policy("naive").scope(cores=4, max_load=3)
+                   .symmetric().build())
+        results = results_for(request)
+        assert not results["serial"].verdict.ok
+        assert_all_equal(results)
+
     def test_hierarchical_hunt(self):
         request = (VerificationRequest.builder("hunt")
                    .policy("hierarchical").topology("numa:2x2")
@@ -211,3 +227,14 @@ class TestDistributedLifetime:
             engine.coordinator
         assert first.render() == second.render() \
             == Session().run(request).render()
+
+    def test_inner_exit_keeps_the_fleet_open(self):
+        from repro.api import DistributedEngine
+
+        with DistributedEngine(workers=2, in_process=True) as engine:
+            coordinator = engine.coordinator
+            with engine:
+                assert engine.coordinator is coordinator
+            assert engine.coordinator is coordinator
+        with pytest.raises(Exception, match="not open"):
+            engine.coordinator

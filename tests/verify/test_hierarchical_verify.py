@@ -155,6 +155,15 @@ class TestAdversarialHierarchicalChecker:
         assert checker.check_progress(scope).ok
         assert checker.check_good_state_closure(scope).ok
 
+    def test_no_sequential_regime(self):
+        """Hierarchical rounds have no §4.2 fresh-snapshot regime, so the
+        checker cannot be built for one."""
+        from repro.verify.hierarchical import HierarchicalModelChecker
+
+        with pytest.raises(TypeError):
+            HierarchicalModelChecker(self._spec(), sequential=True)
+        assert not HierarchicalModelChecker(self._spec()).sequential
+
     def test_build_checker_dispatch(self):
         from repro.core.errors import VerificationError
         from repro.policies import BalanceCountPolicy

@@ -479,6 +479,14 @@ class TestManyThiefExpansion:
             assert trunc == tflag
             cursor += count
 
+    def test_expand_batch_arrays_of_no_states(self):
+        codec = StateCodec(n_cores=6, max_value=20)
+        kernel = kernel_for(BalanceCountPolicy(), codec)
+        values, counts, truncated = kernel.expand_batch_arrays(
+            numpy.asarray([], dtype=numpy.int64)
+        )
+        assert len(values) == len(counts) == len(truncated) == 0
+
 
 class TestBranchCountsAndStalls:
     """The progress obligation's view of the kernel: its per-state

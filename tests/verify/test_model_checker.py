@@ -14,6 +14,9 @@ from repro.verify import (
     StateScope,
     is_bad_state,
 )
+from repro.verify.encoding import StateCodec
+from repro.verify.enumeration import iter_states
+from repro.verify.transition import enumerate_round_branches
 
 from tests.conftest import PROVEN_POLICIES
 
@@ -151,6 +154,58 @@ class TestRegimes:
             StateScope(n_cores=3, max_load=3)
         )
         assert analysis.worst_case_rounds == 1
+
+    def test_round_model_is_fixed_at_construction(self):
+        scope = StateScope(n_cores=3, max_load=2)
+        concurrent = ModelChecker(NaiveOverloadedPolicy())
+        sequential = ModelChecker(NaiveOverloadedPolicy(), sequential=True)
+        assert not concurrent.sequential
+        assert sequential.sequential
+        assert not concurrent.analyze(scope).sequential
+        assert sequential.analyze(scope).sequential
+
+    def test_round_model_and_group_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            ModelChecker(BalanceCountPolicy(), "all", 10, True)
+
+    def test_successors_follow_the_checkers_round_model(self):
+        """Each checker memoises its own regime's successors; the two
+        regimes disagree on the naive policy's pingpong state."""
+        policy = NaiveOverloadedPolicy()
+        checkers = {sequential: ModelChecker(policy, sequential=sequential)
+                    for sequential in (False, True)}
+        for sequential, checker in checkers.items():
+            for state in iter_states(StateScope(n_cores=3, max_load=2)):
+                succ, _ = checker.successors(state)
+                reference = enumerate_round_branches(
+                    policy, state, sequential=sequential
+                ).successor_states()
+                assert succ == reference
+        assert checkers[False].successors((0, 1, 2)) \
+            != checkers[True].successors((0, 1, 2))
+
+    def test_sequential_packed_expansion_bypasses_the_round_kernel(self):
+        """The transition kernel models only the §4.3 round, so a
+        sequential checker's packed expansion must match its own
+        successors, not the kernel's."""
+        scope = StateScope(n_cores=3, max_load=2)
+        codec = StateCodec.for_scope(scope)
+        checker = ModelChecker(NaiveOverloadedPolicy(), sequential=True)
+        states = list(iter_states(scope))
+        edges, _, _ = checker.expand_level(codec.encode_batch(states), codec)
+        for state in states:
+            succ, _ = checker.successors(state)
+            assert {codec.decode(p) for p in edges[codec.encode(state)]} \
+                == succ
+
+    def test_sequential_checker_keeps_the_sweep_kernel(self):
+        """Sweeps check single steals, which do not depend on the round
+        model: a sequential checker still sweeps on the kernel."""
+        scope = StateScope(n_cores=3, max_load=2)
+        assert ModelChecker(BalanceCountPolicy()).sweep_kernel(scope) \
+            is not None
+        assert ModelChecker(BalanceCountPolicy(),
+                            sequential=True).sweep_kernel(scope) is not None
 
 
 class TestAuxiliaryObligations:

@@ -229,3 +229,11 @@ class TestCheckerConfig:
         assert base.cache_key() != CheckerConfig(
             policy=BalanceCountPolicy(margin=3)
         ).cache_key()
+
+    def test_build_carries_the_group_and_the_concurrent_round(self):
+        trivial = CheckerConfig(policy=BalanceCountPolicy()).build()
+        flat = CheckerConfig(policy=BalanceCountPolicy(),
+                             symmetry=FlatSymmetryGroup()).build()
+        assert trivial.symmetry.is_trivial
+        assert flat.symmetry == FlatSymmetryGroup()
+        assert not trivial.sequential and not flat.sequential
