@@ -565,7 +565,7 @@ def loads_result(text: str) -> VerificationResult:
     """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CodecError(f"not valid JSON: {exc}") from exc
     return result_from_dict(data)
 

@@ -321,7 +321,7 @@ def load_spec(path: str) -> SpecFile:
         raise SpecError(f"cannot read spec {path!r}: {exc}") from exc
     try:
         document = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SpecError(f"spec {path!r} is not valid JSON: {exc}") from exc
     return parse_spec(document, path=path)
 

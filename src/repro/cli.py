@@ -678,7 +678,8 @@ def cmd_store(args: argparse.Namespace) -> int:
 
 def cmd_worker(args: argparse.Namespace) -> int:
     from repro.core.errors import VerificationError
-    from repro.verify.distributed import WorkerServer, parse_endpoint
+    from repro.framing import parse_endpoint
+    from repro.verify.distributed import WorkerServer
 
     try:
         host, port = parse_endpoint(args.listen)

@@ -151,6 +151,13 @@ class Tracer:
         """Stop recording (already-recorded spans stay until drained)."""
         self.enabled = False
 
+    def reset(self) -> None:
+        """Forget a state inherited across ``fork``: disable, drop the
+        recorded spans and every thread's open-span stack."""
+        self.disable()
+        self.drain()
+        self._local = threading.local()
+
     def drain(self) -> tuple[Span, ...]:
         """Return every recorded span and clear the buffer."""
         with self._lock:

@@ -34,7 +34,6 @@ from typing import Any
 __all__ = [
     "NetworkStore",
     "SERVICE_WIRE_VERSION",
-    "ServiceProtocolError",
     "StoreServer",
     "StoreUnavailable",
     "VerificationService",
@@ -54,7 +53,6 @@ _EXPORTS = {
     "StoreServer": "server",
     "VerificationService": "http",
     "SERVICE_WIRE_VERSION": "wire",
-    "ServiceProtocolError": "wire",
     "auth_digest": "wire",
 }
 

@@ -11,11 +11,10 @@ from __future__ import annotations
 import argparse
 
 from repro.core.errors import VerificationError
+from repro.framing import parse_endpoint
 
 
 def _parse_listen(text: str) -> tuple[str, int]:
-    from repro.verify.distributed import parse_endpoint
-
     try:
         return parse_endpoint(text)
     except VerificationError as exc:

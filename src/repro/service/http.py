@@ -342,7 +342,8 @@ class VerificationService:
             return
         try:
             options = json.loads(body) if body.strip() else {}
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers JSONDecodeError and UnicodeDecodeError.
             await self._reject(writer, 400, f"gc body is not JSON: {exc}")
             return
         if not isinstance(options, dict):
@@ -377,7 +378,8 @@ class VerificationService:
             if not isinstance(document, dict):
                 raise SpecError("a spec must be a JSON object")
             spec = parse_spec(document)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError,
+                RecursionError) as exc:
             await self._reject(writer, 400, f"spec body is not JSON: {exc}")
             return
         except SpecError as exc:

@@ -35,6 +35,7 @@ from typing import Any, Callable
 
 from repro.api.result import VerificationResult
 from repro.core.errors import VerificationError
+from repro.framing import WireProtocolError, parse_endpoint
 from repro.obs.trace import TRACER, trace_clock
 from repro.store.backends import StoreError, decode_entry, encode_entry
 
@@ -70,30 +71,20 @@ def parse_store_url(url: str) -> tuple[str, int]:
     """``tcp://host:port`` → ``(host, port)``.
 
     Raises:
-        StoreUnavailable: a malformed URL (wrong scheme, missing or
-            non-numeric port).
+        StoreUnavailable: a malformed URL (wrong scheme, or not
+            ``host:port`` with a port in 1..65535).
     """
     stripped = url.strip()
     if not is_store_url(stripped):
         raise StoreUnavailable(
             f"store URL {url!r} does not start with {URL_SCHEME!r}"
         )
-    rest = stripped[len(URL_SCHEME):].rstrip("/")
-    host, sep, port_text = rest.rpartition(":")
-    if not sep or not host:
-        raise StoreUnavailable(
-            f"store URL {url!r} must be {URL_SCHEME}host:port"
-        )
     try:
-        port = int(port_text)
-    except ValueError:
-        raise StoreUnavailable(
-            f"store URL {url!r} has non-numeric port {port_text!r}"
-        ) from None
-    if not 0 < port < 65536:
-        raise StoreUnavailable(
-            f"store URL {url!r} has out-of-range port {port}"
-        )
+        host, port = parse_endpoint(stripped[len(URL_SCHEME):].rstrip("/"))
+    except VerificationError as exc:
+        raise StoreUnavailable(f"store URL {url!r}: {exc}") from None
+    if port == 0:
+        raise StoreUnavailable(f"store URL {url!r} names port 0")
     return host, port
 
 
@@ -213,7 +204,7 @@ class NetworkStore:
             except StoreUnavailable:
                 self._drop()
                 raise  # denial is final, not retryable
-            except (OSError, wire.ServiceProtocolError) as exc:
+            except (OSError, WireProtocolError) as exc:
                 failure = exc
                 self._drop()
         self._down_until = self._clock() + self.cooldown_s
@@ -230,7 +221,7 @@ class NetworkStore:
             sock.settimeout(self.read_timeout)
             kind, payload = wire.recv_frame(sock)
             if kind != wire.CHALLENGE:
-                raise wire.ServiceProtocolError(
+                raise WireProtocolError(
                     f"expected a challenge, got {kind!r}"
                 )
             auth = (wire.auth_digest(self.secret, str(payload.get("nonce")))
@@ -246,7 +237,7 @@ class NetworkStore:
                     f" client: {self._denied}"
                 )
             if kind != wire.WELCOME:
-                raise wire.ServiceProtocolError(
+                raise WireProtocolError(
                     f"expected a welcome, got {kind!r}"
                 )
             return sock
@@ -289,7 +280,7 @@ class NetworkStore:
                                      sent_bytes=sent_bytes)
                             return reply
                         except (OSError,
-                                wire.ServiceProtocolError) as exc:
+                                WireProtocolError) as exc:
                             self._drop()
                             if attempt:
                                 self._down_until = (self._clock()

@@ -28,6 +28,7 @@ import socket
 import threading
 from typing import Any
 
+from repro.framing import ConnectionClosed, WireProtocolError
 from repro.obs.metrics import MetricsRegistry
 from repro.store.backends import StoreError
 
@@ -156,12 +157,12 @@ class StoreServer:
                 while not self._closed.is_set():
                     try:
                         kind, payload = wire.recv_frame(conn)
-                    except wire.ServiceConnectionClosed:
+                    except ConnectionClosed:
                         return
                     if kind == wire.BYE:
                         return
                     self._answer(conn, kind, payload)
-        except (wire.ServiceProtocolError, OSError):
+        except (WireProtocolError, OSError):
             return  # a broken peer costs one thread, nothing shared
 
     def _handshake(self, conn: socket.socket) -> bool:
@@ -173,7 +174,7 @@ class StoreServer:
         })
         try:
             kind, payload = wire.recv_frame(conn)
-        except wire.ServiceProtocolError:
+        except WireProtocolError:
             # Includes version skew: the peer's hello frame carries its
             # version in the envelope and decode_frame refused it.
             self._deny(conn, "unreadable hello (version skew?)")

@@ -1,17 +1,18 @@
 """The proof-store service's wire protocol.
 
-Framed like :mod:`repro.verify.wire` — every message is one
-``4-byte big-endian length || UTF-8 JSON body`` frame — but JSON
-*only*: store entries are JSON documents already, and a cache server
-exposed on a network must never execute ``pickle`` from its peers. The
-whole protocol can be spoken (and debugged) with ``nc`` plus a hex
-editor for the length prefix.
+The store vocabulary over the shared framing layer of
+:mod:`repro.framing`: every message is one ``4-byte big-endian length
+|| UTF-8 JSON body`` frame — JSON *only*, because store entries are
+JSON documents already and a cache server exposed on a network must
+never execute ``pickle`` from its peers. The whole protocol can be
+spoken (and debugged) with ``nc`` plus a hex editor for the length
+prefix.
 
 Every envelope carries ``{"v": SERVICE_WIRE_VERSION, "kind",
 "payload"}``; :func:`decode_frame` rejects any other version with
-:class:`ServiceProtocolError`, so a client and server from different
-releases refuse each other at the handshake instead of mis-serving
-entries.
+:class:`~repro.framing.WireProtocolError`, so a client and server from
+different releases refuse each other at the handshake instead of
+mis-serving entries.
 
 Handshake and authentication
 ----------------------------
@@ -39,12 +40,11 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-import json
 import socket
-import struct
 from typing import Any
 
-from repro.core.errors import VerificationError
+from repro import framing
+from repro.framing import WireProtocolError
 
 #: Protocol version; bump on any incompatible envelope or payload
 #: change. Independent of :data:`repro.verify.wire.WIRE_VERSION` (the
@@ -55,8 +55,6 @@ SERVICE_WIRE_VERSION = 1
 
 #: Refuse frames larger than this (corrupt length prefix / wrong peer).
 MAX_FRAME_BYTES = 1 << 26
-
-_LENGTH = struct.Struct("!I")
 
 # Server -> client kinds.
 CHALLENGE = "challenge"  #: first frame: {"nonce", "version"}
@@ -86,15 +84,6 @@ ALL_KINDS = frozenset({
 })
 
 
-class ServiceProtocolError(VerificationError):
-    """A frame violated the store service protocol (version, kind,
-    size, or encoding)."""
-
-
-class ServiceConnectionClosed(ServiceProtocolError):
-    """The peer closed the connection mid-frame or between frames."""
-
-
 def auth_digest(secret: str, nonce: str) -> str:
     """The HMAC-SHA256 hex digest a client answers a challenge with."""
     return hmac.new(secret.encode("utf-8"), nonce.encode("utf-8"),
@@ -113,51 +102,29 @@ def encode_frame(kind: str, payload: dict[str, Any] | None = None) -> bytes:
     included).
 
     Raises:
-        ServiceProtocolError: unknown kind or a payload JSON cannot
+        WireProtocolError: unknown kind or a payload JSON cannot
             express.
     """
     if kind not in ALL_KINDS:
-        raise ServiceProtocolError(f"unknown frame kind {kind!r}")
+        raise WireProtocolError(f"unknown message kind {kind!r}")
     envelope = {"v": SERVICE_WIRE_VERSION, "kind": kind,
                 "payload": payload or {}}
-    try:
-        body = json.dumps(envelope, separators=(",", ":")).encode("utf-8")
-    except (TypeError, ValueError) as exc:
-        raise ServiceProtocolError(
-            f"payload of {kind!r} is not JSON-serialisable: {exc}"
-        ) from exc
-    return _LENGTH.pack(len(body)) + body
+    body = framing.encode_json(envelope, separators=(",", ":"))
+    return framing.LENGTH.pack(len(body)) + body
 
 
 def decode_frame(body: bytes) -> tuple[str, dict[str, Any]]:
     """Parse one frame body back into ``(kind, payload)``.
 
     Raises:
-        ServiceProtocolError: undecodable body, version mismatch, or
+        WireProtocolError: undecodable body, version mismatch, or
             unknown kind.
     """
-    try:
-        envelope = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ServiceProtocolError(
-            f"undecodable frame body: {exc}"
-        ) from exc
-    if not isinstance(envelope, dict):
-        raise ServiceProtocolError(
-            f"frame body is {type(envelope).__name__}, expected an"
-            " envelope"
-        )
-    version = envelope.get("v")
-    if version != SERVICE_WIRE_VERSION:
-        raise ServiceProtocolError(
-            f"service wire version mismatch: peer speaks {version!r},"
-            f" this build speaks {SERVICE_WIRE_VERSION}"
-        )
-    kind = envelope.get("kind")
-    if kind not in ALL_KINDS:
-        raise ServiceProtocolError(f"unknown frame kind {kind!r}")
+    envelope = framing.decode_json(body, protocol="service wire",
+                                   version=SERVICE_WIRE_VERSION,
+                                   kinds=ALL_KINDS)
     payload = envelope.get("payload")
-    return kind, payload if isinstance(payload, dict) else {}
+    return envelope["kind"], payload if isinstance(payload, dict) else {}
 
 
 def send_frame(sock: socket.socket, kind: str,
@@ -166,36 +133,14 @@ def send_frame(sock: socket.socket, kind: str,
     sock.sendall(encode_frame(kind, payload))
 
 
-def _recv_exact(sock: socket.socket, n_bytes: int) -> bytes:
-    chunks: list[bytes] = []
-    remaining = n_bytes
-    while remaining > 0:
-        chunk = sock.recv(min(remaining, 1 << 20))
-        if not chunk:
-            raise ServiceConnectionClosed(
-                f"peer closed with {remaining} of {n_bytes} bytes unread"
-            )
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
 def recv_frame(sock: socket.socket,
                max_frame: int = MAX_FRAME_BYTES,
                ) -> tuple[str, dict[str, Any]]:
-    """Receive and decode one frame.
-
-    Honours the socket's configured timeout (``socket.timeout``
-    propagates to the caller — the client's read-timeout policy).
+    """Receive and decode one frame. A socket timeout propagates (the
+    client's read-timeout policy).
 
     Raises:
-        ServiceConnectionClosed: the peer hung up.
-        ServiceProtocolError: oversized or malformed frame.
+        ConnectionClosed: the peer hung up.
+        WireProtocolError: oversized or malformed frame.
     """
-    header = _recv_exact(sock, _LENGTH.size)
-    (length,) = _LENGTH.unpack(header)
-    if length > max_frame:
-        raise ServiceProtocolError(
-            f"frame of {length} bytes exceeds the {max_frame}-byte cap"
-        )
-    return decode_frame(_recv_exact(sock, length))
+    return decode_frame(framing.recv_frame(sock, max_frame))

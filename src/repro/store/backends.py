@@ -115,7 +115,7 @@ def _parse_entry(key: str, text: str) -> tuple[VerificationResult, float]:
     """
     try:
         document = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise StoreError(f"entry {key[:12]} is not valid JSON: {exc}") \
             from exc
     if not isinstance(document, Mapping):

@@ -105,12 +105,11 @@ from repro.verify.distributed import (
     WorkerLost,
     WorkerServer,
     connect_workers,
-    parse_endpoint,
 )
+from repro.framing import WireProtocolError, parse_endpoint
 from repro.verify.wire import (
     WIRE_VERSION,
     WireMessage,
-    WireProtocolError,
     decode_message,
     encode_message,
 )
@@ -184,7 +183,6 @@ from repro.verify.work_conservation import (
     make_campaign_tasks,
     make_shard_specs,
     merge_campaign_reports,
-    merge_graphs,
     merge_proof_results,
     prove_work_conserving,
 )
@@ -220,7 +218,6 @@ __all__ = [
     "make_campaign_tasks",
     "make_shard_specs",
     "merge_campaign_reports",
-    "merge_graphs",
     "merge_proof_results",
     "resolve_jobs",
     "Coordinator",

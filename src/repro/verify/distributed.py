@@ -89,6 +89,7 @@ from collections import Counter, deque
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.errors import VerificationError
+from repro.framing import ConnectionClosed, WireProtocolError, parse_endpoint
 from repro.obs.trace import TRACER
 from repro.verify.encoding import PackedState, StateCodec, decode_graph
 from repro.verify.model_checker import (
@@ -102,8 +103,8 @@ from repro.verify.tasks import (
     PartitionControlTask,
     PartitionExpandResult,
     PartitionExpandTask,
-    TracedResult,
     WorkerRuntime,
+    ingest_traced,
     partition_of,
 )
 from repro.verify.wire import (
@@ -117,9 +118,7 @@ from repro.verify.wire import (
     RESULT,
     SHUTDOWN,
     TASK,
-    ConnectionClosed,
     WireMessage,
-    WireProtocolError,
     decode_message,
     encode_message,
     hello_payload,
@@ -158,30 +157,6 @@ class TaskFailed(VerificationError):
     """A task raised inside a worker; deterministic, so never reassigned."""
 
 
-def parse_endpoint(text: str) -> tuple[str, int]:
-    """Parse ``HOST:PORT`` with a validated port range.
-
-    The single parser behind ``--listen``, ``--workers`` and
-    :func:`connect_workers`, so every surface rejects a malformed
-    endpoint with the same one-line error instead of a downstream
-    ``bind()``/``connect()`` traceback.
-
-    Raises:
-        VerificationError: not ``HOST:PORT``, or port outside 0..65535.
-    """
-    host, _, port_text = text.strip().rpartition(":")
-    if not host or not port_text.isdigit():
-        raise VerificationError(
-            f"endpoint {text!r} is not HOST:PORT"
-        )
-    port = int(port_text)
-    if port > 65535:
-        raise VerificationError(
-            f"endpoint {text!r}: port must be 0..65535"
-        )
-    return host, port
-
-
 def _enable_keepalive(sock: socket.socket) -> None:
     """Arm TCP keepalive so a half-open peer cannot wedge a blocking read.
 
@@ -213,22 +188,6 @@ def _disable_nagle(sock: socket.socket) -> None:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     except OSError:
         pass  # a latency optimisation, never a requirement
-
-
-def _ingest_traced(value: Any, worker: str) -> Any:
-    """Unwrap a :class:`TracedResult`, merging its spans.
-
-    The single point worker results re-enter the coordinator: spans
-    captured remotely land on the local timeline (clock-offset rebased,
-    attributed to ``worker``) and callers only ever see the inner
-    result. Plain results pass through untouched, so the reducers are
-    oblivious to tracing either way.
-    """
-    if isinstance(value, TracedResult):
-        TRACER.ingest(value.spans, clock=value.clock, worker=worker,
-                      pid=value.pid)
-        return value.value
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -711,7 +670,7 @@ class Coordinator:
                                      "coordinator", task=index,
                                      worker=client.name,
                                      kind=type(payloads[index]).__name__):
-                        value = _ingest_traced(
+                        value = ingest_traced(
                             client.submit(index, payloads[index]),
                             client.name,
                         )
@@ -1168,7 +1127,7 @@ class AsyncPartitionExplorer:
                                pending=split_event[3])
             try:
                 if seed_task is not None:
-                    _ingest_traced(
+                    ingest_traced(
                         client.submit(next(self._task_ids), seed_task),
                         client.name,
                     )
@@ -1177,7 +1136,7 @@ class AsyncPartitionExplorer:
                 with TRACER.span("async.expand", "async",
                                  partition=partition, batch=len(batch),
                                  worker=client.name) as span:
-                    result = _ingest_traced(
+                    result = ingest_traced(
                         client.submit(
                             next(self._task_ids),
                             PartitionExpandTask(

@@ -94,8 +94,9 @@ import os
 from contextlib import contextmanager
 from typing import Any, Iterator
 
+from repro.obs.trace import TRACER
 from repro.verify.model_checker import bfs_closure
-from repro.verify.tasks import WorkerRuntime, partition_of
+from repro.verify.tasks import WorkerRuntime, ingest_traced, partition_of
 from repro.verify.work_conservation import TaskMap, local_tasks
 
 #: The public names, two of them re-exported from their homes: the
@@ -133,12 +134,20 @@ def _pool_context() -> multiprocessing.context.BaseContext:
 _POOL_RUNTIME: WorkerRuntime | None = None
 
 
+def _init_pooled() -> None:
+    """Pool initializer: a forked process inherits the parent's tracer,
+    enabled and holding the parent's spans; reset it so a traced task
+    records only its own spans and ships them home."""
+    TRACER.reset()
+
+
 def _run_pooled(task: Any) -> Any:
-    """Run one task on this pool process's runtime."""
+    """Run one task on this pool process's runtime (traced when the
+    task asks, like a remote worker)."""
     global _POOL_RUNTIME
     if _POOL_RUNTIME is None:
         _POOL_RUNTIME = WorkerRuntime()
-    return _POOL_RUNTIME.ship(task)
+    return _POOL_RUNTIME.execute(task)
 
 
 @contextmanager
@@ -153,6 +162,10 @@ def pool_tasks(jobs: int | None) -> Iterator[TaskMap]:
     if jobs <= 1:
         yield local_tasks()
         return
-    with _pool_context().Pool(processes=jobs) as pool:
-        yield TaskMap(jobs, lambda tasks: pool.map(_run_pooled, tasks))
+    with _pool_context().Pool(processes=jobs,
+                              initializer=_init_pooled) as pool:
+        yield TaskMap(jobs, lambda tasks: [
+            ingest_traced(value, "pool")
+            for value in pool.map(_run_pooled, tasks)
+        ])
 

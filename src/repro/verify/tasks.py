@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.core.errors import VerificationError
 from repro.core.policy import Policy
+from repro.framing import WireProtocolError
 from repro.obs.trace import TRACER, spans_to_payload, trace_clock
 from repro.topology.numa import NumaTopology
 from repro.verify.campaign import CampaignConfig, run_campaign
@@ -63,7 +64,6 @@ from repro.verify.obligations import (
 from repro.verify.potential import check_potential_decrease, sweep_potential
 from repro.verify.symmetry import SymmetryGroup, TrivialGroup
 from repro.verify.transition import DEFAULT_MAX_ORDERS
-from repro.verify.wire import WireProtocolError
 
 
 class PolicyReplicator:
@@ -364,6 +364,23 @@ class TracedResult:
     pid: int = -1
 
 
+def ingest_traced(value: Any, worker: str) -> Any:
+    """Unwrap a :class:`TracedResult`, merging its spans.
+
+    The single point worker results re-enter the coordinator (or the
+    pool engine's parent): spans captured in the other process land on
+    the local timeline (clock-offset rebased, attributed to ``worker``)
+    and callers only ever see the inner result. Plain results pass
+    through untouched, so the reducers are oblivious to tracing either
+    way.
+    """
+    if isinstance(value, TracedResult):
+        TRACER.ingest(value.spans, clock=value.clock, worker=worker,
+                      pid=value.pid)
+        return value.value
+    return value
+
+
 #: Task payload types :class:`WorkerRuntime` accepts; anything else in
 #: a task message is a protocol error.
 TASK_TYPES = (SweepTask, LivenessTask, ExpandTask, CampaignTask,
@@ -547,10 +564,10 @@ def _fused_sweep(kernel: TransitionKernel, policy: Policy,
 class WorkerRuntime:
     """Executes shard tasks; the one task executor of every engine.
 
-    The serial engine calls :meth:`run` on a :class:`LocalRuntime`, pool
-    processes hold one runtime each and call :meth:`ship`, and remote
-    workers (and in-process transports) call :meth:`execute` on the
-    payloads the wire delivers. Whichever way a task arrives, the
+    The serial engine calls :meth:`run` on a :class:`LocalRuntime`;
+    pool processes, remote workers and in-process transports hold one
+    runtime each and call :meth:`execute` on the payloads delivered to
+    them. Whichever way a task arrives, the
     runtime keeps one memoized :class:`ModelChecker` per distinct
     :class:`CheckerConfig`, so a proof's liveness sweeps and every BFS
     level of its exploration hit warm transition caches.
@@ -582,14 +599,17 @@ class WorkerRuntime:
 
     def execute(self, task: Any,
                 emit: Callable[[ForwardBatch], None] | None = None) -> Any:
-        """Run one task payload delivered over the wire.
+        """Run one task payload delivered across a process boundary,
+        answering in the form that crosses back: an expand task's flat
+        successor array stays behind.
 
         A ``trace=True`` task asks this worker to capture spans while
         executing and return them wrapped in :class:`TracedResult` — but
         only when this process's tracer is *off*, i.e. we really are a
-        remote worker. In-process transports run inside the coordinator,
-        where the tracer is already recording straight onto the merged
-        timeline and wrapping would double-count.
+        pool process or a remote worker. In-process transports run
+        inside the coordinator, where the tracer is already recording
+        straight onto the merged timeline and wrapping would
+        double-count.
 
         Args:
             task: a :data:`TASK_TYPES` payload.
@@ -616,15 +636,9 @@ class WorkerRuntime:
                  emit: Callable[[ForwardBatch], None] | None) -> Any:
         with TRACER.span("worker." + type(task).__name__, "worker"):
             # A campaign's per-machine progress never crosses the wire.
-            return self.ship(
+            value = self.run(
                 task, None if isinstance(task, CampaignTask) else emit
             )
-
-    def ship(self, task: Any, emit: Callable[..., None] | None = None,
-             ) -> Any:
-        """:meth:`run`, answering in the form that crosses a process
-        boundary: an expand task's flat successor array stays behind."""
-        value = self.run(task, emit)
         return value[:2] if isinstance(task, ExpandTask) else value
 
     def run(self, task: Any, emit: Callable[..., None] | None = None,

@@ -11,7 +11,9 @@ inside a length-prefixed frame, and nothing else is.
 Framing and encodings
 ---------------------
 
-A frame is ``4-byte big-endian length || 1 format byte || body``:
+A frame is ``4-byte big-endian length || 1 format byte || body``; the
+length prefix, the exact read and the envelope check are the shared
+layer in :mod:`repro.framing`, and this module adds the format byte:
 
 * format ``P`` — the body is a :mod:`pickle` of the envelope dict. Used
   for task and result messages, whose payloads (policies, shard specs,
@@ -37,14 +39,19 @@ next to the runtime that executes them; this module only frames them.
 
 from __future__ import annotations
 
-import json
 import pickle
 import socket
-import struct
 from dataclasses import dataclass
 from typing import Any
 
-from repro.core.errors import VerificationError
+from repro.framing import (
+    WireProtocolError,
+    check_envelope,
+    decode_json,
+    encode_json,
+    recv_frame,
+    send_frame,
+)
 
 #: Protocol version; bump on any incompatible envelope or payload change.
 #: v2: ShardSpec/CheckerConfig grew symmetry-group, topology, and
@@ -80,8 +87,6 @@ FORMAT_JSON = b"J"
 #: Refuse frames larger than this (corrupt length prefix / wrong peer).
 MAX_FRAME_BYTES = 1 << 30
 
-_LENGTH = struct.Struct("!I")
-
 # Message kinds.
 HELLO = "hello"          #: handshake; JSON payload {"version", "pid"}
 TASK = "task"            #: coordinator -> worker; payload is a *Task
@@ -97,14 +102,6 @@ FORWARD = "forward"      #: worker -> coordinator mid-task; a ForwardBatch
 ALL_KINDS = frozenset({
     HELLO, TASK, RESULT, ERROR, HEARTBEAT, PING, PONG, SHUTDOWN, FORWARD,
 })
-
-
-class WireProtocolError(VerificationError):
-    """A frame violated the protocol (version, kind, size, or format)."""
-
-
-class ConnectionClosed(WireProtocolError):
-    """The peer closed the connection mid-frame or between frames."""
 
 
 @dataclass(frozen=True)
@@ -152,13 +149,7 @@ def encode_message(message: WireMessage, fmt: bytes = FORMAT_PICKLE) -> bytes:
     if fmt == FORMAT_PICKLE:
         return FORMAT_PICKLE + pickle.dumps(envelope)
     if fmt == FORMAT_JSON:
-        try:
-            return FORMAT_JSON + json.dumps(envelope).encode("utf-8")
-        except (TypeError, ValueError) as exc:
-            raise WireProtocolError(
-                f"payload of {message.kind!r} is not JSON-serialisable:"
-                f" {exc}"
-            ) from exc
+        return FORMAT_JSON + encode_json(envelope)
     raise WireProtocolError(f"unknown wire format {fmt!r}")
 
 
@@ -172,83 +163,43 @@ def decode_message(data: bytes) -> WireMessage:
     if not data:
         raise WireProtocolError("empty frame")
     fmt, body = data[:1], data[1:]
-    try:
-        if fmt == FORMAT_PICKLE:
-            envelope = pickle.loads(body)
-        elif fmt == FORMAT_JSON:
-            envelope = json.loads(body.decode("utf-8"))
-        else:
-            raise WireProtocolError(f"unknown wire format {fmt!r}")
-    except WireProtocolError:
-        raise
-    except Exception as exc:
-        raise WireProtocolError(f"undecodable frame body: {exc}") from exc
-    if not isinstance(envelope, dict):
-        raise WireProtocolError(
-            f"frame body is {type(envelope).__name__}, expected an envelope"
-        )
-    version = envelope.get("v")
-    if version != WIRE_VERSION:
-        raise WireProtocolError(
-            f"wire version mismatch: peer speaks {version!r}, this build"
-            f" speaks {WIRE_VERSION}"
-        )
-    kind = envelope.get("kind")
-    if kind not in ALL_KINDS:
-        raise WireProtocolError(f"unknown message kind {kind!r}")
+    if fmt == FORMAT_JSON:
+        envelope = decode_json(body, protocol="wire", version=WIRE_VERSION,
+                               kinds=ALL_KINDS)
+    elif fmt == FORMAT_PICKLE:
+        try:
+            unpickled = pickle.loads(body)
+        except Exception as exc:
+            raise WireProtocolError(
+                f"undecodable frame body: {exc}"
+            ) from exc
+        envelope = check_envelope(unpickled, protocol="wire",
+                                  version=WIRE_VERSION, kinds=ALL_KINDS)
+    else:
+        raise WireProtocolError(f"unknown wire format {fmt!r}")
     return WireMessage(
-        kind=kind,
+        kind=envelope["kind"],
         task_id=envelope.get("task_id", -1),
         payload=envelope.get("payload"),
     )
 
 
-# ---------------------------------------------------------------------------
-# framing over sockets
-# ---------------------------------------------------------------------------
-
-
 def send_message(sock: socket.socket, message: WireMessage,
                  fmt: bytes = FORMAT_PICKLE) -> None:
     """Encode and send one length-prefixed frame."""
-    data = encode_message(message, fmt=fmt)
-    sock.sendall(_LENGTH.pack(len(data)) + data)
-
-
-def _recv_exact(sock: socket.socket, n_bytes: int) -> bytes:
-    """Read exactly ``n_bytes``, raising :class:`ConnectionClosed` on EOF."""
-    chunks: list[bytes] = []
-    remaining = n_bytes
-    while remaining > 0:
-        chunk = sock.recv(min(remaining, 1 << 20))
-        if not chunk:
-            raise ConnectionClosed(
-                f"peer closed with {remaining} of {n_bytes} bytes unread"
-            )
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+    send_frame(sock, encode_message(message, fmt=fmt))
 
 
 def recv_message(sock: socket.socket,
                  max_frame: int = MAX_FRAME_BYTES) -> WireMessage:
-    """Receive and decode one length-prefixed frame.
-
-    Honours the socket's configured timeout (``socket.timeout`` — a
-    subclass of ``OSError`` — propagates to the caller, which is how the
-    coordinator implements its heartbeat patience).
+    """Receive and decode one frame. A socket timeout propagates (the
+    coordinator's heartbeat patience).
 
     Raises:
         ConnectionClosed: the peer hung up.
         WireProtocolError: oversized or malformed frame.
     """
-    header = _recv_exact(sock, _LENGTH.size)
-    (length,) = _LENGTH.unpack(header)
-    if length > max_frame:
-        raise WireProtocolError(
-            f"frame of {length} bytes exceeds the {max_frame}-byte cap"
-        )
-    return decode_message(_recv_exact(sock, length))
+    return decode_message(recv_frame(sock, max_frame))
 
 
 def hello_payload() -> dict[str, Any]:

@@ -403,24 +403,6 @@ def merge_proof_results(
     )
 
 
-def merge_graphs(
-    graphs: list[tuple[TransitionGraph, bool]],
-) -> tuple[TransitionGraph, bool]:
-    """Union per-shard transition graphs.
-
-    Sound because a state's successor set is a pure function of
-    (policy, state, checker parameters): two shards reaching the same
-    state computed identical edges, so dict union is conflict-free and
-    the result equals the serial exploration of the whole scope.
-    """
-    edges: TransitionGraph = {}
-    truncated = False
-    for shard_edges, shard_truncated in graphs:
-        edges.update(shard_edges)
-        truncated = truncated or shard_truncated
-    return edges, truncated
-
-
 def merge_campaign_reports(shards: list[CampaignReport]) -> CampaignReport:
     """Sum per-worker campaign reports (violations kept in shard order)."""
     if not shards:

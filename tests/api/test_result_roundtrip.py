@@ -147,5 +147,7 @@ class TestValueCodec:
     def test_malformed_documents_fail_cleanly(self):
         with pytest.raises(CodecError, match="not valid JSON"):
             loads_result("{nope")
+        with pytest.raises(CodecError, match="not valid JSON"):
+            loads_result("[" * 100_000)
         with pytest.raises(CodecError, match="unsupported result format"):
             loads_result('{"format": "something/else"}')

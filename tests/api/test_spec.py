@@ -112,6 +112,14 @@ class TestLoading:
         with pytest.raises(SpecError, match="not valid JSON"):
             load_spec(str(path))
 
+    def test_deeply_nested_json_is_a_spec_error(self, tmp_path):
+        # Past the JSON parser's recursion limit: a one-line SpecError,
+        # never a RecursionError traceback.
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(SpecError, match="not valid JSON"):
+            load_spec(str(path))
+
 
 class TestExecution:
     def test_runs_execute_in_order(self):

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import json
+import os
 import timeit
 
 import pytest
 
 from repro.api import Session, VerificationRequest
-from repro.cli import _ProgressPrinter
+from repro.cli import _ProgressPrinter, main
 from repro.obs.trace import TRACER
 from repro.policies import BalanceCountPolicy
 from repro.verify.distributed import WorkerRuntime
@@ -99,6 +101,28 @@ class TestWorkerCapture:
         assert not isinstance(outcome, TracedResult)
         assert any(span.name == "worker.ExpandTask"
                    for span in TRACER.spans())
+
+
+class TestPoolCapture:
+    ARGV = ["verify", "balance_count", "--cores", "4", "--max-load", "3",
+            "--jobs", "2"]
+
+    def test_pool_processes_ship_their_spans_home(self, tmp_path, capsys):
+        assert main(self.ARGV) == 0
+        plain = capsys.readouterr().out
+        trace_path = tmp_path / "t.json"
+        assert main(self.ARGV + ["--trace", str(trace_path)]) == 0
+        assert capsys.readouterr().out == plain
+        document = json.loads(trace_path.read_text())
+        rows = {event["pid"]: event["args"]["name"]
+                for event in document["traceEvents"] if event["ph"] == "M"}
+        pool_rows = {pid for pid, name in rows.items()
+                     if name.startswith("pool (pid ")
+                     and f"(pid {os.getpid()})" not in name}
+        names = {event["name"] for event in document["traceEvents"]
+                 if event["ph"] == "X" and event["pid"] in pool_rows}
+        assert {"worker.SweepTask", "worker.LivenessTask",
+                "worker.ExpandTask"} <= names
 
 
 class TestNoOpOverhead:

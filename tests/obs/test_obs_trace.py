@@ -48,6 +48,22 @@ class TestSpanRecording:
         assert inner.parent_id == middle.span_id
         assert out.parent_id is None
 
+    def test_reset_forgets_spans_and_open_parents(self):
+        # What a forked pool process must do with the tracer it
+        # inherited mid-span from its parent.
+        tracer = make_tracer()
+        with tracer.span("inherited"):
+            tracer.instant("before")
+            tracer.reset()
+            assert not tracer.enabled
+            assert tracer.spans() == ()
+            tracer.enable()
+            with tracer.span("own"):
+                pass
+            (own,) = tracer.spans()
+        assert own.name == "own"
+        assert own.parent_id is None
+
     def test_siblings_share_a_parent(self):
         tracer = make_tracer()
         with tracer.span("outer") as outer:

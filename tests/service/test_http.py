@@ -209,6 +209,13 @@ class TestRunSpec:
         assert status == 400
         assert "not JSON" in json.loads(body)["error"]
 
+    def test_deeply_nested_body_is_400(self, service):
+        status, body = service.request(
+            "POST", "/run-spec", body=b"[" * 100_000)
+        assert status == 400
+        assert "not JSON" in json.loads(body)["error"]
+        assert service.request("GET", "/healthz")[0] == 200
+
     def test_oversized_declared_body_is_413(self, service):
         status, body = service.request(
             "POST", "/run-spec", body=b"",
@@ -271,6 +278,13 @@ class TestGc:
     def test_gc_with_a_non_object_body_is_400(self, service):
         status, _ = service.request("POST", "/gc", body=b"[1, 2]")
         assert status == 400
+
+    @pytest.mark.parametrize("body", [b"[" * 100_000, b"\xff\xfe{"],
+                             ids=["nested", "bad-utf16"])
+    def test_gc_with_an_undecodable_body_is_400(self, service, body):
+        status, response = service.request("POST", "/gc", body=body)
+        assert status == 400
+        assert "not JSON" in json.loads(response)["error"]
 
 
 class TestEventDocuments:

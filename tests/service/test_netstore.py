@@ -174,6 +174,53 @@ class TestVersionSkew:
             listener.close()
 
 
+class TestHostileInput:
+    """Nesting past the JSON parser's recursion limit is a protocol
+    error on both ends of the store wire, never a dead thread."""
+
+    NESTED = b"[" * 100_000
+
+    def test_nested_hello_is_denied(self, server):
+        host, port = server.address
+        sock = socket.create_connection((host, port), timeout=5)
+        try:
+            kind, _ = wire.recv_frame(sock)
+            assert kind == wire.CHALLENGE
+            sock.sendall(len(self.NESTED).to_bytes(4, "big") + self.NESTED)
+            kind, payload = wire.recv_frame(sock)
+            assert kind == wire.DENIED
+            assert "unreadable" in payload["reason"]
+        finally:
+            sock.close()
+        assert server.stats()["denied"] == 1
+        client_for(server).ping()  # the server still answers
+
+    def test_nested_entry_from_a_hostile_server_is_a_miss(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+        host, port = listener.getsockname()[:2]
+
+        def hostile_server():
+            conn, _ = listener.accept()
+            with conn:
+                wire.send_frame(conn, wire.CHALLENGE, {"nonce": "n"})
+                assert wire.recv_frame(conn)[0] == wire.HELLO
+                wire.send_frame(conn, wire.WELCOME, {})
+                _, request = wire.recv_frame(conn)
+                wire.send_frame(conn, wire.ENTRY, {
+                    "key": request["key"],
+                    "entry": self.NESTED.decode(),
+                })
+
+        thread = threading.Thread(target=hostile_server, daemon=True)
+        thread.start()
+        try:
+            store = NetworkStore(host, port, retries=0, cooldown_s=0.0)
+            assert store.load(store_key(PROVE)) is None
+        finally:
+            thread.join(timeout=5)
+            listener.close()
+
+
 class TestDegradation:
     def dead_store(self, **kwargs):
         # Bind-then-close: a port that refuses connections.

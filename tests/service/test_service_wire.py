@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from repro.framing import ConnectionClosed, WireProtocolError
 from repro.service import wire
 
 
@@ -26,26 +27,30 @@ class TestFraming:
         assert decoded_payload == (payload or {})
 
     def test_unknown_kind_refused_on_encode(self):
-        with pytest.raises(wire.ServiceProtocolError, match="unknown"):
+        with pytest.raises(WireProtocolError, match="unknown"):
             wire.encode_frame("gossip", {})
 
     def test_unknown_kind_refused_on_decode(self):
         frame = wire.encode_frame(wire.GET, {})
         body = frame[4:].replace(b'"get"', b'"g0t"')
-        with pytest.raises(wire.ServiceProtocolError, match="unknown"):
+        with pytest.raises(WireProtocolError, match="unknown"):
             wire.decode_frame(body)
 
     def test_unserialisable_payload_is_a_protocol_error(self):
-        with pytest.raises(wire.ServiceProtocolError, match="JSON"):
+        with pytest.raises(WireProtocolError, match="JSON"):
             wire.encode_frame(wire.PUT, {"entry": object()})
 
     def test_garbage_body_is_a_protocol_error(self):
-        with pytest.raises(wire.ServiceProtocolError, match="undecodable"):
+        with pytest.raises(WireProtocolError, match="undecodable"):
             wire.decode_frame(b"\x80\x81 not json")
 
     def test_non_object_body_is_a_protocol_error(self):
-        with pytest.raises(wire.ServiceProtocolError, match="envelope"):
+        with pytest.raises(WireProtocolError, match="envelope"):
             wire.decode_frame(b"[1, 2, 3]")
+
+    def test_deeply_nested_body_is_a_protocol_error(self):
+        with pytest.raises(WireProtocolError, match="undecodable"):
+            wire.decode_frame(b"[" * 100_000)
 
 
 class TestVersioning:
@@ -55,12 +60,12 @@ class TestVersioning:
             f'"v":{wire.SERVICE_WIRE_VERSION}'.encode(),
             f'"v":{wire.SERVICE_WIRE_VERSION + 1}'.encode(),
         )
-        with pytest.raises(wire.ServiceProtocolError,
+        with pytest.raises(WireProtocolError,
                            match="version mismatch"):
             wire.decode_frame(body)
 
     def test_missing_version_is_refused(self):
-        with pytest.raises(wire.ServiceProtocolError,
+        with pytest.raises(WireProtocolError,
                            match="version mismatch"):
             wire.decode_frame(b'{"kind": "get", "payload": {}}')
 
@@ -96,7 +101,7 @@ class TestSockets:
         server, client = socket.socketpair()
         try:
             client.sendall(struct.pack("!I", wire.MAX_FRAME_BYTES + 1))
-            with pytest.raises(wire.ServiceProtocolError, match="cap"):
+            with pytest.raises(WireProtocolError, match="cap"):
                 wire.recv_frame(server)
         finally:
             server.close()
@@ -107,7 +112,7 @@ class TestSockets:
         try:
             client.sendall(struct.pack("!I", 100) + b"partial")
             client.close()
-            with pytest.raises(wire.ServiceConnectionClosed):
+            with pytest.raises(ConnectionClosed):
                 wire.recv_frame(server)
         finally:
             server.close()

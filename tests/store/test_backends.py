@@ -128,6 +128,13 @@ class TestEntryVerification:
         with pytest.raises(StoreError, match="wire version"):
             decode_entry(key, json.dumps(good))
 
+    def test_deeply_nested_entry_is_a_store_error(self, proved_result):
+        # A hostile store server can send any text as an entry; nesting
+        # past the JSON parser's recursion limit must read as corrupt.
+        key = store_key(proved_result.request)
+        with pytest.raises(StoreError, match="not valid JSON"):
+            decode_entry(key, "[" * 100_000)
+
 
 class TestMaintenance:
     def test_verify_integrity_evicts_corrupt_and_skewed(

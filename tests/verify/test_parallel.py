@@ -18,7 +18,6 @@ from repro.verify import (
     StateScope,
     derive_campaign_seed,
     merge_campaign_reports,
-    merge_graphs,
     merge_proof_results,
     prove_work_conserving,
     resolve_jobs,
@@ -95,16 +94,6 @@ class TestMergeProofResults:
             merge_proof_results([])
         with pytest.raises(ValueError):
             merge_proof_results([_result(), _result(obligation=PROGRESS)])
-
-
-class TestMergeGraphs:
-    def test_union_and_truncation(self):
-        g1 = {(0, 2): frozenset({(1, 1)})}
-        g2 = {(1, 1): frozenset({(1, 1)}), (0, 2): frozenset({(1, 1)})}
-        edges, truncated = merge_graphs([(g1, False), (g2, True)])
-        assert edges == {(0, 2): frozenset({(1, 1)}),
-                         (1, 1): frozenset({(1, 1)})}
-        assert truncated
 
 
 class TestMergeCampaignReports:

@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from repro.framing import ConnectionClosed, WireProtocolError
 from repro.policies import BalanceCountPolicy
 from repro.verify import StateScope
 from repro.verify.encoding import StateCodec
@@ -29,9 +30,7 @@ from repro.verify.wire import (
     RESULT,
     TASK,
     WIRE_VERSION,
-    ConnectionClosed,
     WireMessage,
-    WireProtocolError,
     decode_message,
     encode_message,
     hello_payload,
