@@ -3,25 +3,23 @@
 The verification stack has three execution backends — this process, the
 :mod:`multiprocessing` pool of :mod:`repro.verify.parallel`, and the
 coordinator/worker dispatch of :mod:`repro.verify.distributed` — with
-the guarantee that all three produce byte-identical verdicts. This
-module makes that guarantee a *type*: :class:`Engine` is the protocol
-every backend implements, and callers (the
-:class:`~repro.api.session.Session`, primarily) pick a backend by
-constructing a different adapter — never by importing
-``parallel``/``distributed`` internals.
-
-The backends differ only in where a list of shard tasks runs, so each
-adapter supplies a :class:`~repro.verify.work_conservation.TaskMap`
-(:meth:`TaskEngine.tasks`) and inherits ``prove``, ``analyze`` and
-``run_campaign`` from :class:`TaskEngine`, which hands the map to the
-one driver of each request kind. Adding a future backend (an
+the guarantee that all three produce byte-identical verdicts. The
+backends differ only in where a list of shard tasks runs, so an
+:class:`Engine` is no more than that: a context manager whose
+:meth:`~Engine.tasks` supplies a
+:class:`~repro.verify.work_conservation.TaskMap`. The drivers of every
+request kind (``prove``, ``analyze``, ``campaign`` in
+:mod:`repro.verify.work_conservation`) run over any map, and the
+:class:`~repro.api.session.Session` is their one caller; callers pick a
+backend by constructing a different adapter — never by importing
+``parallel``/``distributed`` internals. Adding a future backend (an
 authenticated transport, say) means writing one ``tasks`` method;
 every entry point — CLI, spec files, programmatic callers — picks it up
 through :func:`create_engine` without a new flag plumb-through.
 
-Engines are context managers: ``__enter__`` acquires whatever the
-backend needs (nothing, a process pool, a worker fleet), ``__exit__``
-releases it. The :class:`DistributedEngine` wraps every
+``__enter__`` acquires whatever the backend needs (nothing, a process
+pool, a worker fleet), ``__exit__`` releases it. The
+:class:`DistributedEngine` wraps every
 :class:`~repro.core.errors.VerificationError` in an
 :class:`EngineError` prefixed ``"distributed run failed: "`` — the
 exact failure surface the CLI has always presented.
@@ -32,7 +30,6 @@ from __future__ import annotations
 from contextlib import ExitStack, contextmanager, nullcontext
 from typing import (
     TYPE_CHECKING,
-    Any,
     Callable,
     ContextManager,
     Iterator,
@@ -45,37 +42,16 @@ if TYPE_CHECKING:  # pragma: no cover - hints only; imported lazily at runtime
     from repro.verify.distributed import Coordinator, LocalWorkerPool
 
 from repro.core.errors import VerificationError
-from repro.core.policy import Policy
 from repro.obs.trace import TRACER
-from repro.topology.numa import NumaTopology
-from repro.verify.campaign import CampaignConfig, CampaignReport
-from repro.verify.enumeration import StateScope
-from repro.verify.hierarchical import HierarchySpec
-from repro.verify.model_checker import WorkConservationAnalysis
-from repro.verify.symmetry import SymmetryGroup, TrivialGroup
-from repro.verify.transition import DEFAULT_MAX_ORDERS
-from repro.verify.work_conservation import (
-    TaskMap,
-    WorkConservationCertificate,
-    analyze,
-    campaign,
-    local_tasks,
-    prove,
-)
+from repro.verify.work_conservation import TaskMap, local_tasks
 
 from repro.api.request import EngineSpec, RequestError
-
-#: ``on_level(level, states_expanded, next_frontier)`` progress hook.
-LevelCallback = Callable[[int, int, int], None]
 
 #: ``on_machine(machines_done, violations_so_far)`` campaign hook.
 MachineCallback = Callable[[int, int], None]
 
 #: ``on_reassign(task_index, lost_worker_name)`` dispatch hook.
 ReassignCallback = Callable[[int, str], None]
-
-#: ``on_expand(states_explored_so_far)`` cumulative progress hook.
-ExpandCallback = Callable[[int], None]
 
 #: ``on_partition_split(partition, source, target, pending)`` steal hook.
 SplitCallback = Callable[[int, str, str, int], None]
@@ -88,14 +64,12 @@ class EngineError(VerificationError):
 
 @runtime_checkable
 class Engine(Protocol):
-    """What a verification backend must provide.
+    """What a verification backend must provide: where a request's
+    shard tasks run.
 
-    All three request methods share one surface — identical parameters,
-    identical result types — because the engine-equivalence guarantee
-    (same request, same verdict, any backend) is only meaningful if the
-    surface is shared; :class:`TaskEngine` implements them once over a
-    backend's task map. Progress callbacks are optional observers; an
-    engine that cannot emit a given signal ignores the callback.
+    The engine-equivalence guarantee (same request, same verdict, any
+    backend) holds because every backend feeds the same drivers; only
+    the :class:`~repro.verify.work_conservation.TaskMap` differs.
     """
 
     def describe(self) -> str:
@@ -108,83 +82,17 @@ class Engine(Protocol):
     def __exit__(self, *exc_info: object) -> None:
         ...
 
-    def prove(self, policy: Policy, scope: StateScope, *,
-              choice_mode: str = "all",
-              max_orders: int = DEFAULT_MAX_ORDERS,
-              symmetry: SymmetryGroup = TrivialGroup(),
-              topology: NumaTopology | None = None,
-              on_level: LevelCallback | None = None,
-              ) -> WorkConservationCertificate:
-        """Run the full §4 pipeline for one policy."""
-        ...
-
-    def analyze(self, policy: Policy | None, scope: StateScope, *,
-                choice_mode: str = "all",
-                max_orders: int = DEFAULT_MAX_ORDERS,
-                symmetry: SymmetryGroup = TrivialGroup(),
-                topology: NumaTopology | None = None,
-                hierarchy: HierarchySpec | None = None,
-                on_level: LevelCallback | None = None,
-                ) -> WorkConservationAnalysis:
-        """Model-check work conservation only (the ``hunt`` path)."""
-        ...
-
-    def run_campaign(self, policy_factory: Callable[[], Policy],
-                     config: CampaignConfig, *,
-                     on_machine: MachineCallback | None = None,
-                     ) -> CampaignReport:
-        """Run a randomised fuzzing campaign."""
-        ...
-
-
-class TaskEngine:
-    """``prove``, ``analyze`` and ``run_campaign``, written once.
-
-    A backend implements :meth:`tasks`; each request kind hands the map
-    to its driver in :mod:`repro.verify.work_conservation`. Progress
-    hooks pass through to the closure: ``on_level`` fires per BFS level
-    and ``on_expand`` with the cumulative states explored, whichever the
-    caller supplies (the async distributed mode honours only
-    ``on_expand``); ``on_machine`` reaches campaigns that run in this
-    process.
-    """
-
     def tasks(self, on_machine: MachineCallback | None = None,
               ) -> ContextManager[TaskMap]:
-        """Where this backend runs a request's shard tasks."""
-        raise NotImplementedError
-
-    def prove(self, policy: Policy, scope: StateScope, *,
-              on_level: LevelCallback | None = None,
-              on_expand: ExpandCallback | None = None,
-              **params: Any) -> WorkConservationCertificate:
-        with self.tasks() as tasks:
-            return prove(policy, scope, tasks, on_level=on_level,
-                         on_expand=on_expand, **params)
-
-    def analyze(self, policy: Policy | None, scope: StateScope, *,
-                on_level: LevelCallback | None = None,
-                on_expand: ExpandCallback | None = None,
-                **params: Any) -> WorkConservationAnalysis:
-        with self.tasks() as tasks:
-            return analyze(policy, scope, tasks, on_level=on_level,
-                           on_expand=on_expand, **params)
-
-    def run_campaign(self, policy_factory: Callable[[], Policy],
-                     config: CampaignConfig, *,
-                     on_machine: MachineCallback | None = None,
-                     ) -> CampaignReport:
-        with self.tasks(on_machine) as tasks:
-            return campaign(policy_factory, config, tasks)
+        """Where this backend runs a request's shard tasks;
+        ``on_machine`` reaches campaigns that run in this process."""
+        ...
 
 
-class SerialEngine(TaskEngine):
+class SerialEngine:
     """The unsharded reference path: one shard, in this process.
 
-    ``prove`` reports no exploration progress, so its ``on_level`` is
-    ignored; ``analyze`` reports through ``on_expand`` (the cumulative
-    states explored after each BFS level), which the session throttles
-    into events, and campaigns report every machine.
+    Campaigns report every machine through ``on_machine``.
     """
 
     def describe(self) -> str:
@@ -201,13 +109,8 @@ class SerialEngine(TaskEngine):
               ) -> Iterator[TaskMap]:
         yield local_tasks(on_machine)
 
-    def prove(self, policy: Policy, scope: StateScope, *,
-              on_level: LevelCallback | None = None,
-              **params: Any) -> WorkConservationCertificate:
-        return super().prove(policy, scope, **params)
 
-
-class PoolEngine(TaskEngine):
+class PoolEngine:
     """The ``--jobs N`` multiprocessing engine.
 
     ``__enter__`` opens one process pool
@@ -255,7 +158,7 @@ class PoolEngine(TaskEngine):
         return pool_tasks(self.jobs)
 
 
-class DistributedEngine(TaskEngine):
+class DistributedEngine:
     """The coordinator/worker engine behind ``--distributed``/``--workers``.
 
     ``__enter__`` acquires the worker fleet per the construction

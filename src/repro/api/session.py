@@ -2,10 +2,14 @@
 
 A :class:`Session` is the one executor behind every entry point. It
 resolves a :class:`~repro.api.request.VerificationRequest` into runtime
-objects, acquires the requested engine, runs the request, and packages
-the outcome as a typed :class:`~repro.api.result.VerificationResult` —
-emitting structured :class:`ProgressEvent` values to subscribers along
-the way.
+objects, runs the request's driver from
+:mod:`repro.verify.work_conservation` over the engine's task map, and
+packages the outcome as a typed
+:class:`~repro.api.result.VerificationResult` — emitting structured
+:class:`ProgressEvent` values to subscribers along the way. With a
+result store attached, the session looks the request up first and
+enters the engine only on a miss (for a zoo, on the first row that
+misses), so a warm run acquires no pool and no worker fleet.
 
 Events are plain frozen dataclasses, not log lines: a caller can drive
 a progress bar off ``LevelCompleted``, alert on ``ShardReassigned``,
@@ -46,7 +50,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from contextlib import nullcontext
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
@@ -59,14 +63,30 @@ from typing import (
     Iterator,
 )
 
+from repro.core.policy import Policy
 from repro.obs.trace import TRACER
-from repro.verify.campaign import CampaignReport
 from repro.verify.obligations import Counterexample
 from repro.verify.report import ZooReport, zoo_lineup, zoo_lineup_entries
-from repro.verify.work_conservation import WorkConservationCertificate
+from repro.verify.work_conservation import (
+    TaskMap,
+    WorkConservationCertificate,
+    analyze,
+    campaign,
+    prove,
+)
 
-from repro.api.engine import DistributedEngine, Engine, create_engine
-from repro.api.request import RequestError, VerificationRequest
+from repro.api.engine import (
+    DistributedEngine,
+    Engine,
+    MachineCallback,
+    SerialEngine,
+    create_engine,
+)
+from repro.api.request import (
+    RequestError,
+    ResolvedRequest,
+    VerificationRequest,
+)
 from repro.api.result import (
     StoreProvenance,
     VerificationResult,
@@ -244,7 +264,7 @@ class Session:
         engine: inject a pre-built engine (overriding each request's
             ``engine`` spec) — how tests drive an in-process
             coordinator through the public API. The session still
-            enters/exits it per run.
+            enters/exits it per run that misses the store.
         expand_stride: emit :class:`StatesExplored` every this many
             serial expansions.
         store: a :class:`~repro.store.backends.ResultStore`; when
@@ -338,52 +358,45 @@ class Session:
             # (on_reassign) and the async explorer (on_partition_split).
             engine.on_reassign = self._on_reassign
             engine.on_partition_split = self._on_partition_split
-        caching: CachingEngine | None = None
+        front: CachingEngine | None = None
+        described = engine.describe()
         if self._store is not None:
             from repro.store.caching import CachingEngine
 
-            caching = CachingEngine(engine, self._store,
-                                    refresh=self._store_refresh,
-                                    subsume=self._store_subsume,
-                                    on_reused=self._on_reused)
-            engine = caching
-        self._emit(RequestStarted(request=request,
-                                  engine=engine.describe()))
+            front = CachingEngine(self._store,
+                                  refresh=self._store_refresh,
+                                  subsume=self._store_subsume,
+                                  on_reused=self._on_reused)
+            described = f"cached[{described}]"
+        self._emit(RequestStarted(request=request, engine=described))
         start = time.perf_counter()
         self._expand_seen = 0
         hit = False
         try:
             with TRACER.span("request." + request.kind, "session",
-                             engine=engine.describe()) as root:
-                result = None
-                if caching is not None:
-                    # Whole-request fast path: a warm request acquires
-                    # no backend at all (no pool, no worker fleet).
-                    result = caching.load_result(request)
-                    hit = result is not None
+                             engine=described) as root, \
+                    ExitStack() as stack:
+                result = (front.load_result(request)
+                          if front is not None else None)
+                hit = result is not None
                 root.set(store_hit=hit)
                 if result is None:
-                    with engine:
-                        runner = {
-                            "prove": self._run_prove,
-                            "hunt": self._run_hunt,
-                            "zoo": self._run_zoo,
-                            "campaign": self._run_campaign,
-                        }[request.kind]
-                        result = runner(request, engine)
-                    if caching is not None and request.kind == "zoo":
-                        # Engine-level binding stored the per-row
-                        # results; the assembled matrix gets its own
-                        # entry so a fully warm zoo is one lookup, not
-                        # eleven.
-                        caching.save_result(request, result)
+                    runner = {
+                        "prove": self._run_prove,
+                        "hunt": self._run_hunt,
+                        "zoo": self._run_zoo,
+                        "campaign": self._run_campaign,
+                    }[request.kind]
+                    result = runner(request, _Run(engine, front, stack))
+                    if front is not None:
+                        front.save_result(request, result)
         except BaseException as exc:
             self._emit(RequestFailed(request=request, error=str(exc)))
             raise
         result = result.with_timings(
             {**result.timings, "total_s": time.perf_counter() - start}
         )
-        if caching is not None:
+        if front is not None:
             # Provenance rides on the returned result only — stored
             # entries never carry it (the same entry is a miss once and
             # a hit ever after).
@@ -393,7 +406,7 @@ class Session:
                 store_key=store_key(request),
                 shards=coverage_shards(request),
                 hit=hit,
-                served_from=caching.last_hit_key if hit else None,
+                served_from=front.last_hit_key if hit else None,
             ))
         self._emit_violations(result)
         self._emit(RequestFinished(result=result))
@@ -466,26 +479,20 @@ class Session:
         finally:
             self._subscribers.remove(deliver)
 
-    @staticmethod
-    def _bound(engine: Engine,
-               request: VerificationRequest) -> ContextManager[Any]:
-        """Bind ``request`` on a caching engine; no-op on a bare one."""
-        bind = getattr(engine, "bound", None)
-        return bind(request) if bind is not None else nullcontext()
+    def _progress_hooks(self, engine: Engine, kind: str,
+                        ) -> dict[str, Any]:
+        """The closure-progress kwargs of ``kind``'s driver on ``engine``.
 
-    def _progress_hooks(self, engine: Engine) -> dict[str, Any]:
-        """The closure-progress kwargs this backend supports.
-
-        Level-synchronous backends report per-level
-        (:class:`LevelCompleted`); the async distributed mode has no
-        levels and reports a cumulative expansion count instead
-        (:class:`StatesExplored`, throttled by the session's stride,
-        exactly like the serial DFS). A caching engine reports as the
-        backend it wraps.
+        The serial engine reports a hunt's exploration as cumulative
+        counts (:class:`StatesExplored`, throttled by the session's
+        stride) and a proof's not at all; the async distributed mode has
+        no levels and reports counts too; every other backend reports
+        per level (:class:`LevelCompleted`). A zoo reports as its rows,
+        which are proofs.
         """
-        backend = getattr(engine, "inner", engine)
-        if (isinstance(backend, DistributedEngine)
-                and backend.mode == "async"):
+        if isinstance(engine, SerialEngine):
+            return {"on_expand": self._on_expand} if kind == "hunt" else {}
+        if isinstance(engine, DistributedEngine) and engine.mode == "async":
             return {"on_expand": self._on_expand}
         return {"on_level": self._on_level}
 
@@ -514,43 +521,40 @@ class Session:
 
     # -- per-kind runners ----------------------------------------------
 
-    def _run_prove(self, request: VerificationRequest,
-                   engine: Engine) -> VerificationResult:
-        resolved = request.resolve()
-        assert resolved.policy is not None  # guaranteed by request validation
-        with self._bound(engine, request):
-            cert = engine.prove(
-                resolved.policy, resolved.scope,
+    def _prove(self, run: _Run, request: VerificationRequest,
+               resolved: ResolvedRequest,
+               policy: Policy) -> WorkConservationCertificate:
+        """Prove ``policy`` on the run's engine: a prove request's one
+        policy, or a zoo row's."""
+        with run.tasks() as tasks:
+            return prove(
+                policy, resolved.scope, tasks,
                 choice_mode=request.choice_mode,
                 max_orders=request.effective_max_orders,
                 symmetry=resolved.symmetry,
                 topology=resolved.topology,
-                **self._progress_hooks(engine),
+                **self._progress_hooks(run.engine, request.kind),
             )
+
+    def _run_prove(self, request: VerificationRequest,
+                   run: _Run) -> VerificationResult:
+        resolved = request.resolve()
+        assert resolved.policy is not None  # guaranteed by request validation
+        cert = self._prove(run, request, resolved, resolved.policy)
         return result_from_certificate(request, cert)
 
     def _run_hunt(self, request: VerificationRequest,
-                  engine: Engine) -> VerificationResult:
-        from repro.api.engine import SerialEngine
-
+                  run: _Run) -> VerificationResult:
         resolved = request.resolve()
-        # The serial closure reports progress through the checker's
-        # cumulative per-level count, not levels; a caching engine is as
-        # serial as the backend it wraps.
-        hooks = (
-            {"on_expand": self._on_expand}
-            if isinstance(getattr(engine, "inner", engine), SerialEngine)
-            else self._progress_hooks(engine)
-        )
-        with self._bound(engine, request):
-            analysis = engine.analyze(
-                resolved.policy, resolved.scope,
+        with run.tasks() as tasks:
+            analysis = analyze(
+                resolved.policy, resolved.scope, tasks,
                 choice_mode=request.choice_mode,
                 max_orders=request.effective_max_orders,
                 symmetry=resolved.symmetry,
                 topology=resolved.topology,
                 hierarchy=resolved.hierarchy,
-                **hooks,
+                **self._progress_hooks(run.engine, "hunt"),
             )
         return result_from_analysis(request, analysis)
 
@@ -576,14 +580,15 @@ class Session:
         return builder.build()
 
     def _run_zoo(self, request: VerificationRequest,
-                 engine: Engine) -> VerificationResult:
+                 run: _Run) -> VerificationResult:
         resolved = request.resolve()
+        front = run.front
         policies = zoo_lineup(resolved.topology)
-        # With a store attached, each row is dispatched under its own
-        # derived prove request: the lineup partitions into hits served
-        # from the store and misses fanned out to the backend.
+        # With a store attached, each row is looked up and stored under
+        # its own derived prove request: the lineup partitions into hits
+        # served from the store and misses run on the engine.
         entries = (zoo_lineup_entries(resolved.topology)
-                   if hasattr(engine, "bound") else None)
+                   if front is not None else None)
         if entries is not None and len(entries) != len(policies):
             # The request-level lineup drifted from the built one (a
             # test pins their alignment, so this is belt-and-braces):
@@ -594,22 +599,17 @@ class Session:
         for index, policy in enumerate(policies):
             self._emit(PolicyStarted(policy=policy.name, index=index,
                                      total=len(policies)))
-            if entries is not None:
-                name, kwargs = entries[index]
-                context: ContextManager[Any] = self._bound(
-                    engine, self._zoo_row_request(request, name, kwargs)
-                )
-            else:
-                context = nullcontext()
-            with context:
-                cert = engine.prove(
-                    policy, resolved.scope,
-                    choice_mode=request.choice_mode,
-                    max_orders=request.effective_max_orders,
-                    symmetry=resolved.symmetry,
-                    topology=resolved.topology,
-                    **self._progress_hooks(engine),
-                )
+            row: VerificationRequest | None = None
+            cert: WorkConservationCertificate | None = None
+            if front is not None and entries is not None:
+                row = self._zoo_row_request(request, *entries[index])
+                stored = front.load_result(row)
+                cert = stored.certificate if stored is not None else None
+            if cert is None:
+                cert = self._prove(run, request, resolved, policy)
+                if front is not None and row is not None:
+                    front.save_result(row,
+                                      result_from_certificate(row, cert))
             certificates.append(cert)
             self._emit(PolicyFinished(policy=policy.name, index=index,
                                       total=len(policies),
@@ -619,14 +619,34 @@ class Session:
         return result_from_zoo(request, report)
 
     def _run_campaign(self, request: VerificationRequest,
-                      engine: Engine) -> VerificationResult:
-        config = request.campaign_config()
-        with self._bound(engine, request):
-            report: CampaignReport = engine.run_campaign(
-                request.policy_factory(), config,
-                on_machine=self._on_machine,
-            )
+                      run: _Run) -> VerificationResult:
+        with run.tasks(self._on_machine) as tasks:
+            report = campaign(request.policy_factory(),
+                              request.campaign_config(), tasks)
         return result_from_campaign(request, report)
+
+
+class _Run:
+    """One run's engine and store front.
+
+    The engine is entered when the run takes its first task map and
+    released when the run's exit stack closes, so a run the store
+    answers acquires nothing.
+    """
+
+    def __init__(self, engine: Engine, front: CachingEngine | None,
+                 stack: ExitStack) -> None:
+        self.engine = engine
+        self.front = front
+        self._stack = stack
+        self._entered = False
+
+    def tasks(self, on_machine: MachineCallback | None = None,
+              ) -> ContextManager[TaskMap]:
+        if not self._entered:
+            self._stack.enter_context(self.engine)
+            self._entered = True
+        return self.engine.tasks(on_machine)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ import itertools
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Mapping
 
 #: The clock every span start/duration is measured on. One shared
@@ -199,8 +199,12 @@ class Tracer:
 
         ``clock`` is the foreign process's :func:`trace_clock` reading
         taken when it packaged the spans; the offset to local time is
-        applied to every start. Dropped silently when disabled (a
-        result can arrive after the CLI already exported the trace).
+        applied to every start. Every span gets a fresh id from this
+        tracer (the foreign process numbered its spans from its own
+        counter) and its ``parent_id`` is remapped within the payload;
+        a parent outside the payload becomes ``None``. Dropped silently
+        when disabled (a result can arrive after the CLI already
+        exported the trace).
         """
         if not self.enabled:
             return
@@ -208,7 +212,13 @@ class Tracer:
         spans = [span_from_dict(doc, offset=offset, worker=worker,
                                 pid=pid) for doc in payload]
         with self._lock:
-            self._spans.extend(spans)
+            fresh = {span.span_id: next(self._ids) for span in spans}
+            self._spans.extend(
+                replace(span, span_id=fresh[span.span_id],
+                        parent_id=(None if span.parent_id is None
+                                   else fresh.get(span.parent_id)))
+                for span in spans
+            )
 
     # -- internals ------------------------------------------------------
 

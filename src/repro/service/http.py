@@ -13,7 +13,7 @@ that turns the streaming Session API into a service:
   ``Accept: application/json`` the events are skipped and the response
   body *is* that report document.
 * Warm requests are answered straight from the configured store: the
-  session's lazy caching engine acquires no backend at all, so a fully
+  session enters its engine only on a store miss, so a fully
   warm ``POST`` explores nothing and returns in store-lookup time.
 * ``GET /healthz`` answers liveness; ``GET /metrics`` exposes the
   hit/miss/inflight/eviction counters — as the historical JSON document

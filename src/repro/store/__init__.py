@@ -11,10 +11,11 @@ a request proven once is never explored again, on any entry point.
   form, what is and isn't part of a key).
 * :mod:`repro.store.backends` — the :class:`ResultStore` protocol and
   the :class:`FileStore` (``~/.cache/repro/store``, atomic writes, an
-  ``index.json``), :class:`MemoryStore`, and :class:`NullStore`
-  deployments, with ``gc``/``verify-integrity`` maintenance.
-* :mod:`repro.store.caching` — :class:`CachingEngine`, wrapping any
-  :class:`~repro.api.engine.Engine` with store-first dispatch.
+  ``index.json``) and :class:`MemoryStore` deployments, with
+  ``gc``/``verify-integrity`` maintenance.
+* :mod:`repro.store.caching` — :class:`CachingEngine`, the session's
+  front to a store: the lookup chain and the save path. The session
+  consults it before entering any engine.
 
 Sessions use it through ``Session(store=...)``; the CLI through
 ``--store``/``--no-store``/``--store-refresh`` and the
@@ -39,7 +40,6 @@ from repro.store.backends import (
     FileStore,
     IntegrityReport,
     MemoryStore,
-    NullStore,
     ResultStore,
     StoreError,
     StoreRecord,
@@ -64,7 +64,6 @@ __all__ = [
     "FileStore",
     "IntegrityReport",
     "MemoryStore",
-    "NullStore",
     "ResultStore",
     "STORE_FORMAT",
     "StoreError",

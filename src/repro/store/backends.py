@@ -1,9 +1,9 @@
-"""Result store backends: one protocol, three deployments.
+"""Result store backends: one protocol, two local deployments.
 
 A :class:`ResultStore` persists verification results under their
 content address (:func:`~repro.store.keys.store_key`) so the stack
-never pays for the same proof twice. Three backends cover the
-deployment spectrum:
+never pays for the same proof twice. Two local backends cover the
+deployment spectrum (:mod:`repro.service.netstore` adds a remote one):
 
 * :class:`FileStore` — the durable on-disk store
   (``~/.cache/repro/store`` by default): entries live at
@@ -13,9 +13,9 @@ deployment spectrum:
   zero-setup store for tests and one-process pipelines. Because both
   stores round-trip the identical entry document, File/Memory
   equivalence is a tested property, not an aspiration.
-* :class:`NullStore` — never hits, never keeps; the explicit "store
-  disabled" object for code paths that want the store plumbing without
-  the storage.
+
+A session without a store (``Session(store=None)``, ``--no-store``) is
+the one way to run uncached.
 
 Entries are stored in the **normal form** of
 :func:`~repro.api.report.strip_result_timings`: wall-clock is the only
@@ -211,25 +211,6 @@ class ResultStore(Protocol):
 # ---------------------------------------------------------------------------
 # backends
 # ---------------------------------------------------------------------------
-
-
-class NullStore:
-    """The store that is not there: every load misses, saves vanish."""
-
-    def describe(self) -> str:
-        return "null"
-
-    def load(self, key: str) -> VerificationResult | None:
-        return None
-
-    def save(self, key: str, result: VerificationResult) -> None:
-        return None
-
-    def keys(self) -> tuple[str, ...]:
-        return ()
-
-    def remove(self, key: str) -> bool:
-        return False
 
 
 class MemoryStore:
@@ -446,7 +427,7 @@ class FileStore:
     def _read_accesses(self) -> dict[str, float]:
         try:
             document = json.loads((self.root / ACCESS_NAME).read_text())
-        except (OSError, json.JSONDecodeError):
+        except (OSError, json.JSONDecodeError, RecursionError):
             return {}
         stamps = document.get("accesses") if isinstance(document, dict) \
             else None
@@ -481,7 +462,7 @@ class FileStore:
     def _read_index(self) -> dict[str, Any]:
         try:
             document = json.loads((self.root / INDEX_NAME).read_text())
-        except (OSError, json.JSONDecodeError):
+        except (OSError, json.JSONDecodeError, RecursionError):
             return {}
         entries = document.get("entries") if isinstance(document, dict) \
             else None

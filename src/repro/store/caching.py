@@ -1,51 +1,28 @@
-"""The caching engine: any backend, fronted by the proof store.
+"""The session's front to the proof store.
 
-:class:`CachingEngine` wraps an arbitrary
-:class:`~repro.api.engine.Engine` and consults a
-:class:`~repro.store.backends.ResultStore` before dispatching. The
-session binds the request a dispatch is *for* (:meth:`CachingEngine.
-bound`) — the whole request on ``prove``/``hunt``/``campaign`` runs,
-one derived per-policy prove request per zoo row — and the engine then
-serves the bound call from the store when it can, or runs it on the
-wrapped backend and stores the fresh result.
+:class:`CachingEngine` is where a :class:`~repro.api.session.Session`
+looks results up and stores them: the whole request first, and on a
+zoo whose matrix misses, one derived per-policy prove request per row.
+The session enters its engine only on a miss, so a fully warm
+``--distributed 8`` run spawns zero workers — the whole point of never
+paying for the same proof twice.
 
-Two properties make the wrapper invisible except for speed:
-
-* **Lazy acquisition.** Entering the caching engine does *not* enter
-  the wrapped engine; the backend is acquired on the first actual
-  dispatch. A fully warm ``--distributed 8`` run therefore spawns zero
-  workers — the whole point of never paying for the same proof twice.
-* **Payload identity.** A hit returns the exact payload a fresh run
-  would have produced (stored results are timing-stripped, and
-  wall-clock is the only engine-dependent field), so reports render
-  byte-identically whether they were proved or replayed.
-
-Cache traffic is observable: the session wires ``on_reused`` /
-``on_stored`` to its event stream, surfacing each hit as a
+A hit returns the exact payload a fresh run would have produced (stored
+results are timing-stripped, and wall-clock is the only
+engine-dependent field), so reports render byte-identically whether
+they were proved or replayed. The session wires ``on_reused`` to its
+event stream, surfacing each hit as a
 :class:`~repro.api.session.ResultReused` event.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import replace
-from typing import Any, Callable, Iterator
+from typing import Callable
 
-from repro.api.engine import Engine
 from repro.api.request import VerificationRequest
-from repro.api.result import (
-    Verdict,
-    VerificationResult,
-    result_from_analysis,
-    result_from_campaign,
-    result_from_certificate,
-)
-from repro.core.policy import Policy
+from repro.api.result import Verdict, VerificationResult
 from repro.obs.trace import TRACER
-from repro.verify.campaign import CampaignConfig, CampaignReport
-from repro.verify.enumeration import StateScope
-from repro.verify.model_checker import WorkConservationAnalysis
-from repro.verify.work_conservation import WorkConservationCertificate
 
 from repro.store.backends import ResultStore
 from repro.store.keys import proof_key, proof_request, store_key, subsumes
@@ -55,7 +32,7 @@ CacheCallback = Callable[[VerificationRequest, str], None]
 
 
 class CachingEngine:
-    """An :class:`~repro.api.engine.Engine` that reads the store first.
+    """Looks requests up in a store and keeps fresh results there.
 
     Lookups walk a three-step chain, each step strictly narrower than
     the last:
@@ -71,7 +48,6 @@ class CachingEngine:
        certificate reports its own counts), which is why it is opt-in.
 
     Args:
-        inner: the backend that runs actual proofs on a miss.
         store: where results are looked up and kept.
         refresh: when True, skip every lookup (but still store fresh
             results) — the ``--store-refresh`` semantics.
@@ -80,8 +56,6 @@ class CachingEngine:
         on_reused: called with ``(request, key)`` for every hit; the
             key is the one *served from*, which differs from
             ``store_key(request)`` on proof-key and subsumption hits.
-        on_stored: called with ``(request, key)`` for every fresh
-            result written.
 
     Attributes:
         last_hit_key: the key the most recent :meth:`load_result` hit
@@ -89,61 +63,15 @@ class CachingEngine:
             ``served_from`` provenance.
     """
 
-    def __init__(self, inner: Engine, store: ResultStore, *,
+    def __init__(self, store: ResultStore, *,
                  refresh: bool = False,
                  subsume: bool = False,
-                 on_reused: CacheCallback | None = None,
-                 on_stored: CacheCallback | None = None) -> None:
-        self.inner = inner
+                 on_reused: CacheCallback | None = None) -> None:
         self.store = store
         self.refresh = refresh
         self.subsume = subsume
         self.last_hit_key: str | None = None
         self._on_reused = on_reused
-        self._on_stored = on_stored
-        self._bound: VerificationRequest | None = None
-        self._entered = False
-        self._inner_entered = False
-
-    def describe(self) -> str:
-        return f"cached[{self.inner.describe()}]"
-
-    # -- lifecycle ------------------------------------------------------
-
-    def __enter__(self) -> "CachingEngine":
-        # Deliberately does not enter the wrapped engine: a fully warm
-        # run must not spawn pools or worker fleets it will never use.
-        self._entered = True
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._entered = False
-        if self._inner_entered:
-            self._inner_entered = False
-            self.inner.__exit__(*exc_info)
-
-    def _acquire(self) -> Engine:
-        if self._entered and not self._inner_entered:
-            self.inner.__enter__()
-            self._inner_entered = True
-        return self.inner
-
-    # -- request binding ------------------------------------------------
-
-    @contextmanager
-    def bound(self, request: VerificationRequest) -> Iterator["CachingEngine"]:
-        """Attribute the dispatches inside the block to ``request``.
-
-        Dispatches outside any binding pass straight through to the
-        wrapped engine, uncached.
-        """
-        previous, self._bound = self._bound, request
-        try:
-            yield self
-        finally:
-            self._bound = previous
-
-    # -- whole-result access (the session's fast path) ------------------
 
     def load_result(self, request: VerificationRequest,
                     ) -> VerificationResult | None:
@@ -183,8 +111,6 @@ class CachingEngine:
             key = store_key(normalised)
             result = replace(result, request=normalised)
         self.store.save(key, result)
-        if self._on_stored is not None:
-            self._on_stored(request, key)
 
     def _lookup(self, request: VerificationRequest,
                 ) -> tuple[VerificationResult, str] | None:
@@ -242,57 +168,3 @@ class CachingEngine:
         if best is None:
             return None
         return best[1], best[2]
-
-    def _reuse(self, request: VerificationRequest | None,
-               payload_of: Callable[[VerificationResult], Any]) -> Any:
-        """The bound request's stored payload, or ``None`` on a miss
-        (also when unbound, refreshing, or the entry lacks the payload
-        kind this dispatch needs)."""
-        if request is None or self.refresh:
-            return None
-        found = self._lookup(request)
-        if found is None:
-            return None
-        hit, served_from = found
-        payload = payload_of(hit)
-        if payload is not None and self._on_reused is not None:
-            self._on_reused(request, served_from)
-        return payload
-
-    # -- the engine protocol --------------------------------------------
-
-    def prove(self, policy: Policy, scope: StateScope,
-              **kwargs: Any) -> WorkConservationCertificate:
-        request = self._bound
-        cached = self._reuse(request, lambda hit: hit.certificate)
-        if cached is not None:
-            return cached
-        cert = self._acquire().prove(policy, scope, **kwargs)
-        if request is not None:
-            self.save_result(request, result_from_certificate(request, cert))
-        return cert
-
-    def analyze(self, policy: Policy | None, scope: StateScope,
-                **kwargs: Any) -> WorkConservationAnalysis:
-        request = self._bound
-        cached = self._reuse(request, lambda hit: hit.analysis)
-        if cached is not None:
-            return cached
-        analysis = self._acquire().analyze(policy, scope, **kwargs)
-        if request is not None:
-            self.save_result(request,
-                             result_from_analysis(request, analysis))
-        return analysis
-
-    def run_campaign(self, policy_factory: Callable[[], Policy],
-                     config: CampaignConfig,
-                     **kwargs: Any) -> CampaignReport:
-        request = self._bound
-        cached = self._reuse(request, lambda hit: hit.campaign)
-        if cached is not None:
-            return cached
-        report = self._acquire().run_campaign(policy_factory, config,
-                                              **kwargs)
-        if request is not None:
-            self.save_result(request, result_from_campaign(request, report))
-        return report

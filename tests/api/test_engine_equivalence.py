@@ -165,16 +165,20 @@ class TestPoolLifetime:
         from repro.api import PoolEngine
         from repro.policies import BalanceCountPolicy, NaiveOverloadedPolicy
         from repro.verify import StateScope
+        from repro.verify.work_conservation import analyze
 
         scope = StateScope(n_cores=3, max_load=2)
         with PoolEngine(2) as engine:
-            proved = engine.analyze(BalanceCountPolicy(), scope)
-            refuted = engine.analyze(NaiveOverloadedPolicy(), scope)
+            with engine.tasks() as tasks:
+                proved = analyze(BalanceCountPolicy(), scope, tasks)
+            with engine.tasks() as tasks:
+                refuted = analyze(NaiveOverloadedPolicy(), scope, tasks)
         assert len(pools) == 1
         assert proved.worst_case_rounds is not None
         assert refuted.lasso is not None
         # Outside the block a call gets, and closes, a pool of its own.
-        again = engine.analyze(NaiveOverloadedPolicy(), scope)
+        with engine.tasks() as tasks:
+            again = analyze(NaiveOverloadedPolicy(), scope, tasks)
         assert len(pools) == 2
         assert again.lasso == refuted.lasso
 

@@ -1,5 +1,7 @@
 """Tests for sessions: event streams, engine injection, verdict mapping."""
 
+import itertools
+
 import pytest
 
 from repro.api import (
@@ -22,6 +24,7 @@ from repro.api import (
     run_request,
     with_engine,
 )
+from repro.store import MemoryStore
 
 
 def events_of(request, **session_kwargs):
@@ -121,6 +124,104 @@ class TestEventStream:
         session.run(VerificationRequest.builder("hunt")
                     .policy("balance_count").build())
         assert seen
+
+
+def event_types(events):
+    """The run-length encoded types of ``events``: ``"A B*3 C"``."""
+    runs = [(name, len(list(group))) for name, group in
+            itertools.groupby(type(event).__name__ for event in events)]
+    return " ".join(name if count == 1 else f"{name}*{count}"
+                    for name, count in runs)
+
+
+class TestEventSequences:
+    """The types and order of every event, per engine and request kind,
+    with no store, a cold store and a warm store."""
+
+    ENGINES = {
+        "serial": EngineSpec(),
+        "pool": EngineSpec(kind="pool", jobs=2),
+        "distributed": EngineSpec(kind="distributed", workers=2,
+                                  in_process=True),
+    }
+    REQUESTS = {
+        "prove": (VerificationRequest.builder("prove")
+                  .policy("naive").scope(cores=3, max_load=2).build()),
+        "hunt": (VerificationRequest.builder("hunt")
+                 .policy("naive").scope(cores=3, max_load=2).build()),
+        "zoo": (VerificationRequest.builder("zoo")
+                .scope(cores=2, max_load=1).build()),
+        "campaign": (VerificationRequest.builder("campaign")
+                     .policy("naive")
+                     .campaign(machines=3, rounds=4, seed=1).build()),
+    }
+    #: What one run reports between RequestStarted and its violations:
+    #: serial prove reports no exploration and serial hunt reports
+    #: cumulative counts; the pool and distributed engines report BFS
+    #: levels; only the serial campaign reports machines.
+    SERIAL = {
+        "prove": "",
+        "hunt": "StatesExplored*2",
+        "zoo": " ".join(["PolicyStarted PolicyFinished"] * 9),
+        "campaign": "MachineChecked*3",
+    }
+    SHARDED = {
+        "prove": "LevelCompleted*2",
+        "hunt": "LevelCompleted*2",
+        "zoo": " ".join(["PolicyStarted LevelCompleted PolicyFinished"] * 9),
+        "campaign": "",
+    }
+    PROGRESS = {"serial": SERIAL, "pool": SHARDED, "distributed": SHARDED}
+    VIOLATIONS = {"prove": "ViolationFound*4", "hunt": "ViolationFound",
+                  "zoo": "ViolationFound*5",
+                  "campaign": "ViolationFound*5"}
+
+    @pytest.mark.parametrize("kind", sorted(REQUESTS))
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize("store", ["none", "cold", "warm"])
+    def test_event_types_and_order(self, engine, kind, store):
+        request = with_engine(self.REQUESTS[kind], self.ENGINES[engine])
+        memory = None if store == "none" else MemoryStore()
+        if store == "warm":
+            Session(store=memory).run(request)
+        events, _ = events_of(request, store=memory, expand_stride=1)
+        violations = self.VIOLATIONS[kind]
+        if engine != "serial" and kind == "campaign":
+            # Sharded campaigns merge their shards' violations.
+            violations = "ViolationFound"
+        middle = ("ResultReused" if store == "warm"
+                  else self.PROGRESS[engine][kind])
+        expected = " ".join(part for part in (
+            "RequestStarted", middle, violations, "RequestFinished",
+        ) if part)
+        assert event_types(events) == expected
+
+    def test_partially_warm_zoo_reuses_inside_its_row(self):
+        memory = MemoryStore()
+        row = (VerificationRequest.builder("prove")
+               .policy("greedy_halving").scope(cores=2, max_load=1)
+               .max_orders(720).build())
+        Session(store=memory).run(row)
+        events, result = events_of(self.REQUESTS["zoo"], store=memory)
+        index = [c.policy_name for c in result.zoo.certificates].index(
+            "greedy_halving(margin=2)")
+        rows = ["PolicyStarted PolicyFinished"] * 9
+        rows[index] = "PolicyStarted ResultReused PolicyFinished"
+        assert event_types(events) == " ".join(
+            ["RequestStarted", *rows, "ViolationFound*5", "RequestFinished"])
+
+    @pytest.mark.parametrize("kind", ["prove", "hunt"])
+    def test_async_distributed_reports_state_counts(self, kind):
+        # Barrier-free exploration has no levels; how many counts and
+        # partition splits it reports depends on scheduling.
+        request = with_engine(self.REQUESTS[kind], EngineSpec(
+            kind="distributed", workers=2, in_process=True, mode="async"))
+        events, _ = events_of(request, expand_stride=1)
+        middle = {type(e).__name__ for e in events[1:-1]} - {
+            "PartitionSplit", "ViolationFound"}
+        assert middle == {"StatesExplored"}
+        assert isinstance(events[0], RequestStarted)
+        assert isinstance(events[-1], RequestFinished)
 
 
 class TestSessionMechanics:

@@ -124,6 +124,19 @@ class TestPoolCapture:
         assert {"worker.SweepTask", "worker.LivenessTask",
                 "worker.ExpandTask"} <= names
 
+    def test_span_ids_are_unique_across_processes(self, tmp_path, capsys):
+        trace_path = tmp_path / "t.json"
+        assert main(self.ARGV + ["--trace", str(trace_path)]) == 0
+        capsys.readouterr()
+        document = json.loads(trace_path.read_text())
+        args = [event["args"] for event in document["traceEvents"]
+                if "span_id" in event.get("args", {})]
+        ids = [arg["span_id"] for arg in args]
+        assert len({event["pid"] for event in document["traceEvents"]}) > 1
+        assert len(ids) == len(set(ids))
+        parents = {arg["parent_id"] for arg in args if "parent_id" in arg}
+        assert parents <= set(ids)
+
 
 class TestNoOpOverhead:
     def test_disabled_span_call_is_cheap(self):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 
 from hypothesis import given
@@ -168,6 +169,28 @@ class TestIngest:
         assert before - 1.0 <= span.start <= after - 1.0
         assert span.worker == "worker-1"
         assert span.pid == 77
+
+    def test_ingested_spans_get_fresh_ids_and_remapped_parents(self):
+        tracer = make_tracer()
+        with tracer.span("local"):
+            pass
+        (local,) = tracer.spans()
+        outer = dataclasses.replace(_dummy_span(), span_id=local.span_id)
+        inner = dataclasses.replace(_dummy_span(), span_id=7,
+                                    parent_id=local.span_id)
+        orphan = dataclasses.replace(_dummy_span(), span_id=8,
+                                     parent_id=99)
+        payload = spans_to_payload((outer, inner, orphan))
+        tracer.ingest(payload, clock=0.0, worker="a")
+        tracer.ingest(payload, clock=0.0, worker="b")
+        spans = tracer.spans()
+        ids = [span.span_id for span in spans]
+        assert len(ids) == len(set(ids)) == 7
+        for batch in (spans[1:4], spans[4:7]):
+            new_outer, new_inner, new_orphan = batch
+            assert new_inner.parent_id == new_outer.span_id
+            assert new_outer.parent_id is None
+            assert new_orphan.parent_id is None
 
     def test_two_workers_with_opposite_skews_interleave(self):
         tracer = make_tracer()

@@ -9,7 +9,6 @@ from repro.api import Session, VerificationRequest
 from repro.store import (
     FileStore,
     MemoryStore,
-    NullStore,
     StoreError,
     decode_entry,
     encode_entry,
@@ -73,16 +72,7 @@ class TestRoundTrips:
             assert memory.load(key) == file.load(key)
         assert memory.keys() == file.keys()
 
-    def test_null_store_never_keeps_anything(self, proved_result):
-        store = NullStore()
-        key = store_key(proved_result.request)
-        store.save(key, proved_result)
-        assert store.load(key) is None
-        assert store.keys() == ()
-        assert not store.remove(key)
-
     def test_describe(self, tmp_path):
-        assert NullStore().describe() == "null"
         assert "memory" in MemoryStore().describe()
         assert str(tmp_path) in FileStore(tmp_path).describe()
 
@@ -337,6 +327,26 @@ class TestAccessStamps:
         assert store.accesses() == {}
         (tmp_path / "access.json").write_text('{"k": "soon"}')
         assert store.accesses() == {}
+
+    def test_deeply_nested_sidecars_read_as_empty(self, tmp_path,
+                                                 proved_result,
+                                                 hunt_result):
+        # Nesting past the parser's recursion limit raises
+        # RecursionError, not JSONDecodeError; both sidecars must still
+        # read as empty and gc must still run.
+        store = FileStore(tmp_path)
+        keys = sorted(store_key(result.request)
+                      for result in (proved_result, hunt_result))
+        for result in (proved_result, hunt_result):
+            store.save(store_key(result.request), result)
+        for name in ("access.json", "index.json"):
+            (tmp_path / name).write_text("[" * 100_000)
+        assert store.accesses() == {}
+        assert sorted(record.key for record in store.records()) == keys
+        (tmp_path / "index.json").write_text("[" * 100_000)
+        report = store.gc(max_entries=1)
+        assert report.checked == 2
+        assert len(store.keys()) == 1
 
 
 class TestRequestAwareEviction:

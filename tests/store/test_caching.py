@@ -28,22 +28,32 @@ EXPLORATION_EVENTS = (LevelCompleted, StatesExplored, MachineChecked)
 
 
 class CountingEngine(SerialEngine):
-    """A serial engine that counts real dispatches."""
+    """A serial engine that counts real dispatches: every driver call
+    takes one task map."""
 
     def __init__(self):
         self.dispatches = 0
+        self.entered = 0
 
-    def prove(self, *args, **kwargs):
-        self.dispatches += 1
-        return super().prove(*args, **kwargs)
+    def __enter__(self):
+        self.entered += 1
+        return super().__enter__()
 
-    def analyze(self, *args, **kwargs):
+    def tasks(self, on_machine=None):
         self.dispatches += 1
-        return super().analyze(*args, **kwargs)
+        return super().tasks(on_machine)
 
-    def run_campaign(self, *args, **kwargs):
-        self.dispatches += 1
-        return super().run_campaign(*args, **kwargs)
+
+class CountingStore(MemoryStore):
+    """A memory store that counts its loads."""
+
+    def __init__(self):
+        super().__init__()
+        self.loads = 0
+
+    def load(self, key):
+        self.loads += 1
+        return super().load(key)
 
 
 def run_with_store(request, store, **session_kwargs):
@@ -170,6 +180,34 @@ class TestZooPartitioning:
         assert len(reused(events)) == 1
         assert not [e for e in events if isinstance(e, PolicyStarted)]
 
+    def test_zoo_served_row_by_row_acquires_no_engine(self):
+        # The matrix entry is gone but every row is stored: each row is
+        # a hit, so the engine is never entered.
+        store = MemoryStore()
+        run_with_store(ZOO, store)
+        assert store.remove(store_key(ZOO))
+        _, events, engine = run_with_store(ZOO, store)
+        assert engine.entered == 0
+        assert engine.dispatches == 0
+        assert len(reused(events)) == len(zoo_lineup(None))
+        assert store_key(ZOO) in store.keys()  # the matrix is stored again
+
+
+class TestOneLookupChain:
+    """A request is looked up once: the exact key, then (when the
+    request is not spelled serial) its proof key."""
+
+    @pytest.mark.parametrize("spec, loads", [
+        (EngineSpec(), 1),
+        (EngineSpec(kind="pool", jobs=2), 2),
+    ], ids=["serial", "jobs2"])
+    def test_a_cold_request_walks_the_chain_once(self, spec, loads):
+        store = CountingStore()
+        result, _, engine = run_with_store(with_engine(PROVE, spec), store)
+        assert engine.dispatches == 1
+        assert store.loads == loads
+        assert not result.provenance.hit
+
 
 class TestEngineEquivalenceWithStore:
     ENGINES = {
@@ -239,52 +277,12 @@ class TestEngineEquivalenceWithStore:
 
 
 class TestCachingEngineDirectly:
-    def test_unbound_dispatch_passes_through_uncached(self):
-        store = MemoryStore()
-        inner = CountingEngine()
-        engine = CachingEngine(inner, store)
-        resolved = PROVE.resolve()
-        with engine:
-            cert = engine.prove(resolved.policy, resolved.scope,
-                                max_orders=PROVE.effective_max_orders)
-        assert cert.proved
-        assert inner.dispatches == 1
-        assert store.keys() == ()
-
-    def test_bound_dispatch_stores_and_reuses(self):
-        store = MemoryStore()
-        inner = CountingEngine()
-        engine = CachingEngine(inner, store)
-        resolved = PROVE.resolve()
-        for _ in range(2):
-            with engine, engine.bound(PROVE):
-                cert = engine.prove(resolved.policy, resolved.scope,
-                                    max_orders=PROVE.effective_max_orders)
-        assert cert.proved
-        assert inner.dispatches == 1
-        assert store.keys() == (store_key(PROVE),)
-
-    def test_analyze_dispatches_reuse_the_analysis_payload(self):
-        store = MemoryStore()
-        inner = CountingEngine()
-        engine = CachingEngine(inner, store)
-        hunt_resolved = HUNT.resolve()
-        with engine, engine.bound(HUNT):
-            engine.analyze(hunt_resolved.policy, hunt_resolved.scope,
-                           max_orders=HUNT.effective_max_orders)
-        assert inner.dispatches == 1
-        with engine, engine.bound(HUNT):
-            engine.analyze(hunt_resolved.policy, hunt_resolved.scope,
-                           max_orders=HUNT.effective_max_orders)
-        assert inner.dispatches == 1  # analysis payload reused
-
     def test_load_result_repoints_the_request(self):
         store = MemoryStore()
         Session(store=store).run(PROVE)
         spelled_differently = dataclasses.replace(PROVE, max_orders=5040)
         assert store_key(spelled_differently) == store_key(PROVE)
-        engine = CachingEngine(SerialEngine(), store)
-        loaded = engine.load_result(spelled_differently)
+        loaded = CachingEngine(store).load_result(spelled_differently)
         assert loaded is not None
         assert loaded.request == spelled_differently
 
