@@ -135,7 +135,8 @@ class PoolEngine:
         if self._depth == 0:
             from repro.verify.parallel import pool_tasks
 
-            with ExitStack() as stack:
+            with TRACER.span("engine.acquire", "engine",
+                             engine=self.describe()), ExitStack() as stack:
                 self._tasks = stack.enter_context(pool_tasks(self.jobs))
                 self._pool = stack.pop_all()
         self._depth += 1

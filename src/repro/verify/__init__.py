@@ -67,8 +67,6 @@ from repro.verify.model_checker import (
     Lasso,
     ModelChecker,
     WorkConservationAnalysis,
-    find_bad_lasso,
-    longest_bad_escape,
 )
 from repro.verify.symmetry import (
     BlockSymmetryGroup,
@@ -245,8 +243,6 @@ __all__ = [
     "Lasso",
     "ModelChecker",
     "WorkConservationAnalysis",
-    "find_bad_lasso",
-    "longest_bad_escape",
     "BlockSymmetryGroup",
     "FlatSymmetryGroup",
     "NumaSymmetryGroup",

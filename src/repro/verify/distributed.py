@@ -91,12 +91,8 @@ from typing import Any, Callable, Iterable, Sequence
 from repro.core.errors import VerificationError
 from repro.framing import ConnectionClosed, WireProtocolError, parse_endpoint
 from repro.obs.trace import TRACER
-from repro.verify.encoding import PackedState, StateCodec, decode_graph
-from repro.verify.model_checker import (
-    PackedGraph,
-    TransitionGraph,
-    closure_start,
-)
+from repro.verify.encoding import PackedState, StateCodec
+from repro.verify.model_checker import PackedGraph, closure_start
 from repro.verify.tasks import (
     CheckerConfig,
     ForwardBatch,
@@ -979,7 +975,7 @@ class AsyncPartitionExplorer:
             p: set() for p in range(n_partitions)
         }
         self._routed: set[PackedState] = set()
-        self._edges: PackedGraph = {}
+        self._edges: dict[PackedState, Any] = {}
         self._expanded: dict[int, set[PackedState]] = {
             p: set() for p in range(n_partitions)
         }
@@ -1246,7 +1242,9 @@ class AsyncPartitionExplorer:
 
     def run(self, initial_packed: Iterable[PackedState]
             ) -> tuple[PackedGraph, bool]:
-        """Explore the closure of ``initial_packed``; packed graph out.
+        """Explore the closure of ``initial_packed``; packed graph out
+        (the merged partition results, through
+        :meth:`~repro.verify.model_checker.PackedGraph.from_mapping`).
 
         Raises:
             WorkerLost: every worker died, or a partition exhausted the
@@ -1293,7 +1291,8 @@ class AsyncPartitionExplorer:
         if self._failure is not None:
             raise self._failure
         self._drop_run()
-        return dict(self._edges), self._truncated
+        return PackedGraph.from_mapping(self.codec, self._edges), \
+            self._truncated
 
     def _drop_run(self) -> None:
         """Best-effort worker-side cleanup; failure cannot matter now."""
@@ -1313,20 +1312,21 @@ def async_closure(coordinator: Coordinator, config: CheckerConfig,
                   on_expand: Callable[[int], None] | None = None,
                   on_partition_split:
                       "Callable[[int, str, str, int], None] | None" = None,
-                  ) -> tuple[TransitionGraph, bool]:
+                  ) -> tuple[PackedGraph, bool]:
     """Async counterpart of :func:`~repro.verify.model_checker.bfs_closure`.
 
-    Same contract — canonical initial states in, decoded tuple graph
+    Same contract — canonical initial states in, packed closure graph
     out — with the level loop replaced by an
     :class:`AsyncPartitionExplorer` run, quotiented by
     ``config.symmetry``. The canonicalisation and codec
-    derivation (:func:`~repro.verify.model_checker.closure_start`) and
-    the final decode are the ones ``bfs_closure`` runs, so both modes
-    feed byte-identical graphs to every downstream consumer.
+    derivation (:func:`~repro.verify.model_checker.closure_start`) are
+    the ones ``bfs_closure`` runs and the graph is the same
+    :class:`~repro.verify.model_checker.PackedGraph`, so both modes
+    feed identical graphs to every downstream consumer.
     """
     start = closure_start(initial_states, config.symmetry)
     if start is None:
-        return {}, False
+        return PackedGraph.from_mapping(StateCodec(1, 0), {}), False
     codec, frontier = start
     if n_partitions is None:
         n_partitions = max(
@@ -1336,8 +1336,7 @@ def async_closure(coordinator: Coordinator, config: CheckerConfig,
         coordinator, config, codec, n_partitions,
         on_expand=on_expand, on_partition_split=on_partition_split,
     )
-    edges, truncated = explorer.run(frontier.tolist())
-    return decode_graph(codec, edges), truncated
+    return explorer.run(frontier.tolist())
 
 
 def resolve_mode(mode: str) -> str:

@@ -20,8 +20,9 @@ drop-in replacement everywhere the engines previously used tuples:
   lexicographic tuple comparison. Sorted packed frontiers therefore
   stripe into exactly the same round-robin shards the tuple engine
   built, which is one half of the byte-identity guarantee (the other
-  half is decoding the finished graph back to tuples before any
-  certificate, rendering, or store-key code sees it).
+  half is that the graph algorithms order states by their packed
+  values, which is the tuple order, and decode a lasso's rows to the
+  very tuples the tuple engine reports).
 * **Total-load safe** — ``max_value`` is chosen from the *total* load
   of the initial states, and steals conserve totals, so no reachable
   state can overflow a digit even under over-stealing policies that
@@ -36,7 +37,7 @@ on it directly. See ``docs/encoding.md`` for the layout reference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from typing import Any, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -210,36 +211,19 @@ class StateCodec:
         )
 
 
-def decode_graph(codec: StateCodec,
-                 edges: dict) -> dict[LoadState, frozenset[LoadState]]:
-    """Decode a packed transition graph back to tuple form, in bulk.
+def decode_graph(codec: StateCodec, graph: Any) -> Any:
+    """The load matrix of a packed graph's states, in bulk.
 
-    The boundary step of every packed closure: the tuple graph is what
-    certificates, rendering, and store keys consume, so it must match
-    the tuple engine's graph key for key. Uses one vectorised numpy
-    unpack for int-form codecs; bytes-form codecs run the scalar
-    ``decode`` loop (bit-identical results either way).
+    Row ``i`` is the per-core loads of ``graph.states[i]`` (a
+    :class:`~repro.verify.model_checker.PackedGraph`), ``int64``; the
+    successor rows stay packed. One vectorised numpy unpack for
+    int-form codecs; bytes-form codecs run the scalar ``decode`` loop
+    (bit-identical results either way).
     """
     if not codec.use_int:
-        return {
-            codec.decode(packed): frozenset(
-                codec.decode(successor) for successor in successors
-            )
-            for packed, successors in edges.items()
-        }
-    flat: list[int] = list(edges.keys())
-    counts = [len(successors) for successors in edges.values()]
-    for successors in edges.values():
-        flat.extend(successors)
-    arr = np.asarray(flat, dtype=np.int64)
+        return np.array(
+            [codec.decode(packed) for packed in graph.states.tolist()],
+            dtype=np.int64,
+        ).reshape(len(graph), codec.n_cores)
     shifts = np.asarray(codec._shifts, dtype=np.int64)
-    digits = ((arr[:, None] >> shifts) & codec._mask).tolist()
-    states = list(map(tuple, digits))
-    n_keys = len(edges)
-    out: dict[LoadState, frozenset[LoadState]] = {}
-    cursor = n_keys
-    for index in range(n_keys):
-        count = counts[index]
-        out[states[index]] = frozenset(states[cursor:cursor + count])
-        cursor += count
-    return out
+    return (graph.states[:, None] >> shifts) & codec._mask

@@ -36,6 +36,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Sequence
 
+import numpy as np
+
 from repro.core.cpu import CoreSnapshot, CoreView
 from repro.core.errors import VerificationError
 from repro.core.machine import Machine
@@ -56,7 +58,7 @@ from repro.verify.enumeration import (
     is_bad_state,
     iter_states,
 )
-from repro.verify.model_checker import ModelChecker
+from repro.verify.model_checker import ModelChecker, PackedGraph
 from repro.verify.obligations import (
     WORK_CONSERVATION,
     Counterexample,
@@ -538,12 +540,11 @@ class HierarchicalModelChecker(ModelChecker):
         # enumerate_hierarchical_round this one pays off across the
         # whole exploration.
         self._intra_packed_memo: dict[
-            StateCodec, dict[LoadState, tuple[frozenset[PackedState], bool]]
+            StateCodec, dict[LoadState, tuple[list[PackedState], bool]]
         ] = {}
 
-    def _expand_fresh(self, packed_states: Sequence[PackedState],
-                      codec: StateCodec,
-                      ) -> tuple[list[tuple[frozenset[PackedState], bool]], Any]:
+    def _expand_fresh(self, states: Any, codec: StateCodec,
+                      ) -> tuple[PackedGraph, Any]:
         """Packed hierarchical expansion: shared inter, kernel intra.
 
         The inter-group phase runs :func:`_inter_outcomes`, the helper
@@ -552,16 +553,14 @@ class HierarchicalModelChecker(ModelChecker):
         not-yet-memoised mid states through the flat kernel path
         (:meth:`ModelChecker._expand_fresh`) in one batch. A round's
         successors are the union of its mid states' intra successors,
-        which is exactly the tuple path's successor set. The flat result
-        is ``None``: the closure loop collects successors from the
-        frozensets.
+        which is exactly the tuple path's successor set.
         """
         if self._kernel_for(codec) is None:
-            return super()._expand_fresh(packed_states, codec)
+            return super()._expand_fresh(states, codec)
         memo = self._intra_packed_memo.setdefault(codec, {})
         rounds: list[tuple[set[LoadState], bool]] = []
         missing: set[LoadState] = set()
-        for loads in codec.decode_batch(packed_states):
+        for loads in codec.decode_batch(states.tolist()):
             inter, truncated = _inter_outcomes(
                 self.group_policy, self.groups, self._group_nodes, loads,
                 choice_mode=self.choice_mode, max_orders=self.max_orders,
@@ -570,17 +569,20 @@ class HierarchicalModelChecker(ModelChecker):
             rounds.append((mids, truncated))
             missing |= mids - memo.keys()
         if missing:
-            batch = list(missing)
-            fresh, _ = super()._expand_fresh(codec.encode_batch(batch), codec)
-            memo.update(zip(batch, fresh))
-        out: list[tuple[frozenset[PackedState], bool]] = []
-        for mids, truncated in rounds:
-            entries = [memo[mid] for mid in mids]
-            successors = (entries[0][0] if len(entries) == 1
-                          else frozenset().union(*(s for s, _ in entries)))
-            out.append((successors,
-                        truncated or any(t for _, t in entries)))
-        return out, None
+            batch = sorted(missing)
+            fresh, truncations = super()._expand_fresh(
+                np.asarray(codec.encode_batch(batch), dtype=np.int64), codec
+            )
+            memo.update(zip(batch, zip(
+                (row.tolist() for row in fresh.values()),
+                truncations.tolist(),
+            )))
+        rows = [[value for mid in mids for value in memo[mid][0]]
+                for mids, _ in rounds]
+        flags = [truncated or any(memo[mid][1] for mid in mids)
+                 for mids, truncated in rounds]
+        return (PackedGraph.from_rows(codec, states, rows),
+                np.array(flags, dtype=bool))
 
     def _check_group_preservation(self, core_to_group: Sequence[int]) -> None:
         """Refuse symmetry groups that break the balancing-group partition.

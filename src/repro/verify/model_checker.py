@@ -23,8 +23,9 @@ scope's per-core bound (over-stealing policies do that).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -56,13 +57,109 @@ from repro.verify.transition import (
     enumerate_round_branches,
 )
 
-#: An explored transition graph: state -> distinct successor states.
-TransitionGraph = dict["LoadState", frozenset["LoadState"]]
 
-#: The packed form the engines explore in: packed state -> packed
-#: successors. Decoded back to a :data:`TransitionGraph` before any
-#: certificate, rendering, or store-key code runs.
-PackedGraph = dict["PackedState", frozenset["PackedState"]]
+class PackedGraph(Mapping):
+    """A packed transition graph in compressed sparse row (CSR) form.
+
+    The closure, and each chunk of it an expansion returns, is three
+    arrays: ``states``, the packed states ascending (``int64``, or
+    ``object`` holding a bytes-form codec's ``bytes``); ``indptr``,
+    where row ``i`` spans ``indices[indptr[i]:indptr[i + 1]]``; and
+    ``indices``, each row's distinct canonical successors, ascending.
+    The column indices are packed states, so a chunk's rows may name
+    states outside the chunk. As a read-only ``Mapping``,
+    ``graph[packed]`` is a row and ``.values()`` every row.
+    """
+
+    __slots__ = ("codec", "states", "indptr", "indices")
+
+    def __init__(self, codec: StateCodec, states: Any, indptr: Any,
+                 indices: Any) -> None:
+        self.codec = codec
+        self.states = states
+        self.indptr = indptr
+        self.indices = indices
+
+    @classmethod
+    def from_pairs(cls, codec: StateCodec, states: Any, owner: Any,
+                   values: Any) -> "PackedGraph":
+        """The graph over ``states`` whose row ``owner[k]`` holds
+        ``values[k]``, the pairs as :func:`_dedup` returns them."""
+        indptr = np.zeros(len(states) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owner, minlength=len(states)),
+                  out=indptr[1:])
+        return cls(codec, states, indptr, values)
+
+    @classmethod
+    def from_rows(cls, codec: StateCodec, states: Any,
+                  rows: Sequence[Collection[PackedState]]) -> "PackedGraph":
+        """The graph whose row ``i`` is ``rows[i]``, in any order."""
+        owner = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
+        values = _packed_array(codec, [value for row in rows
+                                       for value in row])
+        values, owner = _dedup(values, owner)
+        return cls.from_pairs(codec, states, owner, values)
+
+    @classmethod
+    def from_mapping(cls, codec: StateCodec, edges: dict) -> "PackedGraph":
+        """The graph of the async closure's ``{state: row}`` dict."""
+        states = sorted(edges)
+        return cls.from_rows(codec, _packed_array(codec, states),
+                             [edges[state] for state in states])
+
+    @classmethod
+    def concat(cls, codec: StateCodec,
+               chunks: "Sequence[PackedGraph]") -> "PackedGraph":
+        """Chunks over disjoint states as one graph, rows in state order."""
+        states = np.concatenate([chunk.states for chunk in chunks])
+        lengths = np.concatenate([np.diff(chunk.indptr) for chunk in chunks])
+        indices = np.concatenate([chunk.indices for chunk in chunks])
+        starts = np.cumsum(lengths) - lengths
+        order = np.argsort(states, kind="stable")
+        lengths = lengths[order]
+        indptr = np.zeros(len(states) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        gather = (np.repeat(starts[order] - indptr[:-1], lengths)
+                  + np.arange(indptr[-1]))
+        return cls(codec, states[order], indptr, indices[gather])
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def __iter__(self) -> Iterator[PackedState]:
+        return iter(self.states.tolist())
+
+    def __getitem__(self, packed: PackedState) -> Any:
+        row = int(np.searchsorted(self.states, packed))
+        if row == len(self.states) or self.states[row] != packed:
+            raise KeyError(packed)
+        return self.indices[self.indptr[row]:self.indptr[row + 1]]
+
+    def values(self) -> list[Any]:  # type: ignore[override]
+        """Every row, in state order."""
+        if not len(self.states):
+            return []
+        return np.split(self.indices, self.indptr[1:-1])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PackedGraph):
+            return NotImplemented
+        return (self.codec == other.codec
+                and np.array_equal(self.states, other.states)
+                and np.array_equal(self.indptr, other.indptr)
+                and np.array_equal(self.indices, other.indices))
+
+
+def _dedup(values: Any, owner: Any) -> tuple[Any, Any]:
+    """``(values, owner)`` pairs sorted by owner, then value, without
+    repeats."""
+    order = np.lexsort((values, owner))
+    values = values[order]
+    owner = owner[order]
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = (owner[1:] != owner[:-1]) | (values[1:] != values[:-1])
+    return values[keep], owner[keep]
+
 
 #: Sentinel distinguishing "never built" from "built as ineligible".
 _KERNEL_UNSET = object()
@@ -201,14 +298,6 @@ class ModelChecker:
         self._kernel_cache: dict[
             tuple[StateCodec, tuple[int, ...] | None, str],
             TransitionKernel | None,
-        ] = {}
-        # Keyed per codec with a plain packed-state inner dict: frontier
-        # states hash one machine int each instead of a tuple, and a
-        # fresh run skips per-state lookups entirely (the empty inner
-        # dict short-circuits).
-        self._packed_successor_cache: dict[
-            StateCodec,
-            dict[PackedState, tuple[frozenset[PackedState], bool]],
         ] = {}
 
     def _check_choice_equivariance(self, policy: Policy) -> None:
@@ -359,57 +448,37 @@ class ModelChecker:
             return None
         return self._kernel_for(StateCodec.for_scope(scope), sweeps=True)
 
-    def _expand_fresh(self, packed_states: Sequence[PackedState],
-                      codec: StateCodec,
-                      ) -> tuple[list[tuple[frozenset[PackedState], bool]], Any]:
-        """Uncached packed successors of a chunk, in input order.
+    def _expand_fresh(self, states: Any, codec: StateCodec,
+                      ) -> tuple[PackedGraph, Any]:
+        """The packed successors of ``states``, a sorted array of
+        distinct packed states, as a CSR chunk.
 
         Dispatches to the transition kernel when the policy and
         parameters admit one, else decodes and runs the tuple executor
-        per state — the paths produce identical (canonicalised)
+        per state, whose successors are sorted per row as they enter
+        the chunk — the paths produce identical (canonicalised)
         successor sets, which the CI ``smoke-kernel`` job diffs
-        end-to-end.
-
-        Returns the per-state ``(successors, truncated)`` entries plus
-        the chunk's flat successor values (each state's deduped
-        successors concatenated in input order): a numpy ``int64``
-        array on the kernel path, else ``None``. The flat form lets
-        the closure loop build the next frontier with array merges
-        instead of per-state set unions.
+        end-to-end. Returns the chunk and each state's truncation flag
+        (a ``bool`` array).
         """
         kernel = self._kernel_for(codec)
         group = self.symmetry
         if kernel is None:
-            out: list[tuple[frozenset[PackedState], bool]] = []
             with TRACER.span("checker.expand", "checker", tier="tuple",
-                             states=len(packed_states)):
-                for packed in packed_states:
-                    succ, truncated = self.successors(codec.decode(packed))
-                    out.append((
-                        frozenset(codec.encode(s) for s in succ),
-                        truncated,
-                    ))
-            return out, None
+                             states=len(states)):
+                expanded = [self.successors(codec.decode(packed))
+                            for packed in states.tolist()]
+                chunk = PackedGraph.from_rows(codec, states, [
+                    [codec.encode(s) for s in succ] for succ, _ in expanded
+                ])
+            return chunk, np.array([t for _, t in expanded], dtype=bool)
         # Expansion, canonicalisation, and per-state dedup all stay in
-        # int64 arrays; Python objects materialise only at the memo
-        # boundary below (one bulk tolist).
-        def dedup(values: Any, owner: Any) -> tuple[Any, Any]:
-            order = np.lexsort((values, owner))
-            values = values[order]
-            owner = owner[order]
-            keep = np.empty(len(values), dtype=bool)
-            keep[0] = True
-            keep[1:] = (owner[1:] != owner[:-1]) \
-                | (values[1:] != values[:-1])
-            return values[keep], owner[keep]
-
+        # int64 arrays; no Python object is built per successor.
         with TRACER.span("checker.kernel", "checker", tier="numpy",
-                         states=len(packed_states)) as kernel_span:
-            values, counts, trunc_flags = kernel.expand_batch_arrays(
-                np.asarray(packed_states, dtype=np.int64)
-            )
+                         states=len(states)) as kernel_span:
+            values, counts, trunc_flags = kernel.expand_batch_arrays(states)
             kernel_span.set(values=int(values.size))
-        owner = np.repeat(np.arange(len(packed_states)), counts)
+        owner = np.repeat(np.arange(len(states)), counts)
         # Dedup raw values first: the kernel runs one steal order per
         # commutation class, but distinct classes and victim
         # combinations still reach the same packed state, and
@@ -417,63 +486,33 @@ class ModelChecker:
         # pricey) per-element canonicalisation for each copy.
         with TRACER.span("checker.dedup", "checker",
                          values=int(values.size)):
-            values, owner = dedup(values, owner)
+            values, owner = _dedup(values, owner)
         if not group.is_trivial:
             with TRACER.span("checker.canonicalise", "checker",
                              tier="numpy", values=int(values.size)):
                 values = group.canonicalize_batch(values, codec)
             with TRACER.span("checker.dedup", "checker",
                              values=int(values.size)):
-                values, owner = dedup(values, owner)
-        dedup_counts = np.bincount(owner, minlength=len(packed_states))
-        flat_list = values.tolist()
-        entries = []
-        cursor = 0
-        for count, truncated in zip(dedup_counts.tolist(),
-                                    trunc_flags.tolist()):
-            entries.append((
-                frozenset(flat_list[cursor:cursor + count]), truncated
-            ))
-            cursor += count
-        return entries, values
+                values, owner = _dedup(values, owner)
+        return PackedGraph.from_pairs(codec, states, owner, values), \
+            trunc_flags
 
-    def expand_level(self, packed_states: Sequence[PackedState],
-                     codec: StateCodec,
-                     ) -> tuple[PackedGraph, bool, Any]:
-        """Packed successors of a frontier chunk, memoized per checker.
+    def expand_level(self, packed_states: Iterable[PackedState],
+                     codec: StateCodec) -> tuple[PackedGraph, bool]:
+        """Packed successors of a frontier chunk, as a CSR chunk.
 
         The batch analogue of :meth:`successors`: every engine's
         expansion — serial levels, pool workers, remote workers — runs
-        through here, so the kernel/tuple dispatch and the per-checker
-        memo live in exactly one place. Returns the edge dict, whether
-        any enumeration was truncated, and the level's flat successor
-        values. The third result concatenates every state's (deduped)
-        successors: a numpy ``int64`` array when the whole chunk ran
-        the kernel, else a plain list. The closure loop
-        (:func:`bfs_closure`) uses it to build the next frontier with
-        one ``np.unique`` + merge instead of per-state set unions; the
-        edge dict is unchanged and remains the wire/store form.
+        through here, so the kernel/tuple dispatch lives in exactly one
+        place. Returns a :class:`PackedGraph` over the distinct input
+        states and whether any enumeration was truncated; the chunk is
+        what an :class:`~repro.verify.tasks.ExpandTask` answers with,
+        and :func:`bfs_closure` merges its ``indices`` into the next
+        frontier.
         """
-        memo = self._packed_successor_cache.setdefault(codec, {})
-        if memo:
-            misses = [p for p in packed_states if p not in memo]
-        else:
-            misses = list(packed_states)
-        flat: Any = None
-        if misses:
-            fresh, flat = self._expand_fresh(misses, codec)
-            memo.update(zip(misses, fresh))
-        edges: PackedGraph = {}
-        truncated = False
-        for packed in packed_states:
-            succ, trunc = memo[packed]
-            edges[packed] = succ
-            truncated = truncated or trunc
-        if flat is None or len(misses) != len(packed_states):
-            # The tuple executor, or memo hits whose successors are not
-            # in the fresh flat array: collect from the frozensets.
-            flat = [s for succ in edges.values() for s in succ]
-        return edges, truncated, flat
+        states = np.unique(_packed_array(codec, packed_states))
+        chunk, truncated = self._expand_fresh(states, codec)
+        return chunk, bool(truncated.any())
 
     # ------------------------------------------------------------------
     # work conservation
@@ -481,25 +520,19 @@ class ModelChecker:
 
     def explore(self, initial_states: Iterable[LoadState],
                 on_expand: Callable[[int], None] | None = None,
-                ) -> tuple[TransitionGraph, bool]:
-        """Reachable closure of ``initial_states`` as a transition graph.
+                ) -> tuple[PackedGraph, bool]:
+        """Reachable closure of ``initial_states`` as a packed graph.
 
-        Returns the edge map (every explored state mapped to its distinct
+        Returns the closure (every explored state's distinct
         canonicalised successors) and whether any enumeration was
-        truncated. Exploration is the expensive half of :meth:`analyze`;
-        the parallel engine calls it per shard and merges the resulting
-        graphs by plain dict union, which is sound because the successor
-        map of a state is a pure function of (policy, state, parameters) —
-        two shards reaching the same state compute identical edges.
+        truncated. Exploration is the expensive half of :meth:`analyze`.
+        A state's row is a pure function of (policy, state, parameters),
+        so every engine's closure of the same states is the same graph.
 
         The closure is :func:`bfs_closure` with one shard whose chunk
         expands through :meth:`expand_level` in this process, so the
-        transition kernel vectorises whole levels and the level's flat
-        successor array feeds the frontier merge directly; the finished
-        graph is decoded back to tuple form at the boundary, which keeps
-        every downstream consumer (graph algorithms, certificates, store
-        keys, rendered output) byte-identical to the historic tuple
-        engine.
+        transition kernel vectorises whole levels. The graph stays
+        packed: :meth:`analyze_graph` decodes only its states.
 
         ``on_expand`` (when given) is called after each expanded level
         with the cumulative number of states explored so far — the
@@ -507,7 +540,7 @@ class ModelChecker:
         events. Pure observer; it cannot influence exploration.
         """
         def map_expand(codec: StateCodec, chunks: list[list[PackedState]],
-                       ) -> list[tuple[PackedGraph, bool, Any]]:
+                       ) -> list[tuple[PackedGraph, bool]]:
             return [self.expand_level(chunk, codec) for chunk in chunks]
 
         return bfs_closure(
@@ -516,32 +549,40 @@ class ModelChecker:
             else cumulative_levels(on_expand),
         )
 
-    def analyze_graph(self, scope: StateScope, edges: TransitionGraph,
+    def analyze_graph(self, scope: StateScope, graph: PackedGraph,
                       truncated: bool,
                       elapsed_s: float = 0.0) -> WorkConservationAnalysis:
-        """Run the graph algorithms over an explored transition graph.
+        """Run the graph algorithms over an explored closure.
 
-        The cheap half of :meth:`analyze`: lasso detection over the bad
-        region and, absent a lasso, the exact worst-case escape depth.
-        Deterministic in the graph alone (iteration is over sorted
-        states), so a merged multi-shard graph yields byte-identical
-        verdicts to a single-process exploration.
+        The cheap half of :meth:`analyze`, on the graph's arrays: the bad
+        mask comes from one bulk decode of the states
+        (:func:`~repro.verify.encoding.decode_graph`) and the bad
+        subgraph is peeled (:func:`peel_bad_region`), whose round count
+        is the exact ``N`` unless survivors reach a lasso
+        (:func:`find_lasso`). Only the lasso's rows become tuples.
         """
-        seen = set(edges)
-        bad = {s for s in seen if is_bad_state(s)}
-        lasso = find_bad_lasso(edges, bad)
-        worst = None
-        if lasso is None:
-            worst = longest_bad_escape(edges, bad)
+        with TRACER.span("checker.analyze", "checker") as span:
+            loads = decode_graph(graph.codec, graph)
+            bad = (loads == 0).any(axis=1) & (loads >= 2).any(axis=1)
+            rounds, live, rows, cols = peel_bad_region(graph, bad)
+            lasso = None
+            if live.any():
+                path, start = find_lasso(live, rows, cols)
+                states = [tuple(row) for row in loads[path].tolist()]
+                lasso = Lasso(prefix=tuple(states[:start]),
+                              cycle=tuple(states[start:]))
+            n_bad = int(bad.sum())
+            span.set(states=len(graph), bad=n_bad, peel_rounds=rounds,
+                     survivors=int(live.sum()))
         return WorkConservationAnalysis(
             policy_name=self.policy.name,
             scope=scope.describe(),
             sequential=self.sequential,
             violated=lasso is not None,
             lasso=lasso,
-            worst_case_rounds=worst,
-            states_explored=len(seen),
-            bad_states=len(bad),
+            worst_case_rounds=None if lasso is not None else rounds,
+            states_explored=len(graph),
+            bad_states=n_bad,
             truncated=truncated,
             elapsed_s=elapsed_s,
         )
@@ -673,9 +714,8 @@ class ModelChecker:
 
         ``states`` optionally restricts the sweep to one shard's chunk.
         Where :meth:`explore` runs on the numpy kernel, so does this
-        sweep: the good states expand through :meth:`expand_level` (whose
-        memo exploration then hits) and successor badness is tested on
-        packed values. The first failing state is replayed on the tuple
+        sweep: the good states expand through :meth:`expand_level` and
+        successor badness is tested on packed values. The first failing state is replayed on the tuple
         executor, which rebuilds the same counterexample the tuple
         sweep reports.
         """
@@ -707,14 +747,10 @@ class ModelChecker:
         if not good.size:
             return 0, None
         unique, inverse = np.unique(good, return_inverse=True)
-        keys = unique.tolist()
-        edges, _, flat = self.expand_level(keys, codec)
-        owner = np.repeat(np.arange(len(keys)),
-                          [len(edges[key]) for key in keys])
-        reaches_bad = np.zeros(len(keys), dtype=bool)
-        reaches_bad[owner[kernel.bad_mask(
-            np.asarray(flat, dtype=np.int64)
-        )]] = True
+        chunk, _ = self.expand_level(unique, codec)
+        owner = np.repeat(np.arange(len(unique)), np.diff(chunk.indptr))
+        reaches_bad = np.zeros(len(unique), dtype=bool)
+        reaches_bad[owner[kernel.bad_mask(chunk.indices)]] = True
         hits = np.nonzero(reaches_bad[inverse])[0]
         if not hits.size:
             return int(good.size), None
@@ -831,7 +867,7 @@ def bfs_closure(map_expand: Callable, n_shards: int,
                 initial_states: Iterable[LoadState],
                 symmetry: SymmetryGroup,
                 on_level: "Callable[[int, int, int], None] | None" = None,
-                ) -> tuple[TransitionGraph, bool]:
+                ) -> tuple[PackedGraph, bool]:
     """Level-synchronous BFS over the reachable closure, engine-agnostic.
 
     The one frontier/visited loop: every engine's closure driver
@@ -844,18 +880,15 @@ def bfs_closure(map_expand: Callable, n_shards: int,
     ``object`` for bytes-form codecs). Each level, the frontier is
     striped round-robin into ``n_shards`` chunks and handed to
     ``map_expand(codec, chunks)``, which must return one
-    packed ``(edges, truncated)`` pair per chunk (a pool maps them onto
+    ``(chunk, truncated)`` pair per chunk, as
+    :meth:`ModelChecker.expand_level` does (a pool maps them onto
     worker processes; a coordinator ships them to remote workers as one
-    batched frontier-exchange round per level). A result may carry a
-    third item, the chunk's flat successor values (what
-    :meth:`ModelChecker.expand_level` returns); otherwise the
-    successors are read from the chunk's edges. The codec is
-    order-preserving, so the packed sort stripes states into exactly the
-    chunks the tuple engine built. Every state is expanded exactly once
-    globally, so expansion work splits ``n_shards`` ways, and each level
-    costs one round trip regardless of link latency. The finished graph
-    is decoded back to tuple form before returning, keeping every
-    downstream consumer byte-identical to the tuple engine.
+    batched frontier-exchange round per level); the chunks' ``indices``
+    feed the next frontier. The codec is order-preserving, so the
+    packed sort stripes states into exactly the chunks the tuple engine
+    built. Every state is expanded exactly once globally, and each
+    level costs one round trip regardless of link latency. The closure
+    is every chunk concatenated into one :class:`PackedGraph`.
 
     ``on_level`` (when given) is called after each completed level with
     ``(level_index, states_expanded_this_level, next_frontier_size)`` —
@@ -865,10 +898,11 @@ def bfs_closure(map_expand: Callable, n_shards: int,
     """
     start = closure_start(initial_states, symmetry)
     if start is None:
-        return {}, False
+        return PackedGraph.from_rows(StateCodec(1, 0),
+                                     np.empty(0, np.int64), []), False
     codec, frontier = start
     seen = frontier
-    edges: PackedGraph = {}
+    graph: list[PackedGraph] = []
     truncated = False
     level = 0
     while frontier.size:
@@ -878,15 +912,10 @@ def bfs_closure(map_expand: Callable, n_shards: int,
         successors: list[Any] = []
         with TRACER.span("closure.level", "closure", level=level,
                          frontier=len(states), chunks=len(chunks)):
-            for shard_edges, shard_truncated, *flat in map_expand(codec,
-                                                                  chunks):
-                edges.update(shard_edges)
-                truncated = truncated or shard_truncated
-                successors.append(_packed_array(
-                    codec,
-                    flat[0] if flat
-                    else (s for succ in shard_edges.values() for s in succ),
-                ))
+            for chunk, chunk_truncated in map_expand(codec, chunks):
+                graph.append(chunk)
+                truncated = truncated or chunk_truncated
+                successors.append(chunk.indices)
         # Visited membership is one searchsorted merge per level. The
         # fresh states come out ascending, so the next frontier is
         # sorted without a sort.
@@ -899,7 +928,7 @@ def bfs_closure(map_expand: Callable, n_shards: int,
             on_level(level, len(states), int(fresh.size))
         level += 1
         frontier = fresh
-    return decode_graph(codec, edges), truncated
+    return PackedGraph.concat(codec, graph), truncated
 
 
 def cumulative_levels(on_expand: Callable[[int], None],
@@ -926,80 +955,69 @@ def cumulative_levels(on_expand: Callable[[int], None],
 # ---------------------------------------------------------------------------
 
 
-def find_bad_lasso(edges: dict[LoadState, frozenset[LoadState]],
-                   bad: set[LoadState]) -> Lasso | None:
-    """Find a cycle lying wholly inside ``bad``, with an access path.
+def peel_bad_region(graph: PackedGraph, bad: Any,
+                    ) -> tuple[int, Any, Any, Any]:
+    """Peel the bad subgraph of ``graph`` until it stops shrinking.
 
-    Iterative DFS with colouring over the bad-only subgraph. Every bad
-    state is a legal initial state (the definition quantifies over all
-    initial states), so any bad cycle is a violation witness.
+    Each round removes every bad state with no live bad successor. A
+    state removed in round ``k`` leaves the bad region within ``k``
+    rounds whatever the adversary picks, and some execution takes
+    exactly ``k``; so when every bad state peels, the number of rounds
+    is the paper's exact worst-case ``N``. A survivor keeps a surviving
+    bad successor forever, so the survivors reach a bad cycle.
+
+    Returns the number of rounds, the survivors' mask, and the edges
+    among the survivors as row and column positions, in row order and,
+    within a row, ascending.
     """
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour: dict[LoadState, int] = {s: WHITE for s in bad}
+    rows = np.repeat(np.arange(len(graph)), np.diff(graph.indptr))
+    cols = np.searchsorted(graph.states, graph.indices)
+    keep = bad[rows] & bad[cols]
+    rows, cols = rows[keep], cols[keep]
+    live = bad.copy()
+    rounds = 0
+    while True:
+        has_child = np.bincount(rows, minlength=len(graph)) > 0
+        if not (live & ~has_child).any():
+            return rounds, live, rows, cols
+        rounds += 1
+        live &= has_child
+        keep = live[cols]
+        rows, cols = rows[keep], cols[keep]
 
-    for root in sorted(bad):
+
+def find_lasso(live: Any, rows: Any, cols: Any) -> tuple[list[int], int]:
+    """A cycle among the survivors of :func:`peel_bad_region` and a path
+    to it: the state positions along both, and where the cycle starts.
+
+    Iterative DFS with colouring, roots and children in ascending state
+    order. Every bad state is a legal initial state, so any bad cycle
+    is a violation witness. The same DFS over every bad state returns
+    the same lasso: a peeled state reaches no cycle, so a peeled subtree
+    finishes without a find and never lies on the path.
+    """
+    starts = np.searchsorted(rows, np.arange(len(live) + 1)).tolist()
+    children = cols.tolist()
+    WHITE, GREY, BLACK = 0, 1, 2
+    colour = bytearray(len(live))
+    for root in np.flatnonzero(live).tolist():
         if colour[root] != WHITE:
             continue
-        path: list[LoadState] = []
-        stack: list[tuple[LoadState, Iterator[LoadState]]] = [
-            (root, iter(sorted(edges.get(root, frozenset()))))
-        ]
         colour[root] = GREY
-        path.append(root)
+        # [state, position of its next child in ``children``]
+        stack = [[root, starts[root]]]
         while stack:
-            state, children = stack[-1]
-            advanced = False
-            for child in children:
-                if child not in bad:
-                    continue
-                if colour[child] == GREY:
-                    # Found a bad cycle: path[...index(child)...] -> child
-                    start = path.index(child)
-                    return Lasso(
-                        prefix=tuple(path[:start]),
-                        cycle=tuple(path[start:]),
-                    )
-                if colour[child] == WHITE:
-                    colour[child] = GREY
-                    path.append(child)
-                    stack.append(
-                        (child, iter(sorted(edges.get(child, frozenset()))))
-                    )
-                    advanced = True
-                    break
-            if not advanced:
+            state, cursor = top = stack[-1]
+            if cursor == starts[state + 1]:
                 colour[state] = BLACK
-                path.pop()
                 stack.pop()
-    return None
-
-
-def longest_bad_escape(edges: dict[LoadState, frozenset[LoadState]],
-                       bad: set[LoadState]) -> int:
-    """Worst-case rounds to leave the (acyclic) bad region.
-
-    ``escape(s)`` = 0 for good states; for bad states it is
-    ``1 + max(escape(successor))`` — the adversary picks the successor.
-    The maximum over all bad states is the paper's ``N``. Assumes the bad
-    subgraph is acyclic (call only after lasso detection found nothing).
-    """
-    memo: dict[LoadState, int] = {}
-
-    def escape(state: LoadState) -> int:
-        if state not in bad:
-            return 0
-        if state in memo:
-            return memo[state]
-        memo[state] = 1 + max(
-            (escape(succ) for succ in edges.get(state, frozenset())),
-            default=0,
-        )
-        return memo[state]
-
-    worst = 0
-    # Iterative-friendly: process in reverse topological-ish order by
-    # repeatedly calling escape; recursion depth is bounded by the longest
-    # bad chain, which is small at verification scopes.
-    for state in sorted(bad):
-        worst = max(worst, escape(state))
-    return worst
+                continue
+            child = children[cursor]
+            top[1] = cursor + 1
+            if colour[child] == GREY:
+                path = [entry[0] for entry in stack]
+                return path, path.index(child)
+            if colour[child] == WHITE:
+                colour[child] = GREY
+                stack.append([child, starts[child]])
+    raise VerificationError("peeling left survivors but found no cycle")

@@ -49,7 +49,7 @@ Determinism guarantees
   one whose state comes first in the serial iteration order (ties cannot
   occur — shards are disjoint), i.e. exactly the counterexample the
   serial checker reports. The merged transition graph equals the serial
-  one key for key (a state's successor set is a pure function of policy
+  one row for row (a state's successor set is a pure function of policy
   and parameters), and the graph algorithms in
   :meth:`~repro.verify.model_checker.ModelChecker.analyze_graph` iterate
   in sorted state order — so lassos, exact worst-case ``N``, and

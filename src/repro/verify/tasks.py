@@ -212,6 +212,10 @@ class LivenessTask:
 class ExpandTask:
     """Expand one packed BFS frontier chunk: successors of each state.
 
+    Answered with :meth:`~repro.verify.model_checker.ModelChecker.
+    expand_level`'s ``(chunk, truncated)``: the chunk is a CSR
+    :class:`~repro.verify.model_checker.PackedGraph` of three arrays.
+
     Attributes:
         config: checker parameters (runtimes memoize per config).
         codec: the closure's :class:`~repro.verify.encoding.StateCodec`.
@@ -300,9 +304,10 @@ class PartitionExpandResult:
 
     Attributes:
         partition: echoes the task's partition.
-        edges: packed successor map of every state this task expanded —
-            the batch plus all same-partition states discovered while
-            draining it (all keys hash to ``partition``).
+        edges: packed successor rows of every state this task
+            expanded — the batch plus all same-partition states
+            discovered while draining it (all keys hash to
+            ``partition``).
         truncated: whether any enumeration was truncated.
         forwards: cross-partition successors *not* already streamed as
             :class:`ForwardBatch` frames (transports without a mid-task
@@ -311,7 +316,7 @@ class PartitionExpandResult:
     """
 
     partition: int
-    edges: dict[PackedState, frozenset[PackedState]]
+    edges: dict[PackedState, Any]
     truncated: bool = False
     forwards: dict[int, tuple[PackedState, ...]] = field(
         default_factory=dict
@@ -599,9 +604,7 @@ class WorkerRuntime:
 
     def execute(self, task: Any,
                 emit: Callable[[ForwardBatch], None] | None = None) -> Any:
-        """Run one task payload delivered across a process boundary,
-        answering in the form that crosses back: an expand task's flat
-        successor array stays behind.
+        """Run one task payload delivered across a process boundary.
 
         A ``trace=True`` task asks this worker to capture spans while
         executing and return them wrapped in :class:`TracedResult` — but
@@ -636,19 +639,13 @@ class WorkerRuntime:
                  emit: Callable[[ForwardBatch], None] | None) -> Any:
         with TRACER.span("worker." + type(task).__name__, "worker"):
             # A campaign's per-machine progress never crosses the wire.
-            value = self.run(
+            return self.run(
                 task, None if isinstance(task, CampaignTask) else emit
             )
-        return value[:2] if isinstance(task, ExpandTask) else value
 
     def run(self, task: Any, emit: Callable[..., None] | None = None,
             ) -> Any:
         """Run one task in this process.
-
-        An :class:`ExpandTask` answers with all three results of
-        :meth:`~repro.verify.model_checker.ModelChecker.expand_level`,
-        so an in-process closure merges the level's flat successor
-        array directly.
 
         Args:
             task: a :data:`TASK_TYPES` payload.
@@ -714,27 +711,24 @@ class WorkerRuntime:
         # state the moment another partition forwards it, which can race
         # with this worker having discovered it locally.
         pending = {state for state in task.batch if state not in visited}
-        edges: dict[PackedState, frozenset[PackedState]] = {}
+        edges: dict[PackedState, Any] = {}
         truncated = False
         forwards: dict[int, set[PackedState]] = {}
         forwarded: set[PackedState] = set()
         # blake2b routing runs once per *distinct* successor per task —
-        # the flat successor stream is deduped per chunk and the
+        # the chunk's successor array is deduped per chunk and the
         # computed target memoized across chunks — instead of once per
         # edge occurrence.
         target_of: dict[PackedState, int] = {}
         while pending:
             chunk = tuple(sorted(pending))
             visited.update(chunk)
-            chunk_edges, chunk_truncated, flat = checker.expand_level(
-                chunk, codec
-            )
+            graph, chunk_truncated = checker.expand_level(chunk, codec)
             truncated = truncated or chunk_truncated
-            edges.update(chunk_edges)
+            edges.update(zip(graph, graph.values()))
             pending = set()
             fresh: dict[int, set[PackedState]] = {}
-            values = flat if isinstance(flat, list) else flat.tolist()
-            for successor in set(values):
+            for successor in set(graph.indices.tolist()):
                 target = target_of.get(successor)
                 if target is None:
                     target = partition_of(successor, codec,

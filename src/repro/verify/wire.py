@@ -77,7 +77,10 @@ from repro.framing import (
 #: ``PartitionExpandTask`` lost their ``sequential`` flag, and
 #: ``CheckerConfig`` lost ``symmetric`` (its ``symmetry`` is always a
 #: group).
-WIRE_VERSION = 7
+#: v8: an ``ExpandTask`` answers with ``(chunk, truncated)``, the chunk a
+#: CSR :class:`~repro.verify.model_checker.PackedGraph`, and a
+#: ``PartitionExpandResult``'s rows are arrays, not frozensets.
+WIRE_VERSION = 8
 
 #: Format byte for pickle-encoded envelopes (arbitrary Python payloads).
 FORMAT_PICKLE = b"P"

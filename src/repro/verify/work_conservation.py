@@ -54,7 +54,7 @@ from repro.verify.enumeration import LoadState, StateScope
 from repro.verify.hierarchical import HierarchySpec
 from repro.verify.model_checker import (
     ModelChecker,
-    TransitionGraph,
+    PackedGraph,
     WorkConservationAnalysis,
     bfs_closure,
     cumulative_levels,
@@ -90,10 +90,10 @@ SWEEP_OBLIGATION_KEYS = (
 )
 
 #: ``closure(config, initial_states, on_expand)`` — a map's own
-#: exploration of the reachable closure, decoded.
+#: exploration of the reachable closure.
 Closure = Callable[[CheckerConfig, Iterable[LoadState],
                     "Callable[[int], None] | None"],
-                   tuple[TransitionGraph, bool]]
+                   tuple[PackedGraph, bool]]
 
 
 @dataclass
@@ -172,9 +172,8 @@ def local_tasks(emit: Callable[..., None] | None = None) -> TaskMap:
     """The serial engine's map: one shard, run in this process.
 
     One :class:`~repro.verify.tasks.LocalRuntime` runs every task, so
-    progress, closure and exploration share one checker and exploration
-    merges each level's flat successor array. ``emit`` receives a
-    campaign's per-machine progress.
+    progress, closure and exploration share one checker and no chunk
+    is pickled. ``emit`` receives a campaign's per-machine progress.
     """
     runtime = LocalRuntime()
     return TaskMap(1, lambda tasks: [runtime.run(task, emit)
@@ -246,7 +245,7 @@ def _analyze(checker: ModelChecker, config: CheckerConfig,
     with timed_check() as timer:
         initial = config.symmetry.iter_representatives(scope)
         if tasks.closure is not None:
-            edges, truncated = tasks.closure(config, initial, on_expand)
+            graph, truncated = tasks.closure(config, initial, on_expand)
         else:
             def map_expand(codec, chunks):
                 return tasks.map([
@@ -257,11 +256,11 @@ def _analyze(checker: ModelChecker, config: CheckerConfig,
 
             if on_expand is not None:
                 on_level = cumulative_levels(on_expand)
-            edges, truncated = bfs_closure(
+            graph, truncated = bfs_closure(
                 map_expand, tasks.n_shards, initial, config.symmetry,
                 on_level=on_level,
             )
-        analysis = checker.analyze_graph(scope, edges, truncated)
+        analysis = checker.analyze_graph(scope, graph, truncated)
     analysis.elapsed_s = timer.elapsed
     return analysis
 

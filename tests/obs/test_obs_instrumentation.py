@@ -124,6 +124,18 @@ class TestPoolCapture:
         assert {"worker.SweepTask", "worker.LivenessTask",
                 "worker.ExpandTask"} <= names
 
+    def test_pool_spin_up_is_an_engine_acquire_span(self, tmp_path,
+                                                    capsys):
+        trace_path = tmp_path / "t.json"
+        assert main(self.ARGV + ["--trace", str(trace_path)]) == 0
+        capsys.readouterr()
+        document = json.loads(trace_path.read_text())
+        acquires = [event for event in document["traceEvents"]
+                    if event["ph"] == "X"
+                    and event["name"] == "engine.acquire"]
+        assert len(acquires) == 1
+        assert acquires[0]["args"]["engine"] == "pool[jobs=2]"
+
     def test_span_ids_are_unique_across_processes(self, tmp_path, capsys):
         trace_path = tmp_path / "t.json"
         assert main(self.ARGV + ["--trace", str(trace_path)]) == 0

@@ -184,7 +184,7 @@ class TestClosureEquivalence:
             in_process_coordinator(1),
             _closure_config(BalanceCountPolicy()), [],
         )
-        assert graph == {} and truncated is False
+        assert len(graph) == 0 and truncated is False
 
     def test_on_expand_counts_are_monotone_and_exact(self):
         policy = BalanceCountPolicy()

@@ -6,20 +6,25 @@ and the level-sync distributed engine with one shard per worker. The
 reference below is a plain level-synchronous BFS over the tuple
 executor's canonical successor sets, each level expanded in ascending
 state order. The shared loop
-must return the same graph and truncation flag, and call its progress
-hooks with the same arguments in the same order, whatever the shard
-count and whichever packed form (``int`` or ``bytes``) the codec picks.
+must return the same graph (decoded row by row, a well-formed CSR
+:class:`~repro.verify.model_checker.PackedGraph`) and truncation flag,
+and call its progress hooks with the same arguments in the same order,
+whatever the shard count and whichever packed form (``int`` or
+``bytes``) the codec picks.
 """
 
 from __future__ import annotations
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.policies import BalanceCountPolicy, NaiveOverloadedPolicy
 from repro.topology.numa import symmetric_numa
 from repro.verify import ModelChecker, StateScope
 from repro.verify.encoding import StateCodec
-from repro.verify.model_checker import bfs_closure, closure_start
+from repro.verify.model_checker import PackedGraph, bfs_closure, closure_start
 from repro.verify.parallel import bfs_closure as parallel_bfs_closure
 from repro.verify.symmetry import (
     FlatSymmetryGroup,
@@ -51,11 +56,32 @@ def reference_closure(checker, initial):
     return edges, truncated, levels
 
 
+def tuple_graph(result):
+    """A closure ``(graph, truncated)`` in the reference's tuple form,
+    after checking that the graph is a well-formed CSR graph: states
+    strictly ascending, each row strictly ascending."""
+    graph, truncated = result
+    assert isinstance(graph, PackedGraph)
+    codec = graph.codec
+    states = graph.states.tolist()
+    assert states == sorted(set(states))
+    assert graph.indptr[0] == 0 and graph.indptr[-1] == len(graph.indices)
+    assert np.all(np.diff(graph.indptr) >= 0)
+    decoded = {}
+    for state, row in graph.items():
+        row = row.tolist()
+        assert row == sorted(set(row))
+        decoded[codec.decode(state)] = frozenset(map(codec.decode, row))
+    return decoded, truncated
+
+
 def pool_like(checker):
-    """A ``map_expand`` that returns ``(edges, truncated)`` pairs only,
-    like the pool and the level-sync distributed engine."""
+    """A ``map_expand`` whose ``(chunk, truncated)`` pairs cross a
+    pickle round trip, like the pool and the level-sync distributed
+    engine's results."""
     def map_expand(codec, chunks):
-        return [checker.expand_level(chunk, codec)[:2] for chunk in chunks]
+        return [pickle.loads(pickle.dumps(checker.expand_level(chunk, codec)))
+                for chunk in chunks]
     return map_expand
 
 
@@ -85,7 +111,7 @@ class TestMatchesReference:
         got = ModelChecker(policy, symmetry=group).explore(
             initial, on_expand=calls.append
         )
-        assert got == (edges, truncated)
+        assert tuple_graph(got) == (edges, truncated)
         cumulative = [sum(expanded for _, expanded, _ in levels[:i + 1])
                       for i in range(len(levels))]
         assert calls == cumulative
@@ -106,7 +132,7 @@ class TestMatchesReference:
             initial, group,
             on_level=lambda *args: calls.append(args),
         )
-        assert got == (edges, truncated)
+        assert tuple_graph(got) == (edges, truncated)
         assert calls == levels
 
 
@@ -139,15 +165,18 @@ class TestBytesForm:
         got = bfs_closure(pool_like(checker()), n_shards, self.INITIAL,
                           FlatSymmetryGroup(),
                           on_level=lambda *args: calls.append(args))
-        assert got == (edges, truncated)
+        assert got[0].states.dtype == object
+        assert tuple_graph(got) == (edges, truncated)
         assert calls == levels
-        assert checker().explore(self.INITIAL) == (edges, truncated)
+        assert tuple_graph(checker().explore(self.INITIAL)) \
+            == (edges, truncated)
 
 
 class TestEdgeCases:
     def test_no_initial_states(self):
         assert closure_start([], TrivialGroup()) is None
-        assert ModelChecker(BalanceCountPolicy()).explore([]) == ({}, False)
+        graph, truncated = ModelChecker(BalanceCountPolicy()).explore([])
+        assert len(graph) == 0 and list(graph) == [] and not truncated
 
     def test_parallel_reexports_the_one_loop(self):
         assert parallel_bfs_closure is bfs_closure

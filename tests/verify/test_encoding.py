@@ -21,6 +21,7 @@ from repro.topology.domains import build_domain_tree
 from repro.topology.numa import symmetric_numa
 from repro.verify import INT_FORM_MAX_BITS, StateCodec, StateScope
 from repro.verify.encoding import decode_graph
+from repro.verify.model_checker import PackedGraph
 from repro.verify.symmetry import (
     BlockSymmetryGroup,
     FlatSymmetryGroup,
@@ -112,21 +113,34 @@ class TestRoundTrip:
         with pytest.raises(VerificationError):
             StateCodec(n_cores=2, max_value=-1)
 
-    @given(data=st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_decode_graph_matches_scalar_decode(self, data):
-        codec = StateCodec(n_cores=4, max_value=9)
-        keys = data.draw(st.lists(states_for(4, 9), min_size=0,
-                                  max_size=12, unique=True))
-        edges = {}
-        for key in keys:
-            succs = data.draw(st.lists(states_for(4, 9), max_size=6))
-            edges[codec.encode(key)] = [codec.encode(s) for s in succs]
-        graph = decode_graph(codec, edges)
-        assert graph == {
-            codec.decode(p): frozenset(codec.decode(s) for s in succs)
-            for p, succs in edges.items()
-        }
+    @pytest.mark.parametrize("n_cores,max_value", [(4, 9), (16, 15)],
+                             ids=["int-form", "bytes-form"])
+    def test_decode_graph_matches_scalar_decode(self, n_cores, max_value):
+        codec = StateCodec(n_cores=n_cores, max_value=max_value)
+
+        @settings(max_examples=60, deadline=None)
+        @given(data=st.data())
+        def check(data):
+            keys = data.draw(st.lists(states_for(n_cores, max_value),
+                                      min_size=0, max_size=12, unique=True))
+            edges = {}
+            for key in keys:
+                succs = data.draw(st.lists(states_for(n_cores, max_value),
+                                           max_size=6))
+                edges[codec.encode(key)] = [codec.encode(s) for s in succs]
+            graph = PackedGraph.from_mapping(codec, edges)
+            loads = decode_graph(codec, graph)
+            assert loads.shape == (len(keys), n_cores)
+            assert [tuple(row) for row in loads.tolist()] == sorted(keys)
+            assert {
+                codec.decode(p): frozenset(codec.decode(s) for s in row)
+                for p, row in graph.items()
+            } == {
+                codec.decode(p): frozenset(codec.decode(s) for s in succs)
+                for p, succs in edges.items()
+            }
+
+        check()
 
 
 #: Every group shape the engines accept, over a 2x2 NUMA box.

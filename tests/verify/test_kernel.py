@@ -177,7 +177,7 @@ class TestHierarchicalKernelPath:
         # then each state alone, which reads its own truncation flag.
         kernel_checker.expand_level(packed, codec)
         for state, p, (succ, truncated) in zip(states, packed, reference):
-            edges, kernel_truncated, _ = kernel_checker.expand_level(
+            edges, kernel_truncated = kernel_checker.expand_level(
                 [p], codec
             )
             assert {codec.decode(s) for s in edges[p]} == succ, state
@@ -731,7 +731,7 @@ class TestReducedKernelMatchesKernelOff:
             assert checker._kernel_for(codec) is not None
             for state, (succ, truncated) in zip(states, reference):
                 packed = codec.encode(state)
-                edges, kernel_truncated, _ = checker.expand_level(
+                edges, kernel_truncated = checker.expand_level(
                     [packed], codec
                 )
                 assert {codec.decode(s) for s in edges[packed]} == succ

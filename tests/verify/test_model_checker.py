@@ -192,7 +192,7 @@ class TestRegimes:
         codec = StateCodec.for_scope(scope)
         checker = ModelChecker(NaiveOverloadedPolicy(), sequential=True)
         states = list(iter_states(scope))
-        edges, _, _ = checker.expand_level(codec.encode_batch(states), codec)
+        edges, _ = checker.expand_level(codec.encode_batch(states), codec)
         for state in states:
             succ, _ = checker.successors(state)
             assert {codec.decode(p) for p in edges[codec.encode(state)]} \

@@ -8,7 +8,8 @@ import pytest
 
 from repro.framing import ConnectionClosed, WireProtocolError
 from repro.policies import BalanceCountPolicy
-from repro.verify import StateScope
+from repro.verify import ModelChecker, StateScope
+from repro.verify.enumeration import iter_states
 from repro.verify.encoding import StateCodec
 from repro.verify.symmetry import FlatSymmetryGroup
 from repro.verify.tasks import (
@@ -63,6 +64,21 @@ class TestEncodeDecode:
             assert decoded.kind == TASK
             assert decoded.task_id == index
             assert type(decoded.payload) is type(task)
+
+    @pytest.mark.parametrize("n_cores,max_load", [(3, 2), (16, 1)],
+                             ids=["int-form", "bytes-form"])
+    def test_csr_chunk_result_round_trips_unchanged(self, n_cores, max_load):
+        scope = StateScope(n_cores=n_cores, max_load=max_load)
+        codec = StateCodec.for_scope(scope)
+        states = [s for s in iter_states(scope) if sum(s) == n_cores][:40]
+        result = ModelChecker(BalanceCountPolicy(), max_orders=2).expand_level(
+            codec.encode_batch(states), codec
+        )
+        assert result[0].indices.size
+        message = WireMessage(kind=RESULT, task_id=9, payload=result)
+        decoded = decode_message(encode_message(message)).payload
+        assert decoded == result
+        assert decoded[0].states.dtype == result[0].states.dtype
 
     def test_json_roundtrip_of_control_messages(self):
         message = WireMessage(kind=HELLO, payload=hello_payload())
