@@ -27,8 +27,9 @@ that gap by hashing the **semantic normal form**:
 
 The **engine's coverage class stays in the key** deliberately.
 Verdicts are engine-independent, but two documented coverage artifacts
-are not: ``states_checked`` of refuted sweeps (each shard stops at its
-own chunk's first counterexample) and campaign coverage (a function of
+are not: ``states_checked`` of the five refuted state sweeps (each
+shard stops at its own chunk's first counterexample) and campaign
+coverage (a function of
 the ``(seed, shard count)`` pair). Both are functions of the *shard
 count* alone — ``--jobs N`` and ``--distributed N`` produce
 byte-identical results, and one shard of either is the serial path —
@@ -74,9 +75,9 @@ def coverage_shards(request: VerificationRequest) -> int:
     path. The distributed engine's *exploration mode* is deliberately
     not part of the class: level-sync and async exploration build the
     same closed state graph (the async-equivalence tests pin them
-    byte-identical), and the sweep/liveness shard split that coverage
-    artifacts depend on happens after the closure, independently of how
-    it was explored — so ``mode``/``partitions`` never reach the key
+    byte-identical), and the state-sweep shard split that coverage
+    artifacts depend on is independent of how the closure was
+    explored — so ``mode``/``partitions`` never reach the key
     and an async fleet hits entries a level-sync run wrote.
     """
     engine = request.engine

@@ -490,12 +490,9 @@ class TransitionKernel:
         so ``counts[i]`` is at most the tuple executor's branch count.
 
         The progress obligation alone passes ``stalls=True`` and gets
-        two more arrays: ``stalled[i]``, some branch of state ``i``
+        one more array: ``stalled[i]``, some branch of state ``i``
         committed no steal (it has no thief, or every steal of one of
-        its orders moved nothing), and ``branches[i]``, the number of
-        branches the tuple executor enumerates for state ``i`` — one
-        per victim combination and capped steal order, or the one
-        no-attempt branch of a zero-thief state.
+        its orders moved nothing).
         """
         n_states = len(packed)
         if n_states == 0:
@@ -504,10 +501,7 @@ class TransitionKernel:
                 np.empty(0, dtype=np.int64),
                 np.empty(0, dtype=bool),
             )
-            if stalls:
-                return empty + (np.empty(0, dtype=bool),
-                                np.empty(0, dtype=np.int64))
-            return empty
+            return empty + (np.empty(0, dtype=bool),) if stalls else empty
         # Decode the whole chunk: loads[s, cid].
         loads = (packed[:, None] >> self._shifts) & self._digit_mask
         running = (loads > 0).astype(np.int64)
@@ -564,14 +558,18 @@ class TransitionKernel:
         order = np.argsort(all_idx, kind="stable")
         counts = np.bincount(all_idx, minlength=n_states)
         if stalled is not None:
-            return (all_vals[order], counts, truncated, stalled,
-                    self._branch_counts(intents, thief_counts))
+            return all_vals[order], counts, truncated, stalled
         return all_vals[order], counts, truncated
 
-    def _branch_counts(self, intents: Any, thief_counts: Any) -> Any:
-        """The tuple executor's branch count per state: the product of
-        the thieves' victim counts times the capped order count (one
-        for a zero-thief state, whose product is empty)."""
+    def branch_counts(self, packed: Any) -> Any:
+        """The tuple executor's branch count per state of an ``int64``
+        batch, read off the tables: one branch per victim combination
+        and capped steal order — the product of the thieves' victim
+        counts times the capped order count — or the one no-attempt
+        branch of a zero-thief state, whose product is empty."""
+        loads = (packed[:, None] >> self._shifts) & self._digit_mask
+        intents, _ = self.admitted(loads)
+        thief_counts = intents.any(axis=2).sum(axis=1)
         victims = intents.sum(axis=2)
         lanes = np.where(victims > 0, victims, 1).prod(axis=1)
         orders = np.minimum(

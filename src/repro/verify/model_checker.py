@@ -161,6 +161,17 @@ def _dedup(values: Any, owner: Any) -> tuple[Any, Any]:
     return values[keep], owner[keep]
 
 
+def _row_entries(graph: PackedGraph, rows: Any) -> tuple[Any, Any]:
+    """The entries of ``graph``'s rows at positions ``rows``: for each
+    entry, the index into ``rows`` of the row that holds it, and its
+    packed successor."""
+    lengths = graph.indptr[rows + 1] - graph.indptr[rows]
+    owner = np.repeat(np.arange(len(rows)), lengths)
+    offset = np.arange(int(lengths.sum())) - (np.cumsum(lengths)
+                                              - lengths)[owner]
+    return owner, graph.indices[graph.indptr[rows][owner] + offset]
+
+
 #: Sentinel distinguishing "never built" from "built as ineligible".
 _KERNEL_UNSET = object()
 
@@ -359,10 +370,11 @@ class ModelChecker:
 
         Only *bad* states are retained, so the memo stays bounded by the
         bad region instead of the whole reachable closure. On the tuple
-        path the progress obligation enumerates every bad state and
-        exploration's :meth:`successors` then reuses those entries; when
-        the transition kernel serves the obligations, this method runs
-        only to rebuild a refuted obligation's witness.
+        path exploration's :meth:`successors` enumerates every bad state
+        and the progress obligation, run afterwards on the same checker,
+        reuses those entries; when the transition kernel serves the
+        obligations, this method runs only to rebuild a refuted
+        obligation's witness.
         """
         cached = self._branch_cache.get(state)
         if cached is None:
@@ -613,61 +625,40 @@ class ModelChecker:
     # auxiliary obligations
     # ------------------------------------------------------------------
 
-    def _packed_sweep(self, scope: StateScope, states: list[LoadState],
-                      ) -> tuple[TransitionKernel, StateCodec, Any] | None:
-        """The numpy kernel, codec and canonical packed form of a sweep.
-
-        ``None`` when the obligation must run on the tuple executor: a
-        round the kernel does not model (:attr:`flat_round`), no kernel
-        for the scope's codec (the same gates :meth:`explore` applies),
-        or swept states the scope's codec cannot pack.
-        """
-        if not self.flat_round:
-            return None
-        codec = StateCodec.for_scope(scope)
-        kernel = self._kernel_for(codec)
-        if kernel is None:
-            return None
-        loads = np.asarray(states, dtype=np.int64)
-        if states and (loads.ndim != 2 or loads.shape[1] != codec.n_cores
-                       or loads.min() < 0
-                       or loads.sum(axis=1).max() > codec.max_value):
-            return None
-        packed = self.symmetry.canonicalize_batch(
-            np.asarray(codec.encode_batch(states), dtype=np.int64), codec
-        )
-        return kernel, codec, packed
-
     def _sweep_obligation(
         self, obligation: Obligation, span_name: str, scope: StateScope,
-        states: Iterable[LoadState] | None, bad_states: bool,
+        graph: PackedGraph | None, bad_states: bool,
         check_at: Callable[[LoadState], tuple[int, Counterexample | None]],
-        flag_packed: Callable[[TransitionKernel, StateCodec, Any],
-                              tuple[int, int | None]],
+        flag_rows: Callable[[TransitionKernel, Any, Any, Any],
+                            tuple[Any, Any]],
     ) -> ProofResult:
-        """Check ``obligation`` at every bad (or every good) swept state.
+        """Check ``obligation`` at every bad (or every good) state of the
+        scope's representatives, in sweep order.
 
-        ``check_at`` is the tuple executor's check of one canonical
-        state: ``(checked, counterexample)``, where ``checked`` is what
-        the state adds to ``states_checked``. On the kernel path
-        ``flag_packed`` takes the kernel, the codec and the sweep's
-        canonical packed states of the right kind, in sweep order, and
-        returns what the states before the first flagged one checked,
-        plus that state (``None`` when none is flagged); ``check_at``
-        then rebuilds its counterexample exactly as the tuple sweep
-        reports it.
+        ``graph`` is the scope's explored closure; without one, the
+        scope is explored here. ``check_at`` is the tuple executor's
+        check of one canonical state: ``(checked, counterexample)``,
+        where ``checked`` is what the state adds to ``states_checked``.
+        Where :meth:`explore` runs on the numpy kernel, the obligation
+        is read off the graph instead: ``flag_rows`` takes the kernel,
+        the swept canonical packed states of the right kind, and their
+        rows' entries (:func:`_row_entries`), and returns what each
+        state checks and whether it is flagged; ``check_at`` then
+        rebuilds the first flagged state's counterexample exactly as
+        the tuple sweep reports it.
         """
         checked = 0
         counterexample: Counterexample | None = None
         with timed_check() as timer, TRACER.span(span_name,
                                                  "obligation") as span:
-            if states is None:
-                states = self.symmetry.iter_representatives(scope)
-            swept = list(states)
-            sweep = self._packed_sweep(scope, swept)
-            span.set(tier="tuple" if sweep is None else "numpy",
+            swept = list(self.symmetry.iter_representatives(scope))
+            if graph is None:
+                graph, _ = self.explore(swept)
+            kernel = (self._kernel_for(graph.codec)
+                      if self.flat_round and swept else None)
+            span.set(tier="tuple" if kernel is None else "numpy",
                      states=len(swept))
-            if sweep is None:
+            if kernel is None:
                 for state in swept:
                     state = self._canon(state)
                     if is_bad_state(state) != bad_states:
@@ -677,13 +668,26 @@ class ModelChecker:
                     if counterexample is not None:
                         break
             else:
-                kernel, codec, packed = sweep
-                checked, flagged = flag_packed(
-                    kernel, codec,
-                    packed[kernel.bad_mask(packed) == bad_states],
+                codec = graph.codec
+                packed = self.symmetry.canonicalize_batch(
+                    np.asarray(codec.encode_batch(swept), dtype=np.int64),
+                    codec,
                 )
-                if flagged is not None:
-                    state = codec.decode(flagged)
+                packed = packed[kernel.bad_mask(packed) == bad_states]
+                rows = np.searchsorted(graph.states, packed)
+                if not ((rows < len(graph)).all()
+                        and np.array_equal(graph.states[rows], packed)):
+                    raise VerificationError(
+                        f"{self.policy.name}: the graph for"
+                        f" {obligation.key} misses swept states"
+                    )
+                counts, flagged = flag_rows(kernel, packed,
+                                            *_row_entries(graph, rows))
+                hits = np.flatnonzero(flagged)
+                first = int(hits[0]) if hits.size else len(packed)
+                checked = int(counts[:first].sum())
+                if hits.size:
+                    state = codec.decode(int(packed[first]))
                     count, counterexample = check_at(state)
                     checked += count
                     if counterexample is None:
@@ -708,21 +712,20 @@ class ModelChecker:
         )
 
     def check_good_state_closure(self, scope: StateScope,
-                                 states: Iterable[LoadState] | None = None,
+                                 graph: PackedGraph | None = None,
                                  ) -> ProofResult:
         """Good states must only step to good states (§3.2 persistence).
 
-        ``states`` optionally restricts the sweep to one shard's chunk.
-        Where :meth:`explore` runs on the numpy kernel, so does this
-        sweep: the good states expand through :meth:`expand_level` and
-        successor badness is tested on packed values. The first failing state is replayed on the tuple
-        executor, which rebuilds the same counterexample the tuple
-        sweep reports.
+        ``graph`` is the scope's explored closure (explored here when
+        not given). Where :meth:`explore` runs on the numpy kernel, the
+        first good swept state whose row holds a bad state fails; it is
+        replayed on the tuple executor, which rebuilds the same
+        counterexample the tuple sweep reports.
         """
         return self._sweep_obligation(
-            GOOD_STATE_CLOSURE, "checker.closure", scope, states,
+            GOOD_STATE_CLOSURE, "checker.closure", scope, graph,
             bad_states=False, check_at=self._closure_at,
-            flag_packed=self._closure_flags,
+            flag_rows=self._closure_rows,
         )
 
     def _closure_at(self, state: LoadState,
@@ -741,42 +744,38 @@ class ModelChecker:
             data={"successor": bad_next[0]},
         )
 
-    def _closure_flags(self, kernel: TransitionKernel, codec: StateCodec,
-                       good: Any) -> tuple[int, int | None]:
-        """The first packed good state with a bad successor."""
-        if not good.size:
-            return 0, None
-        unique, inverse = np.unique(good, return_inverse=True)
-        chunk, _ = self.expand_level(unique, codec)
-        owner = np.repeat(np.arange(len(unique)), np.diff(chunk.indptr))
-        reaches_bad = np.zeros(len(unique), dtype=bool)
-        reaches_bad[owner[kernel.bad_mask(chunk.indices)]] = True
-        hits = np.nonzero(reaches_bad[inverse])[0]
-        if not hits.size:
-            return int(good.size), None
-        first = int(hits[0])
-        return first, int(good[first])
+    @staticmethod
+    def _closure_rows(kernel: TransitionKernel, good: Any, owner: Any,
+                      successors: Any) -> tuple[Any, Any]:
+        """One state checked per good state; flagged where its row holds
+        a bad state."""
+        reaches_bad = np.zeros(len(good), dtype=bool)
+        reaches_bad[owner[kernel.bad_mask(successors)]] = True
+        return np.ones(len(good), dtype=np.int64), reaches_bad
 
     def check_progress(self, scope: StateScope,
-                       states: Iterable[LoadState] | None = None,
+                       graph: PackedGraph | None = None,
                        ) -> ProofResult:
         """Every branch out of a bad state commits at least one steal.
 
         This is the "first executed steal always succeeds" argument: in
         a bad state Lemma1 gives the idle core a candidate, so the round
         has intents, and the first steal to execute re-checks against
-        unmutated state and must succeed. ``states`` optionally restricts
-        the sweep to one shard's chunk. Where :meth:`explore` runs on
-        the numpy kernel, so does this sweep: the kernel counts each
-        state's branches arithmetically, and its stall flags mark states
-        with a branch that committed no steal. The first flagged state
-        is replayed on the tuple executor for the counterexample and the
-        index of the failing branch.
+        unmutated state and must succeed. ``graph`` is the scope's
+        explored closure (explored here when not given). Where
+        :meth:`explore` runs on the numpy kernel, the obligation is read
+        off the graph: a branch that commits no steal leaves the state
+        unchanged, so only a bad state whose row holds itself can stall,
+        and only those states run through the kernel for their stall
+        flags. Every state's branch count comes from the kernel's
+        tables. The first stalling state is replayed on the tuple
+        executor for the counterexample and the index of the failing
+        branch.
         """
         return self._sweep_obligation(
-            PROGRESS, "checker.progress", scope, states,
+            PROGRESS, "checker.progress", scope, graph,
             bad_states=True, check_at=self._progress_at,
-            flag_packed=self._progress_flags,
+            flag_rows=self._progress_rows,
         )
 
     def _progress_at(self, state: LoadState,
@@ -808,22 +807,19 @@ class ModelChecker:
                 )
         return len(enumeration.branches), None
 
-    def _progress_flags(self, kernel: TransitionKernel, codec: StateCodec,
-                        bad: Any) -> tuple[int, int | None]:
-        """The first packed bad state with a branch that commits no
-        steal, and the branches of the bad states before it."""
-        if not bad.size:
-            return 0, None
-        unique, inverse = np.unique(bad, return_inverse=True)
-        *_, stalled, branch_counts = kernel.expand_batch_arrays(
-            unique, stalls=True
-        )
-        branches = branch_counts[inverse]
-        hits = np.nonzero(stalled[inverse])[0]
-        if not hits.size:
-            return int(branches.sum()), None
-        first = int(hits[0])
-        return int(branches[:first].sum()), int(bad[first])
+    @staticmethod
+    def _progress_rows(kernel: TransitionKernel, bad: Any, owner: Any,
+                       successors: Any) -> tuple[Any, Any]:
+        """Each bad state's branch count; flagged where a branch
+        commits no steal, which only a self-looping state can have."""
+        loops = np.zeros(len(bad), dtype=bool)
+        loops[owner[successors == bad[owner]]] = True
+        stalled = np.zeros(len(bad), dtype=bool)
+        candidates = np.unique(bad[loops])
+        if candidates.size:
+            *_, flags = kernel.expand_batch_arrays(candidates, stalls=True)
+            stalled[loops] = flags[np.searchsorted(candidates, bad[loops])]
+        return kernel.branch_counts(bad), stalled
 
 
 # ---------------------------------------------------------------------------

@@ -54,11 +54,13 @@ Determinism guarantees
   :meth:`~repro.verify.model_checker.ModelChecker.analyze_graph` iterate
   in sorted state order — so lassos, exact worst-case ``N``, and
   state-space sizes are byte-identical to a single-process run.
-* **`states_checked` differs only on refuted sweeps.** The serial
-  checker stops at the first counterexample of the whole scope; each
-  shard stops at the first counterexample of its own chunk, so the
-  merged sum can exceed the serial count. Proved obligations sweep
-  everything in both modes and report identical counts.
+* **`states_checked` differs only on the five refuted state sweeps.**
+  The serial checker stops at the first counterexample of the whole
+  scope; each shard stops at the first counterexample of its own chunk,
+  so the merged sum can exceed the serial count. Proved obligations
+  sweep everything in both modes and report identical counts, and the
+  progress and closure obligations are read off the merged graph in the
+  driver, so their counts are the serial ones either way.
 * **Campaigns derive one seed per worker**
   (:func:`derive_campaign_seed`), so a campaign's coverage depends on
   ``jobs`` — but is reproducible for a fixed ``(seed, jobs)`` pair, and

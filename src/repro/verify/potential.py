@@ -9,11 +9,12 @@ strictly decreases with every successful stealing attempt. Because
 bounded by ``d / (min decrease)``; combined with the first obligation
 (every failure is caused by a success — see
 :mod:`repro.verify.trace_audit`) and progress (every round in a bad state
-commits a steal — :meth:`repro.verify.model_checker.ModelChecker.check_progress`),
-this bounds the number of rounds during which a core can remain idle
-while another is overloaded. That composition *is* the paper's
-work-conservation proof; :mod:`repro.verify.work_conservation` assembles
-it into a certificate.
+commits a steal — :meth:`repro.verify.model_checker.ModelChecker.check_progress`,
+read off the same explored transition graph the model checker
+analyses), this bounds the number of rounds during which a core can
+remain idle while another is overloaded. That composition *is* the
+paper's work-conservation proof; :mod:`repro.verify.work_conservation`
+assembles it into a certificate.
 
 For a single one-task steal between cores whose loads differ by at least
 2, the pair's term shrinks by exactly 4 (the ordered-pair sum counts the

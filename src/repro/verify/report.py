@@ -106,7 +106,8 @@ def verify_zoo(policies: Sequence[Policy], scope: StateScope,
         choice_mode: see :func:`~repro.verify.prove_work_conserving`.
         max_orders: see :func:`~repro.verify.prove_work_conserving`.
         symmetry: a :class:`~repro.verify.symmetry.SymmetryGroup`
-            quotienting every proof's liveness sweeps and closure.
+            quotienting every proof's closure and the progress and
+            closure obligations read off it.
         topology: machine layout for node-aware snapshot views.
     """
     certificates = [

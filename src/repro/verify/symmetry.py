@@ -72,7 +72,6 @@ from repro.verify.encoding import PackedState, StateCodec
 from repro.verify.enumeration import (
     LoadState,
     StateScope,
-    _validate_shard,
     canonical,
     count_canonical_states,
     count_states,
@@ -151,8 +150,9 @@ class SymmetryGroup:
     def iter_representatives(self, scope: StateScope) -> Iterator[LoadState]:
         """Yield exactly one state per orbit intersecting ``scope``.
 
-        Every yielded state is its own :meth:`canonicalize` image, and
-        the iteration order is ascending in :meth:`serial_order_key`.
+        Every yielded state is its own :meth:`canonicalize` image; the
+        order is fixed, and it is the sweep order of the progress and
+        closure obligations.
         """
         raise NotImplementedError
 
@@ -167,37 +167,6 @@ class SymmetryGroup:
     def orbit_size(self, state: Sequence[int]) -> int:
         """Number of distinct states in the orbit of ``state``."""
         raise NotImplementedError
-
-    def serial_order_key(self, state: Sequence[int]) -> tuple[int, ...]:
-        """Sort key matching :meth:`iter_representatives` order.
-
-        The shard-merge reducers pick, among per-shard counterexamples,
-        the one a serial sweep would have reported first — i.e. the one
-        minimal under this key.
-        """
-        raise NotImplementedError
-
-    def iter_representatives_chunk(self, scope: StateScope, shard: int,
-                                   n_shards: int) -> Iterator[LoadState]:
-        """Round-robin shard of :meth:`iter_representatives`.
-
-        Shard ``k`` receives representatives ``k, k + n, k + 2n, ...``;
-        shards are disjoint, jointly exhaustive, and each preserves the
-        global enumeration order on its subsequence.
-        """
-        _validate_shard(shard, n_shards)
-        yield from itertools.islice(
-            self.iter_representatives(scope), shard, None, n_shards
-        )
-
-    def count_representatives_chunk(self, scope: StateScope, shard: int,
-                                    n_shards: int) -> int:
-        """Size of one round-robin shard, derived arithmetically."""
-        _validate_shard(shard, n_shards)
-        total = self.count_representatives(scope)
-        if shard >= total:
-            return 0
-        return (total - shard + n_shards - 1) // n_shards
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name}>"
@@ -251,9 +220,6 @@ class TrivialGroup(SymmetryGroup):
     def orbit_size(self, state: Sequence[int]) -> int:
         return 1
 
-    def serial_order_key(self, state: Sequence[int]) -> tuple[int, ...]:
-        return tuple(state)
-
 
 class FlatSymmetryGroup(SymmetryGroup):
     """Arbitrary core renaming (the full symmetric group ``S_n``).
@@ -303,10 +269,6 @@ class FlatSymmetryGroup(SymmetryGroup):
 
     def orbit_size(self, state: Sequence[int]) -> int:
         return _arrangements(tuple(state))
-
-    def serial_order_key(self, state: Sequence[int]) -> tuple[int, ...]:
-        # iter_canonical_states yields in descending lexicographic order.
-        return tuple(-v for v in self.canonicalize(state))
 
 
 def _arrangements(values: Sequence) -> int:
@@ -582,16 +544,6 @@ class BlockSymmetryGroup(SymmetryGroup):
         for cls in self.classes:
             count *= _arrangements([block_states[b] for b in cls])
         return count
-
-    def serial_order_key(self, state: Sequence[int]) -> tuple[int, ...]:
-        canonical = self.canonicalize(state)
-        flat = [
-            canonical[cid]
-            for cls in self._ordered_classes
-            for b in cls
-            for cid in self.blocks[b]
-        ]
-        return tuple(-v for v in flat)
 
 
 def _multiset_counts(weights: Sequence[int], k: int,

@@ -12,16 +12,16 @@ three places:
   over one shard's chunk of :func:`~repro.verify.enumeration.iter_states`,
   as one array pass over the kernel's tables where the config's checker
   has a kernel for them (:func:`sweep_shard`);
-* :class:`LivenessTask` — progress and good-state closure over one
-  shard's chunk of the symmetry group's representatives;
 * :class:`ExpandTask` — one packed BFS frontier chunk;
 * :class:`CampaignTask` — one slice of a randomised campaign;
 * :class:`PartitionExpandTask` / :class:`PartitionControlTask` — the
   distributed engine's async hash-partitioned exploration.
 
-The runtime keeps one memoized checker per :class:`CheckerConfig`, so a
-proof's liveness task and its expand tasks share branch, successor and
-kernel memos wherever they run.
+The runtime keeps one memoized checker per :class:`CheckerConfig`, so
+every expand task of a proof on one runtime shares its branch,
+successor and kernel memos — and the serial engine's driver reads the
+progress and closure obligations off the explored graph on that same
+checker (:func:`~repro.verify.work_conservation.local_tasks`).
 """
 
 from __future__ import annotations
@@ -168,19 +168,6 @@ class SweepShardResult:
     max_potential: int | None = None
 
 
-@dataclass
-class LivenessShardResult:
-    """One shard's share of the model-checking obligations.
-
-    Attributes:
-        progress: per-shard progress obligation result.
-        closure: per-shard good-state-closure obligation result.
-    """
-
-    progress: ProofResult
-    closure: ProofResult
-
-
 # ---------------------------------------------------------------------------
 # task payloads
 # ---------------------------------------------------------------------------
@@ -195,14 +182,6 @@ class SweepTask:
     in :class:`TracedResult`. Strictly observational — the inner result
     is byte-identical either way.
     """
-
-    spec: ShardSpec
-    trace: bool = False
-
-
-@dataclass(frozen=True)
-class LivenessTask:
-    """Run progress and good-state closure over one shard's chunk."""
 
     spec: ShardSpec
     trace: bool = False
@@ -388,7 +367,7 @@ def ingest_traced(value: Any, worker: str) -> Any:
 
 #: Task payload types :class:`WorkerRuntime` accepts; anything else in
 #: a task message is a protocol error.
-TASK_TYPES = (SweepTask, LivenessTask, ExpandTask, CampaignTask,
+TASK_TYPES = (SweepTask, ExpandTask, CampaignTask,
               PartitionExpandTask, PartitionControlTask)
 
 
@@ -574,8 +553,10 @@ class WorkerRuntime:
     runtime each and call :meth:`execute` on the payloads delivered to
     them. Whichever way a task arrives, the
     runtime keeps one memoized :class:`ModelChecker` per distinct
-    :class:`CheckerConfig`, so a proof's liveness sweeps and every BFS
-    level of its exploration hit warm transition caches.
+    :class:`CheckerConfig` (:meth:`checker_for`), so every BFS level of
+    a proof's exploration hits warm transition caches, and so do the
+    progress and closure obligations the serial driver then checks on
+    that checker.
     """
 
     def __init__(self) -> None:
@@ -659,8 +640,6 @@ class WorkerRuntime:
         if isinstance(task, SweepTask):
             return sweep_shard(task.spec, self.checker_for(
                 task.spec.config).sweep_kernel(task.spec.scope))
-        if isinstance(task, LivenessTask):
-            return self._liveness(task.spec)
         if isinstance(task, ExpandTask):
             return self.checker_for(task.config).expand_level(
                 task.packed, task.codec
@@ -674,18 +653,6 @@ class WorkerRuntime:
                                 on_machine=emit)
         raise WireProtocolError(
             f"unknown task payload {type(task).__name__!r}"
-        )
-
-    def _liveness(self, spec: ShardSpec) -> LivenessShardResult:
-        """Progress and good-state closure over one shard's chunk of the
-        representatives, on the config's shared checker."""
-        checker = self.checker_for(spec.config)
-        chunk = list(checker.symmetry.iter_representatives_chunk(
-            spec.scope, spec.shard, spec.n_shards
-        ))
-        return LivenessShardResult(
-            progress=checker.check_progress(spec.scope, chunk),
-            closure=checker.check_good_state_closure(spec.scope, chunk),
         )
 
     def _expand_partition(

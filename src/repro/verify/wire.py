@@ -80,7 +80,10 @@ from repro.framing import (
 #: v8: an ``ExpandTask`` answers with ``(chunk, truncated)``, the chunk a
 #: CSR :class:`~repro.verify.model_checker.PackedGraph`, and a
 #: ``PartitionExpandResult``'s rows are arrays, not frozensets.
-WIRE_VERSION = 8
+#: v9: the ``LivenessTask`` payload and its ``LivenessShardResult`` are
+#: gone — a proof reads progress and closure off the explored graph in
+#: the coordinator — so a v8 coordinator's liveness task is refused.
+WIRE_VERSION = 9
 
 #: Format byte for pickle-encoded envelopes (arbitrary Python payloads).
 FORMAT_PICKLE = b"P"

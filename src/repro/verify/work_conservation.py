@@ -36,8 +36,10 @@ engine (:mod:`repro.verify.distributed`) supply maps over worker
 processes. Each driver builds the tasks, maps them, runs the closure
 (:func:`~repro.verify.model_checker.bfs_closure` over mapped
 :class:`~repro.verify.tasks.ExpandTask` chunks, unless the map brings
-its own), and merges the shard results with the reducers below, which
-is why every engine's verdicts are byte-identical.
+its own), and merges the shard results with the reducers below; a proof
+then reads its progress and closure obligations off the explored graph
+in this process. Every engine's closure is the same graph, which is why
+every engine's verdicts are byte-identical.
 """
 
 
@@ -70,8 +72,6 @@ from repro.verify.tasks import (
     CampaignTask,
     CheckerConfig,
     ExpandTask,
-    LivenessShardResult,
-    LivenessTask,
     LocalRuntime,
     PolicyReplicator,
     ShardSpec,
@@ -161,23 +161,30 @@ class TaskMap:
         closure: the map's own closure exploration, replacing
             :func:`~repro.verify.model_checker.bfs_closure` over mapped
             expand tasks (the distributed engine's async mode).
+        checker: the checker, per config, that analyses the explored
+            graph and checks the progress and closure obligations on it
+            (the serial map's is the one that explored the graph).
     """
 
     n_shards: int
     map: Callable[[Sequence[Any]], list[Any]]
     closure: Closure | None = None
+    checker: Callable[[CheckerConfig], ModelChecker] = CheckerConfig.build
 
 
 def local_tasks(emit: Callable[..., None] | None = None) -> TaskMap:
     """The serial engine's map: one shard, run in this process.
 
-    One :class:`~repro.verify.tasks.LocalRuntime` runs every task, so
-    progress, closure and exploration share one checker and no chunk
-    is pickled. ``emit`` receives a campaign's per-machine progress.
+    One :class:`~repro.verify.tasks.LocalRuntime` runs every task and
+    supplies the driver's checker, so exploration and the obligations
+    read off its graph share one checker — its kernel, built once, and
+    the tuple executor's branch memo — and no chunk is pickled.
+    ``emit`` receives a campaign's per-machine progress.
     """
     runtime = LocalRuntime()
     return TaskMap(1, lambda tasks: [runtime.run(task, emit)
-                                     for task in tasks])
+                                     for task in tasks],
+                   checker=runtime.checker_for)
 
 
 def prove(policy: Policy, scope: StateScope, tasks: TaskMap, *,
@@ -189,29 +196,31 @@ def prove(policy: Policy, scope: StateScope, tasks: TaskMap, *,
           ) -> WorkConservationCertificate:
     """The full §4 pipeline for ``policy`` at ``scope``, on ``tasks``.
 
-    The scope splits into ``tasks.n_shards`` round-robin shards; each
-    shard's state sweeps and liveness sweeps run as one task each, the
-    closure is explored and the shard results merge into the
-    certificate. Exploration reports per level through ``on_level`` or,
-    when ``on_expand`` is given instead, the running number of states
-    explored (:func:`~repro.verify.model_checker.cumulative_levels`; the
-    async closure reports only that way).
+    The scope splits into ``tasks.n_shards`` round-robin shards, whose
+    state sweeps run as one task each; the closure is explored, the
+    progress and closure obligations are read off its graph, and the
+    results merge into the certificate. Exploration reports per level
+    through ``on_level`` or, when ``on_expand`` is given instead, the
+    running number of states explored
+    (:func:`~repro.verify.model_checker.cumulative_levels`; the async
+    closure reports only that way).
     """
     config = CheckerConfig(policy=policy, choice_mode=choice_mode,
                            max_orders=max_orders, symmetry=symmetry,
                            topology=topology)
     # Built before any dispatch so an unsound parameter combination
     # fails with the checker's one-line error, not a worker traceback.
-    checker = config.build()
-    specs = make_shard_specs(config, scope, tasks.n_shards)
-    trace = TRACER.enabled
-    sweep_shards = tasks.map([SweepTask(spec=spec, trace=trace)
-                              for spec in specs])
-    live_shards = tasks.map([LivenessTask(spec=spec, trace=trace)
-                             for spec in specs])
-    analysis = _analyze(checker, config, scope, tasks, on_level, on_expand)
-    return assemble_certificate(policy, sweep_shards, live_shards, analysis,
-                                symmetry=symmetry)
+    checker = tasks.checker(config)
+    sweep_shards = tasks.map([
+        SweepTask(spec=spec, trace=TRACER.enabled)
+        for spec in make_shard_specs(config, scope, tasks.n_shards)
+    ])
+    analysis, graph = _analyze(checker, config, scope, tasks, on_level,
+                               on_expand)
+    return assemble_certificate(
+        policy, sweep_shards, checker.check_progress(scope, graph),
+        checker.check_good_state_closure(scope, graph), analysis,
+    )
 
 
 def analyze(policy: Policy | None, scope: StateScope, tasks: TaskMap, *,
@@ -232,16 +241,17 @@ def analyze(policy: Policy | None, scope: StateScope, tasks: TaskMap, *,
     config = CheckerConfig(policy=policy, choice_mode=choice_mode,
                            max_orders=max_orders, symmetry=symmetry,
                            topology=topology, hierarchy=hierarchy)
-    return _analyze(config.build(), config, scope, tasks, on_level,
-                    on_expand)
+    return _analyze(tasks.checker(config), config, scope, tasks, on_level,
+                    on_expand)[0]
 
 
 def _analyze(checker: ModelChecker, config: CheckerConfig,
              scope: StateScope, tasks: TaskMap,
              on_level: Callable[[int, int, int], None] | None,
              on_expand: Callable[[int], None] | None,
-             ) -> WorkConservationAnalysis:
-    """Explore the scope's closure on ``tasks`` and analyse the graph."""
+             ) -> tuple[WorkConservationAnalysis, PackedGraph]:
+    """Explore the scope's closure on ``tasks`` and analyse the graph;
+    returns the analysis and the graph."""
     with timed_check() as timer:
         initial = config.symmetry.iter_representatives(scope)
         if tasks.closure is not None:
@@ -262,7 +272,7 @@ def _analyze(checker: ModelChecker, config: CheckerConfig,
             )
         analysis = checker.analyze_graph(scope, graph, truncated)
     analysis.elapsed_s = timer.elapsed
-    return analysis
+    return analysis, graph
 
 
 def campaign(policy_factory: Callable[[], Policy], config: CampaignConfig,
@@ -293,7 +303,8 @@ def prove_work_conserving(policy: Policy, scope: StateScope,
             choice; ``'policy'`` fixes the policy's deterministic choice.
         max_orders: cap on racing-steal permutations per round.
         symmetry: the :class:`~repro.verify.symmetry.SymmetryGroup` to
-            quotient the liveness sweeps and closure exploration by
+            quotient closure exploration, and the progress and closure
+            obligations read off it, by
             (:class:`~repro.verify.symmetry.FlatSymmetryGroup` is full
             core renaming, sound for load-only policies).
         topology: machine layout for node-aware snapshot views.
@@ -355,19 +366,13 @@ def make_campaign_tasks(
     ]
 
 
-def merge_proof_results(
-    shards: list[ProofResult],
-    order_key: "Callable[[tuple[int, ...]], tuple[int, ...]] | None" = None,
-) -> ProofResult:
+def merge_proof_results(shards: list[ProofResult]) -> ProofResult:
     """Merge per-shard results of one obligation into the scope result.
 
     REFUTED dominates; among refuting shards the counterexample whose
-    state comes first in the serial iteration order wins. ``order_key``
-    is the symmetry group's
-    :meth:`~repro.verify.symmetry.SymmetryGroup.serial_order_key`
-    (``None`` means the plain ascending lexicographic order of
-    :func:`~repro.verify.enumeration.iter_states`, i.e. the trivial
-    group). Because shards partition the scope and each reports the
+    state comes first in the serial iteration order — the ascending
+    lexicographic order of :func:`~repro.verify.enumeration.iter_states`
+    — wins. Because shards partition the scope and each reports the
     first counterexample of its own chunk, that winner is exactly the
     counterexample the serial sweep would have reported.
     ``states_checked`` sums; ``elapsed_s`` is the max across shards
@@ -386,8 +391,7 @@ def merge_proof_results(
     if refuted:
         def serial_order(result: ProofResult) -> tuple[int, ...]:
             assert result.counterexample is not None
-            state = tuple(result.counterexample.state)
-            return state if order_key is None else order_key(state)
+            return tuple(result.counterexample.state)
 
         winner = min(refuted, key=serial_order)
     return ProofResult(
@@ -422,32 +426,25 @@ def merge_campaign_reports(shards: list[CampaignReport]) -> CampaignReport:
 def assemble_certificate(
     policy: Policy,
     sweep_shards: list[SweepShardResult],
-    live_shards: list[LivenessShardResult],
+    progress: ProofResult,
+    closure: ProofResult,
     analysis: WorkConservationAnalysis,
-    symmetry: SymmetryGroup = TrivialGroup(),
 ) -> WorkConservationCertificate:
     """Merge per-shard results into the full §4 certificate.
 
-    Sweep obligations merge with :func:`merge_proof_results`, the
-    liveness obligations likewise (in the symmetry group's
-    representative-enumeration order, so the merged counterexample is
-    the serial sweep's), and the potential bound is derived from the
-    shard-local ``min_decrease``/``max_potential`` extrema — no second
-    global sweep.
+    Sweep obligations merge with :func:`merge_proof_results`, and the
+    potential bound is derived from the shard-local
+    ``min_decrease``/``max_potential`` extrema — no second global
+    sweep. ``progress`` and ``closure`` are the two obligations checked
+    on the explored graph.
     """
     report = ProofReport(policy_name=policy.name)
     for key in SWEEP_OBLIGATION_KEYS:
         report.add(merge_proof_results(
             [shard.results[key] for shard in sweep_shards]
         ))
-    report.add(merge_proof_results(
-        [shard.progress for shard in live_shards],
-        order_key=symmetry.serial_order_key,
-    ))
-    report.add(merge_proof_results(
-        [shard.closure for shard in live_shards],
-        order_key=symmetry.serial_order_key,
-    ))
+    report.add(progress)
+    report.add(closure)
     report.add(analysis.to_proof_result())
 
     potential_ok = report.result_for("potential_decrease").ok

@@ -65,9 +65,9 @@ class TestEngineEquivalence:
         results = results_for(request)
         assert not results["serial"].ok
         # Sharded engines are mutually identical; the serial engine
-        # matches them on everything except `states_checked` of refuted
-        # sweeps (each shard stops at its own chunk's first
-        # counterexample — the documented divergence in
+        # matches them on everything except `states_checked` of the five
+        # refuted state sweeps (each shard stops at its own chunk's
+        # first counterexample — the documented divergence in
         # repro.verify.parallel).
         assert results["pool"] == results["distributed"]
         assert results["pool"] == results["async"]
@@ -77,6 +77,32 @@ class TestEngineEquivalence:
                                 pool.certificate.report.results):
             assert ours.status == theirs.status
             assert ours.counterexample == theirs.counterexample
+
+    @pytest.mark.parametrize("policy, cores, max_load, margin", [
+        ("inverted", 3, 2, 2),
+        ("greedy_halving", 4, 3, 3),
+    ], ids=["inverted-3x2", "greedy_halving-margin3-4x3"])
+    def test_refuted_progress_is_the_serial_result(self, policy, cores,
+                                                   max_load, margin):
+        """Progress is read off the explored graph in the driver, so a
+        refutation's ``states_checked`` is the serial count on every
+        engine."""
+        request = (VerificationRequest.builder("prove")
+                   .policy(policy, margin=margin)
+                   .scope(cores=cores, max_load=max_load).build())
+        results = results_for(request)
+        progress = {
+            name: result.certificate.report.result_for("progress")
+            for name, result in results.items()
+        }
+        assert not progress["serial"].ok
+        for name, result in progress.items():
+            assert (result.status, result.states_checked,
+                    result.counterexample) == (
+                progress["serial"].status,
+                progress["serial"].states_checked,
+                progress["serial"].counterexample,
+            ), f"{name} diverged from serial"
 
     def test_hunt_with_topology_quotient(self):
         request = (VerificationRequest.builder("hunt")

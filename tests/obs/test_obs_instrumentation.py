@@ -121,8 +121,8 @@ class TestPoolCapture:
                      and f"(pid {os.getpid()})" not in name}
         names = {event["name"] for event in document["traceEvents"]
                  if event["ph"] == "X" and event["pid"] in pool_rows}
-        assert {"worker.SweepTask", "worker.LivenessTask",
-                "worker.ExpandTask"} <= names
+        assert {"worker.SweepTask", "worker.ExpandTask"} <= names
+        assert "worker.LivenessTask" not in names
 
     def test_pool_spin_up_is_an_engine_acquire_span(self, tmp_path,
                                                     capsys):

@@ -232,19 +232,19 @@ class TestParseEndpoint:
 #: length prefix included.
 WORKER_GOLDEN = [
     (worker_wire.WireMessage(worker_wire.HELLO,
-                             payload={"version": 8, "pid": 1234}),
-     b'\x00\x00\x00QJ{"v": 8, "kind": "hello", "task_id": -1,'
-     b' "payload": {"version": 8, "pid": 1234}}'),
+                             payload={"version": 9, "pid": 1234}),
+     b'\x00\x00\x00QJ{"v": 9, "kind": "hello", "task_id": -1,'
+     b' "payload": {"version": 9, "pid": 1234}}'),
     (worker_wire.WireMessage(worker_wire.PING),
-     b'\x00\x00\x009J{"v": 8, "kind": "ping", "task_id": -1,'
+     b'\x00\x00\x009J{"v": 9, "kind": "ping", "task_id": -1,'
      b' "payload": null}'),
     (worker_wire.WireMessage(worker_wire.HEARTBEAT, task_id=3,
                              payload={"elapsed": 1.5}),
-     b'\x00\x00\x00IJ{"v": 8, "kind": "heartbeat", "task_id": 3,'
+     b'\x00\x00\x00IJ{"v": 9, "kind": "heartbeat", "task_id": 3,'
      b' "payload": {"elapsed": 1.5}}'),
     (worker_wire.WireMessage(worker_wire.ERROR, task_id=4,
                              payload={"traceback": "Traceback\n  boom"}),
-     b'\x00\x00\x00WJ{"v": 8, "kind": "error", "task_id": 4,'
+     b'\x00\x00\x00WJ{"v": 9, "kind": "error", "task_id": 4,'
      b' "payload": {"traceback": "Traceback\\n  boom"}}'),
 ]
 
@@ -280,7 +280,7 @@ def sent_bytes(send) -> bytes:
 
 class TestGoldenFrames:
     def test_versions_are_unchanged(self):
-        assert worker_wire.WIRE_VERSION == 8
+        assert worker_wire.WIRE_VERSION == 9
         assert store_wire.SERVICE_WIRE_VERSION == 1
 
     @pytest.mark.parametrize("message,golden", WORKER_GOLDEN)

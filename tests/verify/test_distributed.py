@@ -36,7 +36,6 @@ from repro.verify.symmetry import FlatSymmetryGroup
 from repro.verify.tasks import (
     CheckerConfig,
     ExpandTask,
-    LivenessTask,
     SweepTask,
 )
 from repro.verify.wire import TASK, WireMessage, decode_message, encode_message
@@ -403,11 +402,11 @@ class TestWorkerRuntime:
         ))
         assert len(runtime._checkers) == 2
 
-    def test_liveness_and_expand_tasks_of_a_proof_share_one_checker(self):
+    def test_sweep_and_expand_tasks_of_a_proof_share_one_checker(self):
         runtime = WorkerRuntime()
         config = CheckerConfig(policy=BalanceCountPolicy())
         spec = make_shard_specs(config, SCOPE, 1)[0]
-        runtime.execute(_over_the_wire(LivenessTask(spec=spec)))
+        runtime.execute(_over_the_wire(SweepTask(spec=spec)))
         assert len(runtime._checkers) == 1
         (_, checker), = runtime._checkers.values()
         runtime.execute(_over_the_wire(_expand_task(config, (0, 1, 2))))

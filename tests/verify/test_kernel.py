@@ -490,15 +490,16 @@ class TestManyThiefExpansion:
 
 class TestBranchCountsAndStalls:
     """The progress obligation's view of the kernel: its per-state
-    branch counts are the tuple executor's, and the stall flag marks a
-    branch that committed no steal."""
+    branch counts (read off the tables) are the tuple executor's, and
+    the stall flag marks a branch that committed no steal."""
 
     @staticmethod
     def assert_rows_match_branches(kernel, codec, states, max_orders):
         packed = numpy.asarray(codec.encode_batch(states), dtype=numpy.int64)
         plain = kernel.expand_batch_arrays(packed)
-        values, counts, truncated, stalled, branches = \
+        values, counts, truncated, stalled = \
             kernel.expand_batch_arrays(packed, stalls=True)
+        branches = kernel.branch_counts(packed)
         assert len(plain) == 3
         assert values.tolist() == plain[0].tolist()
         assert counts.tolist() == plain[1].tolist()
@@ -540,10 +541,10 @@ class TestBranchCountsAndStalls:
     def test_empty_batch(self):
         codec = StateCodec(n_cores=3, max_value=6)
         kernel = kernel_for(BalanceCountPolicy(), codec)
-        result = kernel.expand_batch_arrays(
-            numpy.empty(0, dtype=numpy.int64), stalls=True
-        )
-        assert [len(part) for part in result] == [0, 0, 0, 0, 0]
+        empty = numpy.empty(0, dtype=numpy.int64)
+        result = kernel.expand_batch_arrays(empty, stalls=True)
+        assert [len(part) for part in result] == [0, 0, 0, 0]
+        assert len(kernel.branch_counts(empty)) == 0
 
     def test_bad_mask_matches_is_bad_state(self):
         states = list(itertools.product(range(4), repeat=4))
@@ -683,8 +684,9 @@ class TestReducedKernelMatchesKernelOff:
         assert kernel.uniform
         packed = numpy.asarray(codec.encode_batch(states),
                                dtype=numpy.int64)
-        values, counts, truncated, stalled, branches = \
+        values, counts, truncated, stalled = \
             kernel.expand_batch_arrays(packed, stalls=True)
+        branches = kernel.branch_counts(packed)
         assert len(values) == int(counts.sum())
         cursor = 0
         for index, state in enumerate(states):

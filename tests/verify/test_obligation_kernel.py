@@ -1,13 +1,13 @@
-"""The progress and good-state-closure obligations on the numpy kernel.
+"""The progress and good-state-closure obligations read off the graph.
 
-Where exploration runs on the numpy :class:`TransitionKernel`, so do
-``ModelChecker.check_progress`` and ``check_good_state_closure``; the
-tuple executor stays their oracle. Every test here is differential:
-the same obligation is run once with the kernel and once with
-``REPRO_KERNEL=off``, and the two results must agree on status,
-``states_checked`` and the counterexample (state, detail and data) —
-over the whole-scope sweep and over the ``states=`` chunks
-``liveness_shard_worker`` passes.
+Where exploration runs on the numpy :class:`TransitionKernel`,
+``ModelChecker.check_progress`` and ``check_good_state_closure`` answer
+from the explored closure graph; the tuple executor's per-state loop
+stays their oracle. Every test here is differential: the same
+obligation is run once with the kernel and once with
+``REPRO_KERNEL=off``, each over its own tier's explored graph of the
+whole scope, and the two results must agree on status,
+``states_checked`` and the counterexample (state, detail and data).
 """
 
 from __future__ import annotations
@@ -17,10 +17,12 @@ import os
 from typing import Iterator
 from unittest import mock
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.errors import VerificationError
 from repro.obs.trace import TRACER
 from repro.policies import (
     BalanceCountPolicy,
@@ -31,7 +33,7 @@ from repro.policies import (
     WeightedBalancePolicy,
 )
 from repro.topology.numa import symmetric_numa
-from repro.verify import ModelChecker, StateScope
+from repro.verify import ModelChecker, StateScope, prove_work_conserving
 from repro.verify.hierarchical import HierarchicalModelChecker, HierarchySpec
 from repro.verify.kernel import KERNEL_ENV, TransitionKernel
 from repro.verify.obligations import ProofStatus
@@ -40,6 +42,20 @@ from repro.verify.symmetry import (
     NumaSymmetryGroup,
     TrivialGroup,
 )
+
+
+class StallsAtThreePolicy(BalanceCountPolicy):
+    """balance_count, except that a victim with three threads gives
+    nothing: its bad states before ``(0, 0, 3)`` make progress, so the
+    progress witness lies past the first bad state."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.name = "stalls_at_three"
+
+    def steal_amount(self, thief, stealee) -> int:
+        return 0 if stealee.nr_threads == 3 else 1
+
 
 POLICIES = [
     BalanceCountPolicy(margin=1),
@@ -50,6 +66,7 @@ POLICIES = [
     GreedyReadyPolicy(),
     OverStealingPolicy(),
     WeightedBalancePolicy(),
+    StallsAtThreePolicy(),
 ]
 
 #: Group factories by name; ``numa:2x2`` only fits 4-core scopes.
@@ -78,23 +95,20 @@ def summary(result):
     )
 
 
-def run(policy, group_name, scope, obligation, mode, chunk=None):
-    """Run one obligation in a fresh checker under ``REPRO_KERNEL=mode``.
+def run(policy, group_name, scope, obligation, mode):
+    """Explore ``scope`` and run one obligation on its graph, in a fresh
+    checker under ``REPRO_KERNEL=mode``, as a proof does.
 
-    Returns the result and the tier its ``checker.<obligation>`` span
-    recorded.
+    Returns the result and the ``checker.<obligation>`` span.
     """
     with kernel_env(mode):
         checker = ModelChecker(policy, symmetry=GROUPS[group_name]())
-        states = None
-        if chunk is not None:
-            shard, n_shards = chunk
-            states = checker.symmetry.iter_representatives_chunk(
-                scope, shard, n_shards
-            )
+        graph, _ = checker.explore(
+            checker.symmetry.iter_representatives(scope)
+        )
         TRACER.enable()
         try:
-            result = getattr(checker, obligation)(scope, states)
+            result = getattr(checker, obligation)(scope, graph)
             spans = TRACER.drain()
         finally:
             TRACER.disable()
@@ -103,11 +117,9 @@ def run(policy, group_name, scope, obligation, mode, chunk=None):
     return result, span
 
 
-def assert_tiers_agree(policy, group_name, scope, obligation, chunk=None):
-    fast, fast_span = run(policy, group_name, scope, obligation, "numpy",
-                          chunk)
-    slow, slow_span = run(policy, group_name, scope, obligation, "off",
-                          chunk)
+def assert_tiers_agree(policy, group_name, scope, obligation):
+    fast, fast_span = run(policy, group_name, scope, obligation, "numpy")
+    slow, slow_span = run(policy, group_name, scope, obligation, "off")
     assert fast_span.args["tier"] == "numpy"
     assert slow_span.args["tier"] == "tuple"
     assert fast_span.args["states"] == slow_span.args["states"]
@@ -118,7 +130,7 @@ def assert_tiers_agree(policy, group_name, scope, obligation, chunk=None):
 class TestKernelMatchesTupleOracle:
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_random_scopes_groups_and_chunks(self, data):
+    def test_random_scopes_groups_and_policies(self, data):
         policy = data.draw(st.sampled_from(POLICIES), label="policy")
         n_cores = data.draw(st.integers(2, 4), label="cores")
         max_load = data.draw(st.integers(1, 3), label="max_load")
@@ -126,13 +138,8 @@ class TestKernelMatchesTupleOracle:
         group_name = data.draw(st.sampled_from(groups), label="group")
         obligation = data.draw(st.sampled_from(OBLIGATIONS),
                                label="obligation")
-        n_shards = data.draw(st.integers(1, 3), label="n_shards")
-        chunk = None
-        if n_shards > 1:
-            chunk = (data.draw(st.integers(0, n_shards - 1), label="shard"),
-                     n_shards)
         scope = StateScope(n_cores=n_cores, max_load=max_load)
-        assert_tiers_agree(policy, group_name, scope, obligation, chunk)
+        assert_tiers_agree(policy, group_name, scope, obligation)
 
     @pytest.mark.parametrize("group_name", sorted(GROUPS))
     @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.name)
@@ -141,12 +148,11 @@ class TestKernelMatchesTupleOracle:
         for obligation in OBLIGATIONS:
             assert_tiers_agree(policy, group_name, scope, obligation)
 
-    @pytest.mark.parametrize("shard", [0, 1, 2])
-    def test_liveness_chunks_at_4x3(self, shard):
+    def test_whole_scope_at_4x3(self):
         scope = StateScope(n_cores=4, max_load=3)
         for obligation in OBLIGATIONS:
             assert_tiers_agree(BalanceCountPolicy(margin=1), "trivial",
-                               scope, obligation, chunk=(shard, 3))
+                               scope, obligation)
 
     @pytest.mark.parametrize("policy, witness", [
         (BalanceCountPolicy(margin=3), "no steal intent at all"),
@@ -164,29 +170,26 @@ class TestKernelMatchesTupleOracle:
 
     def test_refutation_counts_branches_before_the_witness(self):
         """A witness past the first bad state: ``states_checked`` sums
-        every earlier bad state's branches plus the witness's index."""
-        scope = StateScope(n_cores=4, max_load=3)
-        states = [(0, 0, 0, 3), (1, 1, 1, 1), (0, 0, 3, 3), (0, 0, 1, 2),
-                  (0, 0, 0, 3)]
-        results = []
-        for mode in ("numpy", "off"):
-            with kernel_env(mode):
-                checker = ModelChecker(BalanceCountPolicy(margin=3))
-                results.append(checker.check_progress(scope, states))
-        fast, slow = results
-        assert summary(fast) == summary(slow)
-        assert fast.status is ProofStatus.REFUTED
-        assert fast.counterexample.state == (0, 0, 1, 2)
-        assert fast.states_checked > 3
+        every earlier bad state's branches plus the witness's index —
+        (0, 0, 2)'s two steal orders, then (0, 0, 3)'s first branch."""
+        result = assert_tiers_agree(StallsAtThreePolicy(), "trivial",
+                                    StateScope(n_cores=3, max_load=3),
+                                    "check_progress")
+        assert result.status is ProofStatus.REFUTED
+        assert result.counterexample.state == (0, 0, 3)
+        assert "committed no steal" in result.counterexample.detail
+        assert result.states_checked == 3
 
-    def test_empty_sweep(self):
-        scope = StateScope(n_cores=3, max_load=2)
-        for obligation in OBLIGATIONS:
-            with kernel_env("numpy"):
-                result = getattr(ModelChecker(BalanceCountPolicy()),
-                                 obligation)(scope, [])
-            assert result.ok
-            assert result.states_checked == 0
+    @pytest.mark.parametrize("obligation", OBLIGATIONS)
+    @pytest.mark.parametrize("mode", ["numpy", "off"])
+    def test_without_a_graph_the_checker_explores_the_scope(self, mode,
+                                                            obligation):
+        scope = StateScope(n_cores=3, max_load=3)
+        policy = StallsAtThreePolicy()
+        given_graph, _ = run(policy, "trivial", scope, obligation, mode)
+        with kernel_env(mode):
+            own = getattr(ModelChecker(policy), obligation)(scope)
+        assert summary(own) == summary(given_graph)
 
 
 def _two_overloaded(state) -> bool:
@@ -212,15 +215,122 @@ class TestClosureWitnessRebuild:
                             _two_overloaded_mask)
 
     @pytest.mark.parametrize("group_name", ["trivial", "flat"])
-    @pytest.mark.parametrize("chunk", [None, (1, 2)])
-    def test_refuted_closure_matches_the_oracle(self, group_name, chunk):
+    def test_refuted_closure_matches_the_oracle(self, group_name):
         result = assert_tiers_agree(
             BalanceCountPolicy(), group_name,
             StateScope(n_cores=3, max_load=3),
-            "check_good_state_closure", chunk,
+            "check_good_state_closure",
         )
         assert result.status is ProofStatus.REFUTED
         assert "successor" in result.counterexample.data
+
+
+class TestGraphQueries:
+    def test_a_kernel_flag_the_tuple_executor_clears_is_an_error(
+            self, monkeypatch):
+        """The kernel's stall flags are only trusted as far as the tuple
+        executor rebuilds a witness."""
+        original = TransitionKernel.expand_batch_arrays
+
+        def always_stalls(self, packed, stalls=False):
+            result = original(self, packed, stalls)
+            if not stalls:
+                return result
+            return result[:3] + (numpy.ones(len(packed), dtype=bool),)
+
+        monkeypatch.setattr(TransitionKernel, "expand_batch_arrays",
+                            always_stalls)
+        with kernel_env("numpy"):
+            checker = ModelChecker(NaiveOverloadedPolicy())
+            with pytest.raises(VerificationError,
+                               match="tuple executor finds no"):
+                checker.check_progress(StateScope(n_cores=4, max_load=3))
+
+    def test_a_graph_missing_swept_states_is_an_error(self):
+        with kernel_env("numpy"):
+            checker = ModelChecker(BalanceCountPolicy())
+            graph, _ = checker.explore([(0, 0, 2)])
+            with pytest.raises(VerificationError, match="misses swept"):
+                checker.check_progress(StateScope(n_cores=3, max_load=2),
+                                       graph)
+
+
+class TestOneExpansionPerProof:
+    """A proof runs every explored state through the kernel once: the
+    obligations add only the self-looping bad states' stall query."""
+
+    @staticmethod
+    def kernel_inputs(monkeypatch, policy, scope):
+        calls: list[tuple[int, bool]] = []
+        original = TransitionKernel.expand_batch_arrays
+
+        def counting(self, packed, stalls=False):
+            calls.append((len(packed), stalls))
+            return original(self, packed, stalls)
+
+        monkeypatch.setattr(TransitionKernel, "expand_batch_arrays",
+                            counting)
+        with kernel_env("numpy"):
+            certificate = prove_work_conserving(policy, scope)
+        explored = sum(n for n, stalls in calls if not stalls)
+        candidates = sum(n for n, stalls in calls if stalls)
+        return certificate, explored, candidates
+
+    def test_balance_count_5x4_expands_each_state_once(self, monkeypatch):
+        certificate, explored, candidates = self.kernel_inputs(
+            monkeypatch, BalanceCountPolicy(),
+            StateScope(n_cores=5, max_load=4),
+        )
+        assert certificate.proved
+        assert explored == certificate.analysis.states_explored
+        assert candidates == 0
+
+    def test_naive_4x3_adds_only_the_self_loop_candidates(self,
+                                                          monkeypatch):
+        certificate, explored, candidates = self.kernel_inputs(
+            monkeypatch, NaiveOverloadedPolicy(),
+            StateScope(n_cores=4, max_load=3),
+        )
+        assert explored == certificate.analysis.states_explored
+        assert candidates == 82
+        assert certificate.report.result_for("progress").ok
+
+
+    def test_serial_prove_builds_one_kernel(self, monkeypatch):
+        """The driver checks the obligations on the runtime's checker,
+        whose kernel exploration already built."""
+        import repro.verify.model_checker as model_checker
+
+        built = []
+        original = model_checker.build_kernel
+
+        def counting(*args, **kwargs):
+            built.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(model_checker, "build_kernel", counting)
+        with kernel_env("numpy"):
+            prove_work_conserving(BalanceCountPolicy(),
+                                  StateScope(n_cores=4, max_load=3))
+        assert len(built) == 1
+
+    def test_tuple_tier_enumerates_each_state_once(self, monkeypatch):
+        """On the tuple tier the obligations reuse exploration's branch
+        and successor memos."""
+        enumerated = []
+        original = ModelChecker._enumerate_round
+
+        def counting(self, state):
+            enumerated.append(state)
+            return original(self, state)
+
+        monkeypatch.setattr(ModelChecker, "_enumerate_round", counting)
+        with kernel_env("off"):
+            certificate = prove_work_conserving(
+                BalanceCountPolicy(), StateScope(n_cores=4, max_load=3)
+            )
+        assert certificate.proved
+        assert len(enumerated) == certificate.analysis.states_explored
 
 
 class TestTuplePathStays:
@@ -231,8 +341,6 @@ class TestTuplePathStays:
         for mode in ("numpy", "off"):
             with kernel_env(mode):
                 checker = HierarchicalModelChecker(spec)
-                states = list(checker.symmetry.iter_representatives(scope))
-                assert checker._packed_sweep(scope, states) is None
                 TRACER.enable()
                 try:
                     results[mode] = [
@@ -248,22 +356,8 @@ class TestTuplePathStays:
         assert results["numpy"] == results["off"]
 
     def test_kernel_off_takes_the_tuple_path(self):
-        with kernel_env("off"):
-            checker = ModelChecker(BalanceCountPolicy())
-            scope = StateScope(n_cores=3, max_load=2)
-            assert checker._packed_sweep(
-                scope, list(checker.symmetry.iter_representatives(scope))
-            ) is None
-
-    def test_states_outside_the_scope_codec_take_the_tuple_path(self):
-        with kernel_env("numpy"):
-            checker = ModelChecker(BalanceCountPolicy())
-            scope = StateScope(n_cores=3, max_load=1)
-            assert checker._packed_sweep(scope, [(0, 0, 9)]) is None
-            assert checker._packed_sweep(scope, [(0, 1, 1)]) is not None
-            result = checker.check_progress(scope, [(0, 0, 9)])
-        with kernel_env("off"):
-            oracle = ModelChecker(BalanceCountPolicy()).check_progress(
-                scope, [(0, 0, 9)]
-            )
-        assert summary(result) == summary(oracle)
+        for obligation in OBLIGATIONS:
+            _, span = run(BalanceCountPolicy(), "trivial",
+                          StateScope(n_cores=3, max_load=2), obligation,
+                          "off")
+            assert span.args["tier"] == "tuple"

@@ -134,30 +134,6 @@ class TestRepresentativeEnumeration:
         )
         assert total == count_states(scope)
 
-    def test_enumeration_order_matches_serial_order_key(self):
-        group = NumaSymmetryGroup(symmetric_numa(2, 2))
-        reps = list(group.iter_representatives(SCOPE_2X2_DEEP))
-        keys = [group.serial_order_key(rep) for rep in reps]
-        assert keys == sorted(keys)
-
-    def test_chunks_partition_representatives(self):
-        group = NumaSymmetryGroup(symmetric_numa(2, 2))
-        whole = list(group.iter_representatives(SCOPE_2X2_DEEP))
-        for n_shards in (1, 2, 3, 7):
-            chunks = [
-                list(group.iter_representatives_chunk(
-                    SCOPE_2X2_DEEP, shard, n_shards
-                ))
-                for shard in range(n_shards)
-            ]
-            assert sorted(s for c in chunks for s in c) == sorted(whole)
-            sizes = [len(c) for c in chunks]
-            assert sizes == [
-                group.count_representatives_chunk(SCOPE_2X2_DEEP, shard,
-                                                  n_shards)
-                for shard in range(n_shards)
-            ]
-
     def test_group_order(self):
         group = NumaSymmetryGroup(symmetric_numa(2, 2))
         # 2! per node × 2! node swap.

@@ -16,7 +16,6 @@ from repro.verify.tasks import (
     CampaignTask,
     CheckerConfig,
     ExpandTask,
-    LivenessTask,
     PolicyReplicator,
     ShardSpec,
     SweepTask,
@@ -50,7 +49,6 @@ class TestEncodeDecode:
     def test_pickle_roundtrip_of_task_payloads(self):
         tasks = [
             SweepTask(spec=SPEC),
-            LivenessTask(spec=SPEC),
             ExpandTask(config=CheckerConfig(policy=BalanceCountPolicy()),
                        codec=CODEC,
                        packed=tuple(CODEC.encode_batch([(0, 1, 2),
